@@ -1,8 +1,8 @@
 """Dephasing study: how local sigma-z noise degrades the Fisher information.
 
-Co-evolves density matrices at h +/- delta for a few system sizes and noise
-strengths, point-averages the mixed-state QFI over windows of dn cycles, and
-fits the growth exponent alpha of the averaged series.
+Evolves the density matrix and its exact h_a-derivative for a few system
+sizes and noise strengths, point-averages the mixed-state QFI over windows of
+dn cycles, and fits the growth exponent alpha of the averaged series.
 """
 import os
 import sys

@@ -54,7 +54,6 @@ from .lindblad import (
     MixedState,
     evolve_lindblad,
     initial_mixed_state,
-    lindblad_rhs,
     noisy_fisher,
 )
 from .expcalc import MATERIALS, calibrate_unit_scale, expcalc, material_record
@@ -73,6 +72,6 @@ __all__ = [
     "qfi_bound_variance", "qfi_mixed", "qfi_pure", "stroboscopic_trace",
     "time_average",
     "LindbladEngine", "MixedState", "evolve_lindblad", "initial_mixed_state",
-    "lindblad_rhs", "noisy_fisher",
+    "noisy_fisher",
     "MATERIALS", "calibrate_unit_scale", "expcalc", "material_record",
 ]

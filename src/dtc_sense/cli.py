@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 resource-gate rejection,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -34,6 +35,7 @@ from .sweep import (
     load_config,
     run_sweep,
     write_sidecar,
+    write_text,
     _fmt,
 )
 
@@ -147,10 +149,9 @@ def _cmd_fit(cfg: RunConfig, args) -> int:
     print(f"r_squared = {fit.r_squared:.8g}")
     out = cfg.get("out") or args.out
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("exponent,prefactor,r_squared\n")
-            fh.write(f"{fit.exponent:.12g},{fit.prefactor:.12g},"
-                     f"{fit.r_squared:.12g}\n")
+        write_text(out, "exponent,prefactor,r_squared\n"
+                        f"{fit.exponent:.12g},{fit.prefactor:.12g},"
+                        f"{fit.r_squared:.12g}\n")
         print(f"wrote fit to {out}")
     return 0
 
@@ -168,9 +169,7 @@ def _cmd_transition(cfg: RunConfig, args) -> int:
     print(f"h_a_max = {h_max:.6g}")
     out = cfg.get("out") or args.out
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("L,n,h_a_max\n")
-            fh.write(f"{probe.length},{n},{h_max:.12g}\n")
+        write_text(out, f"L,n,h_a_max\n{probe.length},{n},{h_max:.12g}\n")
         print(f"wrote transition point to {out}")
     return 0
 
@@ -196,13 +195,13 @@ def _cmd_noise(cfg: RunConfig, args) -> int:
     out = _out_path(cfg, args, "noise.csv")
     emit_table([], rows, out, cfg.resolved())
     pa = result["point_averaged"]
-    pa_path = out.rsplit(".", 1)[0] + ".pointavg.csv"
-    with open(pa_path, "w", encoding="utf-8") as fh:
-        fh.write("n_mid,n_cumulative,qfi,cfi_comp,cfi_coll\n")
-        for i in range(len(pa["n_mid"])):
-            fh.write(",".join(_fmt(v) for v in (
-                pa["n_mid"][i], pa["n_cumulative"][i], pa["qfi"][i],
-                pa["cfi_computational"][i], pa["cfi_collective"][i])) + "\n")
+    pa_path = os.path.splitext(out)[0] + ".pointavg.csv"
+    lines = ["n_mid,n_cumulative,qfi,cfi_comp,cfi_coll"]
+    for i in range(len(pa["n_mid"])):
+        lines.append(",".join(_fmt(v) for v in (
+            pa["n_mid"][i], pa["n_cumulative"][i], pa["qfi"][i],
+            pa["cfi_computational"][i], pa["cfi_collective"][i])))
+    write_text(pa_path, "\n".join(lines) + "\n")
     print(f"wrote {len(rows)} rows to {out} and point averages to {pa_path}")
     if len(pa["n_mid"]) >= 3 and np.all(pa["qfi"] > 0):
         fit = power_fit(pa["n_mid"], pa["qfi"])
@@ -233,11 +232,11 @@ def _cmd_expcalc(cfg: RunConfig, args) -> int:
     out = cfg.get("out") or args.out
     if out:
         keys = [k for k in records[0] if k != "material"]
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(",".join(["material"] + keys) + "\n")
-            for rec in records:
-                fh.write(",".join([str(rec.get("material", "custom"))] +
-                                  [_fmt(rec[k]) for k in keys]) + "\n")
+        lines = [",".join(["material"] + keys)]
+        for rec in records:
+            lines.append(",".join([str(rec.get("material", "custom"))] +
+                                  [_fmt(rec[k]) for k in keys]))
+        write_text(out, "\n".join(lines) + "\n")
         write_sidecar(out, cfg.resolved())
         print(f"wrote {len(records)} records to {out}")
     return 0

@@ -62,15 +62,6 @@ def _theta_unit(n: int, half: int, field: FieldConfig, cfg: ProbeConfig) -> floa
 
 
 @dataclass(frozen=True)
-class HalfPeriodSpec:
-    """Identifies one half of cycle n and its accumulated field phase."""
-
-    n: int
-    half: int  # 1 = intra-chain (duration t1), 2 = inter-chain (duration t2)
-    theta: float
-
-
-@dataclass(frozen=True)
 class DiagonalPhase:
     """First half-period factor exp(-i phases); `gradient` is the diagonal of
     the field generator G_a + eta G_b needed for tangent propagation."""
@@ -109,8 +100,7 @@ def _pair_gate(site: int, theta: float, dtheta_dh: float, eta: float,
     U = (V * f) @ V.T
     # Frechet derivative of exp(-iM) along dM/dtheta, via divided differences
     # of the eigenvalues; the degenerate branch is the derivative limit.
-    dM = np.diag([site * (1 + eta), site * (-1 + eta),
-                  site * (1 - eta), -site * (1 + eta)]).astype(float)
+    dM = _pair_exponent(site, 1.0, eta, 0.0)  # linear in theta
     dlam = lam[:, None] - lam[None, :]
     deg = np.abs(dlam) < _DEGENERATE_EIG
     phi = (f[:, None] - f[None, :]) / np.where(deg, 1.0, dlam)

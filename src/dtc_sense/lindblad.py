@@ -4,15 +4,25 @@ Within each half-period the generator is constant: the half's Hamiltonian
 (with the accumulated field phase spread over the half as a constant
 amplitude Theta/t_half, so the Gamma = 0 limit reproduces the unitary engine
 exactly) plus local sigma^z dephasing at rate Gamma on every site of both
-chains.
+chains.  In the computational basis the dephasing superoperator is
+elementwise: (sum_j sigma^z_j rho sigma^z_j) - 2L rho has matrix elements
+-2 * hamming(z XOR z') * rho_{zz'}.
 
-In the computational basis the dephasing superoperator is elementwise:
-(sum_j sigma^z_j rho sigma^z_j) - 2L rho has matrix elements
--2 * hamming(z XOR z') * rho_{zz'}.  Integration is classical fixed-step RK4.
-For the diagonal half the RK4 update factorizes elementwise into powers of
-the scalar stability polynomial, which is applied in closed form; the
-exchange half steps the full matrix with one complex matmul per stage via
-[H, rho] = H rho - (H rho)^dagger.
+Every term of each half's generator is pair-local, and the terms commute, so
+each half has an exact channel built from the unitary engine's pieces:
+
+  1. diagonal half: rho_{zz'} <- exp(-i (phi_z - phi_z') - 2 Gamma t1 hamming(z, z')) rho_{zz'},
+     with phi = t1 E_chain + Theta_1 (G_a + eta G_b) the pure engine's phases;
+  2. exchange half: L commuting 16x16 pair superoperators
+     S_j = exp(A_j),  A_j = -i (M_j x 1 - 1 x M_j^T) - 2 Gamma t2 diag(hamming_4),
+     where M_j is the pure engine's pair-gate exponent (floquet._pair_exponent)
+     and hamming_4 the Hamming distance over the pair's two qubits.
+
+The derivative d rho / d h_a is co-propagated by the product rule.  The
+exchange-half factor dS_j/dTheta is the top-right block of
+exp([[A_j, E_j], [0, A_j]]) with E_j = dA_j/dTheta (Al-Mohy & Higham,
+SIAM J. Matrix Anal. Appl. 30, 1639 (2009)), computed with the same 32x32
+exponential as S_j.  There is no time stepping and no finite difference.
 """
 from __future__ import annotations
 
@@ -21,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .floquet import HalfPeriodSpec, theta_half
+from .floquet import FloquetEngine, _pair_exponent, _theta_unit, theta_half
 from .metrology import (
     StroboscopicTrace,
-    _cfi_from_probs,
+    _readout,
     point_average,
     qfi_mixed,
 )
@@ -33,23 +43,28 @@ from .model import (
     InitConfig,
     ProbeConfig,
     build_initial_state,
-    chain_interaction_diagonal,
     collective_index_a,
-    observable_diagonal,
 )
 
-DEFAULT_SUBSTEPS = 64
+#: largest chain length the density-matrix path accepts
+LINDBLAD_MAX_L = 5
 _POSITIVITY_HARD = -1e-6
-_MAX_RETRIES = 4
+_TRACE_TOL = 1e-6
+_TAYLOR_DEGREE = 16
 
 
 @dataclass
 class MixedState:
-    """Dense density matrix with its cycle counter and dephasing rate."""
+    """Dense density matrix with its cycle counter and dephasing rate.
+
+    `tangent` (optional) carries d rho / d h_a, co-propagated by the Lindblad
+    engine as PureState.tangent is by the unitary one.
+    """
 
     rho: np.ndarray
     cycle: int = 0
     gamma: float = 0.0
+    tangent: np.ndarray | None = None
 
     def trace(self) -> float:
         return float(np.trace(self.rho).real)
@@ -58,7 +73,8 @@ class MixedState:
         return float(np.linalg.eigvalsh(self.rho)[0])
 
     def copy(self) -> "MixedState":
-        return MixedState(self.rho.copy(), self.cycle, self.gamma)
+        return MixedState(self.rho.copy(), self.cycle, self.gamma,
+                          None if self.tangent is None else self.tangent.copy())
 
 
 def hamming_distance_matrix(cfg: ProbeConfig) -> np.ndarray:
@@ -71,115 +87,105 @@ def hamming_distance_matrix(cfg: ProbeConfig) -> np.ndarray:
     return d.astype(float)
 
 
-def exchange_hamiltonian(cfg: ProbeConfig) -> np.ndarray:
-    """Dense inter-chain exchange Hamiltonian J_ab sum_j (hop on pair j)."""
-    H = np.zeros((cfg.dim, cfg.dim))
-    z = np.arange(cfg.dim)
-    for k in range(cfg.length):
-        s = 1 << (2 * k)
-        lo = (z >> (2 * k)) & 3
-        src = z[lo == 1]          # a down, b up  ->  a up, b down
-        H[src + s, src] += cfg.jab
-        H[src, src + s] += cfg.jab
-    return H
+def _expm(X: np.ndarray) -> np.ndarray:
+    """Matrix exponential: Taylor polynomial of degree 16 (Horner form) on X
+    scaled to 1-norm <= 1/2, where its truncation error is below 1e-20, then
+    squared back."""
+    norm = np.abs(X).sum(axis=0).max()
+    s = int(np.ceil(np.log2(max(norm, 0.5) / 0.5)))
+    X = X / 2.0 ** s
+    eye = np.eye(X.shape[0])
+    E = eye.astype(X.dtype)
+    for k in range(_TAYLOR_DEGREE, 0, -1):
+        E = eye + (X @ E) / k
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
-def _segment_field_diagonal(cfg: ProbeConfig, field: FieldConfig) -> np.ndarray:
-    g_a = observable_diagonal(cfg, "gradient-z-a")
-    g_b = observable_diagonal(cfg, "gradient-z-b")
-    return g_a + field.eta * g_b
+def _pair_superoperator(site: int, theta: float, eta: float, angle: float,
+                        deph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact exchange-half channel S on the (a_site, b_site) pair and dS/dTheta.
 
-
-def segment_hamiltonian(segment: HalfPeriodSpec, cfg: ProbeConfig,
-                        field: FieldConfig) -> np.ndarray:
-    """Constant Hamiltonian of one half-period, as a dense matrix.
-
-    The field term enters with amplitude theta/duration so its time integral
-    over the half equals the accumulated phase of the unitary engine.
+    Both act on the row-major vec of the pair's 4x4 block of rho;
+    `deph` = 2 Gamma t2 hamming_4 in the same layout.
     """
-    duration = cfg.t1 if segment.half == 1 else cfg.t2
-    g = _segment_field_diagonal(cfg, field)
-    drive = (segment.theta / duration) * g
-    if segment.half == 1:
-        return np.diag(chain_interaction_diagonal(cfg) + drive)
-    return exchange_hamiltonian(cfg) + np.diag(drive)
+    eye = np.eye(4)
+    M = _pair_exponent(site, theta, eta, angle)
+    dM = _pair_exponent(site, 1.0, eta, 0.0)  # the exponent is linear in Theta
+    block = np.zeros((32, 32), dtype=complex)
+    block[:16, :16] = block[16:, 16:] = (
+        -1j * (np.kron(M, eye) - np.kron(eye, M.T)) - np.diag(deph))
+    block[:16, 16:] = -1j * (np.kron(dM, eye) - np.kron(eye, dM.T))
+    F = _expm(block)
+    return F[:16, :16], F[:16, 16:]
 
 
-def lindblad_rhs(rho: np.ndarray, segment: HalfPeriodSpec, cfg: ProbeConfig,
-                 field: FieldConfig, gamma: float) -> np.ndarray:
-    """-i[H_seg, rho] + Gamma * (dephasing on every site of both chains)."""
-    if not np.allclose(rho, rho.conj().T, atol=1e-8):
-        raise ValueError("rho is not Hermitian")
-    H = segment_hamiltonian(segment, cfg, field)
-    P = H @ rho
-    out = -1j * (P - P.conj().T)
-    if gamma != 0.0:
-        out += gamma * (-2.0 * hamming_distance_matrix(cfg)) * rho
-    return out
-
-
-def _rk4_poly(x: np.ndarray) -> np.ndarray:
-    """Elementwise RK4 stability polynomial R(x) = sum x^k/k!, k=0..4."""
-    return 1.0 + x * (1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0)))
+def _apply_pair_super(S: np.ndarray, rho: np.ndarray, site: int,
+                      L: int) -> np.ndarray:
+    """Apply a 16x16 pair superoperator to the (a_site, b_site) bit pair of
+    both indices of a density matrix."""
+    blocks = 4 ** (L - site)
+    inner = 4 ** (site - 1)
+    r = rho.reshape(blocks, 4, inner, blocks, 4, inner)
+    out = np.tensordot(S.reshape(4, 4, 4, 4), r, axes=([2, 3], [1, 4]))
+    return out.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape)
 
 
 class LindbladEngine:
-    """Steps a density matrix cycle by cycle with fixed-step RK4 per half."""
+    """Steps a density matrix (and an attached d rho / d h_a) cycle by cycle
+    through the exact channel of each half-period."""
 
-    def __init__(self, cfg: ProbeConfig, field: FieldConfig, gamma: float,
-                 substeps: int = DEFAULT_SUBSTEPS):
-        if substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {substeps}")
+    # one exact step per half-period; perfbench/traced_cli.py reads this to
+    # count the work of apply_cycle
+    substeps = 1
+
+    def __init__(self, cfg: ProbeConfig, field: FieldConfig, gamma: float):
         self.cfg = cfg
         self.field = field
         self.gamma = gamma
-        self.substeps = substeps
-        self.e_chain = chain_interaction_diagonal(cfg)
-        self.g_eff = _segment_field_diagonal(cfg, field)
-        self.h_exchange = exchange_hamiltonian(cfg)
-        self.deph = -2.0 * gamma * hamming_distance_matrix(cfg) if gamma != 0.0 \
-            else None
-        self._diag_cache: dict[float, np.ndarray] = {}
+        self.unitary = FloquetEngine(cfg, field)
+        self.decay = np.exp(-2.0 * gamma * cfg.t1 * hamming_distance_matrix(cfg))
+        # a single pair: Hamming distance over its two qubits
+        ham4 = hamming_distance_matrix(ProbeConfig(length=1))
+        self._pair_deph = 2.0 * gamma * cfg.t2 * ham4.reshape(-1)
+        self._super_cache: dict[tuple[int, float],
+                                tuple[np.ndarray, np.ndarray]] = {}
 
-    def _advance_diagonal(self, rho: np.ndarray, theta: float) -> np.ndarray:
-        # generator is elementwise: RK4 factorizes into the scalar stability
-        # polynomial, applied m times in closed form
-        mult = self._diag_cache.get(theta)
-        if mult is None:
-            h_diag = self.e_chain + (theta / self.cfg.t1) * self.g_eff
-            a = -1j * (h_diag[:, None] - h_diag[None, :])
-            if self.deph is not None:
-                a = a + self.deph
-            dt = self.cfg.t1 / self.substeps
-            mult = _rk4_poly(a * dt) ** self.substeps
-            self._diag_cache[theta] = mult
-        return mult * rho
-
-    def _advance_exchange(self, rho: np.ndarray, theta: float) -> np.ndarray:
-        H = self.h_exchange + np.diag((theta / self.cfg.t2) * self.g_eff)
-        dt = self.cfg.t2 / self.substeps
-
-        def rhs(r):
-            P = H @ r
-            out = -1j * (P - P.conj().T)
-            if self.deph is not None:
-                out += self.deph * r
-            return out
-
-        for _ in range(self.substeps):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * dt * k1)
-            k3 = rhs(rho + 0.5 * dt * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return rho
+    def pair_superoperators(self, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(site, S, dS/dTheta) for the exchange half of cycle n."""
+        th = theta_half(n, 2, self.field, self.cfg)
+        angle = self.cfg.t2 * self.cfg.jab
+        out = []
+        for site in range(1, self.cfg.length + 1):
+            key = (site, th)
+            pair = self._super_cache.get(key)
+            if pair is None:
+                pair = _pair_superoperator(site, th, self.field.eta, angle,
+                                           self._pair_deph)
+                self._super_cache[key] = pair
+            out.append((site, *pair))
+        return out
 
     def apply_cycle(self, state: MixedState, n: int) -> MixedState:
-        th1 = theta_half(n, 1, self.field, self.cfg)
-        th2 = theta_half(n, 2, self.field, self.cfg)
-        rho = self._advance_diagonal(state.rho, th1)
-        rho = self._advance_exchange(rho, th2)
+        L = self.cfg.length
+        diag = self.unitary.diagonal_phase(n)
+        f = np.exp(-1j * diag.phases)
+        m = np.outer(f, f.conj()) * self.decay
+        rho = m * state.rho
+        tan = state.tangent
+        if tan is not None:
+            g = diag.gradient
+            tan = m * tan - (1j * diag.dtheta_dh) * (g[:, None] * rho - rho * g)
+        dth = _theta_unit(n, 2, self.field, self.cfg)
+        for site, S, dS in self.pair_superoperators(n):
+            new_rho = _apply_pair_super(S, rho, site, L)
+            if tan is not None:
+                tan = (_apply_pair_super(S, tan, site, L)
+                       + dth * _apply_pair_super(dS, rho, site, L))
+            rho = new_rho
         state.rho = rho
+        state.tangent = tan
         state.cycle = n
         return state
 
@@ -190,132 +196,68 @@ def initial_mixed_state(cfg: ProbeConfig, init: InitConfig | None = None,
     return MixedState(np.outer(psi, psi.conj()), cycle=0, gamma=gamma)
 
 
-def _evolve_once(rho0: MixedState, cycles: int, cfg: ProbeConfig,
-                 field: FieldConfig, gamma: float, substeps: int,
-                 check: bool) -> list[MixedState] | None:
-    """One fixed-substep pass; None signals recoverable positivity loss."""
-    engine = LindbladEngine(cfg, field, gamma, substeps)
+def evolve_lindblad(rho0: MixedState, cycles: int, cfg: ProbeConfig,
+                    field: FieldConfig, gamma: float) -> list[MixedState]:
+    """Evolve for `cycles` periods, returning a copy of the state after every
+    cycle.
+
+    A trace drift beyond 1e-6 or an eigenvalue below -1e-6 raises
+    NumericalError: the channel is exact, so either means lost precision.
+    """
+    engine = LindbladEngine(cfg, field, gamma)
     state = rho0.copy()
     state.gamma = gamma
     trajectory = []
     for n in range(1, cycles + 1):
         engine.apply_cycle(state, n)
-        if check:
-            tr = state.trace()
-            if abs(tr - 1.0) > 1e-6:
-                raise NumericalError(
-                    f"trace drifted to {tr} at cycle {n} (substeps={substeps})")
-            if state.min_eigenvalue() < _POSITIVITY_HARD:
-                return None
+        tr = state.trace()
+        if abs(tr - 1.0) > _TRACE_TOL:
+            raise NumericalError(f"trace drifted to {tr} at cycle {n}")
+        lam = state.min_eigenvalue()
+        if lam < _POSITIVITY_HARD:
+            raise NumericalError(
+                f"rho has eigenvalue {lam:g} below {_POSITIVITY_HARD} at "
+                f"cycle {n}")
         trajectory.append(state.copy())
-    return trajectory
-
-
-def evolve_lindblad(rho0: MixedState, cycles: int, cfg: ProbeConfig,
-                    field: FieldConfig, gamma: float,
-                    substeps: int = DEFAULT_SUBSTEPS, check: bool = True,
-                    auto_converge: bool = False) -> list[MixedState]:
-    """Evolve for `cycles` periods, returning a copy of the state after every
-    cycle.
-
-    Positivity loss beyond -1e-6 triggers a restart with the substep count
-    doubled, up to 4 times, then raises NumericalError.  With auto_converge
-    the substep count is additionally doubled until the final state moves by
-    less than 1e-8 in max-norm between refinements.
-    """
-    substeps_try = substeps
-    trajectory = None
-    for _ in range(_MAX_RETRIES + 1):
-        trajectory = _evolve_once(rho0, cycles, cfg, field, gamma,
-                                  substeps_try, check)
-        if trajectory is not None:
-            break
-        substeps_try *= 2
-    if trajectory is None:
-        raise NumericalError(
-            f"positivity violated below {_POSITIVITY_HARD} even at "
-            f"{substeps_try} substeps per half-period")
-    while auto_converge:
-        finer = _evolve_once(rho0, cycles, cfg, field, gamma,
-                             2 * substeps_try, check)
-        if finer is not None:
-            delta = np.max(np.abs(finer[-1].rho - trajectory[-1].rho))
-            trajectory = finer
-            if delta < 1e-8:
-                break
-        substeps_try *= 2
     return trajectory
 
 
 def noisy_fisher(cfg: ProbeConfig, field: FieldConfig, gamma: float,
                  cycles: int, dn: int, K: int,
-                 init: InitConfig | None = None,
-                 substeps: int = DEFAULT_SUBSTEPS) -> dict:
+                 init: InitConfig | None = None) -> dict:
     """Mixed-state QFI and CFIs per cycle under dephasing, plus their
     point averages.
 
-    The parameter derivative of rho comes from central finite differences of
-    two co-evolved trajectories at h_a +/- delta; the mixed QFI is evaluated
-    on their mean.  Positivity loss beyond the integrator tolerance restarts
-    both trajectories with the substep count doubled, like evolve_lindblad.
+    One LindbladEngine evolves rho together with its exact h_a-derivative
+    d rho / d h_a (the tangent, co-propagated through each half's exact
+    channel), so no finite-difference twins are needed and h_a = 0 needs no
+    special case.  The mixed QFI is the spectral formula on (rho, d rho),
+    which raises NumericalError on trace drift or negative eigenvalues.
     Returns the per-cycle trace and the point-averaged series.
     """
-    if cfg.length > 5:
+    if cfg.length > LINDBLAD_MAX_L:
         raise NumericalError(
-            f"density-matrix evolution is gated to L <= 5, got {cfg.length}")
+            f"density-matrix evolution is gated to L <= {LINDBLAD_MAX_L}, "
+            f"got {cfg.length}")
     if K * dn > cycles:
         raise ValueError(f"K*dn = {K * dn} exceeds cycle budget {cycles}")
-    delta = max(1e-6, 1e-3 * field.h_a)
-    f_plus = FieldConfig(h_a=field.h_a + delta, delta_f=field.delta_f,
-                         eta=field.eta)
-    f_minus = FieldConfig(h_a=max(field.h_a - delta, 0.0),
-                          delta_f=field.delta_f, eta=field.eta)
-    denom = f_plus.h_a - f_minus.h_a
-    imb_diag = observable_diagonal(cfg, "imbalance-numerator")
+    engine = LindbladEngine(cfg, field, gamma)
+    state = initial_mixed_state(cfg, init, gamma)
+    state.tangent = np.zeros_like(state.rho)
+    imb_diag = engine.unitary.imbalance_diag
     coll_idx = collective_index_a(cfg)
-
-    def attempt(steps: int):
-        eng_p = LindbladEngine(cfg, f_plus, gamma, steps)
-        eng_m = LindbladEngine(cfg, f_minus, gamma, steps)
-        st_p = initial_mixed_state(cfg, init, gamma)
-        st_m = initial_mixed_state(cfg, init, gamma)
-        i0 = float(imb_diag @ np.diag(st_p.rho).real)
-        imb = np.empty(cycles + 1)
-        qfi = np.zeros(cycles + 1)
-        cfi_c = np.zeros(cycles + 1)
-        cfi_m = np.zeros(cycles + 1)
-        imb[0] = 1.0
-        for n in range(1, cycles + 1):
-            eng_p.apply_cycle(st_p, n)
-            eng_m.apply_cycle(st_m, n)
-            rho = 0.5 * (st_p.rho + st_m.rho)
-            drho = (st_p.rho - st_m.rho) / denom
-            rho = 0.5 * (rho + rho.conj().T)
-            drho = 0.5 * (drho + drho.conj().T)
-            if np.linalg.eigvalsh(rho)[0] < _POSITIVITY_HARD:
-                return None
-            p = np.diag(rho).real
-            dp = np.diag(drho).real
-            imb[n] = (imb_diag @ p) / i0
-            qfi[n] = qfi_mixed(rho, drho)
-            cfi_c[n] = _cfi_from_probs(p, np.asarray(dp))
-            pm = np.bincount(coll_idx, weights=p, minlength=cfg.length + 1)
-            dpm = np.bincount(coll_idx, weights=dp, minlength=cfg.length + 1)
-            cfi_m[n] = _cfi_from_probs(pm, dpm)
-        return imb, qfi, cfi_c, cfi_m
-
-    steps = substeps
-    series = None
-    for _ in range(_MAX_RETRIES + 1):
-        series = attempt(steps)
-        if series is not None:
-            break
-        steps *= 2
-    if series is None:
-        raise NumericalError(
-            f"positivity violated below {_POSITIVITY_HARD} even at "
-            f"{steps} substeps per half-period")
-    imb, qfi, cfi_c, cfi_m = series
+    i0 = float(imb_diag @ np.diag(state.rho).real)
+    imb = np.empty(cycles + 1)
+    qfi = np.zeros(cycles + 1)
+    cfi_c = np.zeros(cycles + 1)
+    cfi_m = np.zeros(cycles + 1)
+    imb[0] = 1.0
+    for n in range(1, cycles + 1):
+        engine.apply_cycle(state, n)
+        p = np.diag(state.rho).real
+        dp = np.diag(state.tangent).real
+        imb[n], cfi_c[n], cfi_m[n] = _readout(p, dp, imb_diag, i0, coll_idx)
+        qfi[n] = qfi_mixed(state.rho, state.tangent)
     trace = StroboscopicTrace(np.arange(cycles + 1), imb, qfi, cfi_c, cfi_m,
                               probe=cfg, field=field,
                               init=init or InitConfig(), gamma=gamma)

@@ -96,6 +96,20 @@ def _cfi_from_probs(p: np.ndarray, dp: np.ndarray) -> float:
     return float(np.sum(dp[mask] ** 2 / p[mask]))
 
 
+def _readout(p: np.ndarray, dp: np.ndarray | None, imb_diag: np.ndarray,
+             i0: float, coll_idx: np.ndarray | None
+             ) -> tuple[float, float, float]:
+    """Imbalance, CFI_computational and CFI_collective of one cycle from the
+    basis distribution p and its h_a-derivative dp (both CFIs are 0 when dp
+    is None).  coll_idx is collective_index_a of the probe."""
+    imb = (imb_diag @ p) / i0
+    if dp is None:
+        return imb, 0.0, 0.0
+    pm = np.bincount(coll_idx, weights=p)
+    dpm = np.bincount(coll_idx, weights=dp)
+    return imb, _cfi_from_probs(p, dp), _cfi_from_probs(pm, dpm)
+
+
 def _probs_and_derivs(state_or_rho, drho=None) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(state_or_rho, PureState):
         if state_or_rho.tangent is None:
@@ -189,14 +203,11 @@ def stroboscopic_trace(cfg: ProbeConfig, field: FieldConfig,
     for n in range(1, cycles + 1):
         engine.apply_cycle(state, n)
         p = np.abs(state.amplitudes) ** 2
-        imb[n] = (imb_diag @ p) / i0
+        dp = 2.0 * np.real(np.conj(state.amplitudes) * state.tangent) \
+            if with_fisher else None
+        imb[n], cfi_c[n], cfi_m[n] = _readout(p, dp, imb_diag, i0, coll_idx)
         if with_fisher:
             qfi[n] = qfi_pure(state)
-            dp = 2.0 * np.real(np.conj(state.amplitudes) * state.tangent)
-            cfi_c[n] = _cfi_from_probs(p, dp)
-            pm = np.bincount(coll_idx, weights=p, minlength=cfg.length + 1)
-            dpm = np.bincount(coll_idx, weights=dp, minlength=cfg.length + 1)
-            cfi_m[n] = _cfi_from_probs(pm, dpm)
     return StroboscopicTrace(ns, imb, qfi, cfi_c, cfi_m,
                              probe=cfg, field=field,
                              init=init or InitConfig(), gamma=0.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from . import __version__
 from .errors import ConfigError, ResourceLimitError
-from .lindblad import noisy_fisher
+from .lindblad import LINDBLAD_MAX_L, noisy_fisher
 from .metrology import StroboscopicTrace, stroboscopic_trace
 from .model import FieldConfig, InitConfig, ProbeConfig
 
@@ -26,7 +26,6 @@ _INT_KEYS = {"L", "cycles", "workers", "dn", "K", "n", "grid_points"}
 _STR_KEYS = {"out", "in", "x", "y", "recipe", "material"}
 
 PURE_STATE_MAX_L = 8
-LINDBLAD_MAX_L = 5
 
 CSV_COLUMNS = ("n", "imbalance", "qfi", "cfi_comp", "cfi_coll")
 
@@ -234,14 +233,18 @@ def emit_table(axis_names: list[str], rows: list[tuple], out_path: str,
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    payload = "\n".join(lines) + "\n"
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
+    write_text(out_path, "\n".join(lines) + "\n")
     if resolved_config is not None:
         write_sidecar(out_path, resolved_config)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write an output file; an unwritable path is a configuration error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 def sidecar_path(out_path: str) -> str:
@@ -253,5 +256,4 @@ def write_sidecar(out_path: str, resolved_config: dict) -> None:
     lines = [f"dtc-sense {__version__}"]
     for key in sorted(resolved_config):
         lines.append(f"{key} = {_fmt(resolved_config[key])}")
-    with open(sidecar_path(out_path), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(sidecar_path(out_path), "\n".join(lines) + "\n")

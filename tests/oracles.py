@@ -7,7 +7,7 @@ against an implementation that shares none of its code paths.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, expm_frechet
 
 from dtc_sense.floquet import theta_half
 from dtc_sense.model import FieldConfig, InitConfig, ProbeConfig
@@ -120,3 +120,45 @@ def dense_lindblad_rhs(rho: np.ndarray, H: np.ndarray, gamma: float,
         sz = embed(SZ, q, nq)
         out += gamma * (sz @ rho @ sz - rho)
     return out
+
+
+def dense_liouvillian(H: np.ndarray, gamma: float, cfg: ProbeConfig) -> np.ndarray:
+    """Matrix of rho -> dense_lindblad_rhs(rho, H, gamma) acting on the
+    row-major vec of rho, built one basis matrix at a time."""
+    dim = H.shape[0]
+    cols = []
+    for k in range(dim * dim):
+        unit = np.zeros(dim * dim, dtype=complex)
+        unit[k] = 1.0
+        cols.append(dense_lindblad_rhs(unit.reshape(dim, dim), H, gamma,
+                                       cfg).reshape(-1))
+    return np.array(cols).T
+
+
+def dense_lindblad_cycle(rho: np.ndarray, cfg: ProbeConfig, field: FieldConfig,
+                         gamma: float, n: int,
+                         drho: np.ndarray | None = None):
+    """One cycle of the Lindblad evolution: each half's constant Liouvillian
+    (field phase Theta spread over the half as amplitude Theta/t) is
+    exponentiated with scipy `expm`.  With `drho`, returns (rho, drho) and
+    propagates d rho / d h_a exactly by `expm_frechet` along the
+    Liouvillian's h_a-derivative."""
+    ops = dense_operators(cfg)
+    g = ops["g_a"] + field.eta * ops["g_b"]
+    unit = FieldConfig(h_a=1.0, delta_f=field.delta_f, eta=field.eta)
+    v = rho.reshape(-1)
+    dv = None if drho is None else drho.reshape(-1)
+    for half, t, h0 in ((1, cfg.t1, ops["h_chain"]),
+                        (2, cfg.t2, ops["h_exchange"])):
+        th = theta_half(n, half, field, cfg)
+        gen = t * dense_liouvillian(h0 + (th / t) * g, gamma, cfg)
+        if dv is None:
+            v = expm(gen) @ v
+            continue
+        dth = theta_half(n, half, unit, cfg)
+        dgen = t * dense_liouvillian((dth / t) * g, 0.0, cfg)
+        S, dS = expm_frechet(gen, dgen)
+        v, dv = S @ v, S @ dv + dS @ v
+    shape = rho.shape
+    return v.reshape(shape) if dv is None else (v.reshape(shape),
+                                                 dv.reshape(shape))

@@ -246,8 +246,7 @@ def test_c11_dephased_qfi_still_grows():
 def test_c12_zero_noise_consistency():
     cfg = ProbeConfig(length=3, epsilon=EPS)
     fld = FieldConfig(h_a=DTC_FIELD)
-    traj = evolve_lindblad(initial_mixed_state(cfg), 20, cfg, fld,
-                           gamma=0.0, auto_converge=True)
+    traj = evolve_lindblad(initial_mixed_state(cfg), 20, cfg, fld, gamma=0.0)
     unitary = stroboscopic_trace(cfg, fld, cycles=20, with_fisher=False)
     imb_diag = np.diag(oracles.dense_operators(cfg)["imbalance_num"]).real
     i0 = imb_diag @ np.abs(oracles.dense_initial_state(cfg)) ** 2

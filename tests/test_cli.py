@@ -129,6 +129,43 @@ def test_noise_writes_trace_and_point_averages(tmp_path, capsys):
     assert lines[1].split(",")[0] == "1"  # n_mid = dn(i - 1/2) = 1
 
 
+_NOISE_CFG = ("L = 1\ngamma_per_Jz = 1e-3\nh_a_per_Jz = 1e-3\n"
+              "cycles = 4\ndn = 2\nK = 2\n")
+
+
+def test_noise_point_averages_stay_in_dotted_output_dir(tmp_path, capsys):
+    cfg = _write(tmp_path, "n.cfg", _NOISE_CFG)
+    out_dir = tmp_path / "run.d"
+    out_dir.mkdir()
+    rc = main(["noise", "--config", cfg, "--out", str(out_dir / "noise")])
+    assert rc == 0
+    assert (out_dir / "noise.pointavg.csv").exists()
+    assert not (tmp_path / "run.pointavg.csv").exists()
+
+
+_COMMAND_CFGS = {
+    "fit": "in = {table}\nx = L\ny = qfi\n",
+    "transition": "L = 1\nn = 2\ngrid_points = 5\n",
+    "expcalc": "material = Dy\n",
+    "noise": _NOISE_CFG,
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_CFGS))
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
+    table = _write(tmp_path, "t.csv", "L,qfi\n2,1\n3,5\n4,20\n")
+    cfg = _write(tmp_path, "c.cfg", _COMMAND_CFGS[command].format(table=table))
+    if command == "noise":
+        # the trace CSV is writable; only its point-average file is not
+        out = tmp_path / "noise.csv"
+        (tmp_path / "noise.pointavg.csv").mkdir()
+    else:
+        out = tmp_path / "missing" / "out.csv"
+    rc = main([command, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert "cannot write output" in capsys.readouterr().err
+
+
 def test_expcalc_prints_all_presets(capsys):
     assert main(["expcalc"]) == 0
     stdout = capsys.readouterr().out

@@ -3,16 +3,14 @@ import pytest
 
 import oracles
 from dtc_sense.errors import NumericalError
-from dtc_sense.floquet import HalfPeriodSpec, apply_cycle, build_cycle, theta_half
+from dtc_sense.floquet import apply_cycle
 from dtc_sense.lindblad import (
     LindbladEngine,
+    MixedState,
     evolve_lindblad,
-    exchange_hamiltonian,
     hamming_distance_matrix,
     initial_mixed_state,
-    lindblad_rhs,
     noisy_fisher,
-    segment_hamiltonian,
 )
 from dtc_sense.model import FieldConfig, InitConfig, ProbeConfig, build_initial_state
 from dtc_sense.metrology import stroboscopic_trace
@@ -25,14 +23,13 @@ def _random_density(dim, seed):
     return rho / np.trace(rho).real
 
 
+def _random_hermitian(dim, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return A + A.conj().T
+
+
 # -------------------------------------------------------------- ingredients
-
-def test_exchange_hamiltonian_matches_dense_oracle():
-    for L in (1, 2, 3):
-        cfg = ProbeConfig(length=L, epsilon=0.1)
-        ref = oracles.dense_operators(cfg)["h_exchange"]
-        assert np.allclose(exchange_hamiltonian(cfg), ref, atol=1e-13)
-
 
 def test_hamming_matrix_small_case():
     cfg = ProbeConfig(length=1)
@@ -41,88 +38,67 @@ def test_hamming_matrix_small_case():
     assert np.all(D == D.T)
 
 
-def test_segment_field_integral_matches_unitary_phase():
-    # (theta/duration) * duration must reproduce the engine's phase per half
-    cfg = ProbeConfig(length=2, epsilon=0.1)
-    fld = FieldConfig(h_a=0.3, delta_f=0.02, eta=0.1)
-    diag, _ = build_cycle(3, cfg, fld)
-    seg = HalfPeriodSpec(3, 1, theta_half(3, 1, fld, cfg))
-    H = segment_hamiltonian(seg, cfg, fld)
-    assert np.allclose(np.diag(H).imag, 0.0)
-    phases = np.diag(H).real * cfg.t1
-    assert np.allclose(phases, diag.phases, atol=1e-13)
+# ------------------------------------------------------------ exact channel
 
-
-# --------------------------------------------------------------------- RHS
-
-@pytest.mark.parametrize("half", [1, 2])
+@pytest.mark.parametrize("length", [1, 2])
 @pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.05])
-def test_rhs_matches_dense_oracle(half, gamma):
-    cfg = ProbeConfig(length=2, epsilon=0.1)
-    fld = FieldConfig(h_a=0.1, eta=0.2)
-    seg = HalfPeriodSpec(2, half, theta_half(2, half, fld, cfg))
-    rho = _random_density(cfg.dim, seed=7)
-    H = segment_hamiltonian(seg, cfg, fld)
-    got = lindblad_rhs(rho, seg, cfg, fld, gamma)
-    ref = oracles.dense_lindblad_rhs(rho, H, gamma, cfg)
-    assert np.allclose(got, ref, atol=1e-12)
+def test_cycle_matches_dense_oracle(gamma, length):
+    # off resonance with crosstalk, so both halves carry a field phase
+    cfg = ProbeConfig(length=length, epsilon=0.1)
+    fld = FieldConfig(h_a=0.3, delta_f=0.02, eta=0.1)
+    engine = LindbladEngine(cfg, fld, gamma)
+    state = MixedState(_random_density(cfg.dim, seed=7))
+    ref = state.rho
+    for n in (1, 2, 3):
+        engine.apply_cycle(state, n)
+        ref = oracles.dense_lindblad_cycle(ref, cfg, fld, gamma, n)
+        assert np.max(np.abs(state.rho - ref)) < 1e-12
+    assert state.cycle == 3 and state.tangent is None
 
 
-def test_rhs_is_traceless_and_guards_hermiticity():
-    cfg = ProbeConfig(length=2)
-    fld = FieldConfig(h_a=0.05)
-    seg = HalfPeriodSpec(1, 2, theta_half(1, 2, fld, cfg))
-    rho = _random_density(cfg.dim, seed=11)
-    out = lindblad_rhs(rho, seg, cfg, fld, 2e-3)
-    assert abs(np.trace(out)) < 1e-12
-    bad = rho.copy()
-    bad[0, 1] += 0.3
-    with pytest.raises(ValueError):
-        lindblad_rhs(bad, seg, cfg, fld, 2e-3)
+@pytest.mark.parametrize("length", [1, 2])
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.05])
+def test_tangent_matches_expm_frechet(gamma, length):
+    cfg = ProbeConfig(length=length, epsilon=0.1)
+    fld = FieldConfig(h_a=0.3, delta_f=0.02, eta=0.1)
+    engine = LindbladEngine(cfg, fld, gamma)
+    rho0 = _random_density(cfg.dim, seed=5)
+    drho0 = _random_hermitian(cfg.dim, seed=6)
+    state = MixedState(rho0.copy(), tangent=drho0.copy())
+    ref, dref = rho0, drho0
+    for n in (1, 2, 3):
+        engine.apply_cycle(state, n)
+        ref, dref = oracles.dense_lindblad_cycle(ref, cfg, fld, gamma, n, dref)
+        assert np.max(np.abs(state.tangent - dref)) < 1e-10 * np.max(np.abs(dref))
+        assert np.max(np.abs(state.rho - ref)) < 1e-12
 
-
-# ----------------------------------------------------------------- engine
 
 def test_pure_dephasing_closes_exponentially():
-    # h=0 and no exchange: the diagonal half damps coherences by
-    # exp(-2 gamma d(z,z') t1) exactly; compare one half-step of the engine
+    # |up..up><down..down| is untouched by the exchange and, at h = 0, has no
+    # phase difference under the Ising half, so each cycle only damps it by
+    # exp(-2 gamma * hamming * T) with hamming = 2L
     cfg = ProbeConfig(length=2)
     gamma = 0.3
-    engine = LindbladEngine(cfg, FieldConfig(), gamma, substeps=4096)
+    engine = LindbladEngine(cfg, FieldConfig(), gamma)
     rho = _random_density(cfg.dim, seed=3)
-    out = engine._advance_diagonal(rho.copy(), theta=0.0)
-    D = hamming_distance_matrix(cfg)
-    chain = np.diag(segment_hamiltonian(HalfPeriodSpec(1, 1, 0.0), cfg,
-                                        FieldConfig())).real
-    phase = np.exp(-1j * (chain[:, None] - chain[None, :]) * cfg.t1)
-    ref = rho * phase * np.exp(-2 * gamma * D * cfg.t1)
-    assert np.allclose(out, ref, atol=1e-10)
+    state = MixedState(rho.copy())
+    for n in range(1, 5):
+        engine.apply_cycle(state, n)
+        decay = np.exp(-2 * gamma * 2 * cfg.length * cfg.period * n)
+        assert state.rho[0, -1] == pytest.approx(decay * rho[0, -1],
+                                                 rel=1e-12)
 
 
 def test_zero_noise_matches_unitary_engine():
     cfg = ProbeConfig(length=2, epsilon=0.1)
     fld = FieldConfig(h_a=1e-3)
     rho0 = initial_mixed_state(cfg)
-    traj = evolve_lindblad(rho0, 6, cfg, fld, gamma=0.0, substeps=64,
-                           auto_converge=True)
+    traj = evolve_lindblad(rho0, 6, cfg, fld, gamma=0.0)
     state = build_initial_state(cfg)
     for n in range(1, 7):
         apply_cycle(state, n, cfg, fld)
     pure_rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    assert np.max(np.abs(traj[-1].rho - pure_rho)) < 1e-7
-
-
-def test_substep_refinement_converges():
-    cfg = ProbeConfig(length=2, epsilon=0.1)
-    fld = FieldConfig(h_a=0.01)
-    rho0 = initial_mixed_state(cfg, gamma=1e-3)
-    coarse = evolve_lindblad(rho0, 3, cfg, fld, 1e-3, substeps=32)[-1].rho
-    fine = evolve_lindblad(rho0, 3, cfg, fld, 1e-3, substeps=64)[-1].rho
-    finer = evolve_lindblad(rho0, 3, cfg, fld, 1e-3, substeps=128)[-1].rho
-    e1 = np.max(np.abs(fine - coarse))
-    e2 = np.max(np.abs(finer - fine))
-    # fixed-step RK4: halving the step shrinks the defect ~16x
-    assert e2 < e1 / 8
+    assert np.max(np.abs(traj[-1].rho - pure_rho)) < 1e-13
 
 
 def test_trajectory_is_trace_preserving_and_positive():
@@ -131,9 +107,9 @@ def test_trajectory_is_trace_preserving_and_positive():
     rho0 = initial_mixed_state(cfg, gamma=5e-3)
     traj = evolve_lindblad(rho0, 10, cfg, fld, 5e-3)
     for st in traj:
-        assert st.trace() == pytest.approx(1.0, abs=1e-7)
-        assert st.min_eigenvalue() > -1e-6
-        assert np.allclose(st.rho, st.rho.conj().T, atol=1e-10)
+        assert st.trace() == pytest.approx(1.0, abs=1e-12)
+        assert st.min_eigenvalue() > -1e-12
+        assert np.allclose(st.rho, st.rho.conj().T, atol=1e-13)
     assert traj[-1].cycle == 10
 
 
@@ -169,23 +145,25 @@ def test_noisy_fisher_gate_and_window_validation():
 
 def test_noisy_fisher_zero_noise_tracks_pure_qfi():
     cfg = ProbeConfig(length=2, epsilon=0.1)
-    fld = FieldConfig(h_a=1e-3)
-    out = noisy_fisher(cfg, fld, gamma=0.0, cycles=6, dn=3, K=2,
-                       substeps=512)
-    pure = stroboscopic_trace(cfg, fld, cycles=6)
-    for n in range(1, 7):
-        assert out["trace"].qfi[n] == pytest.approx(pure.qfi[n], rel=5e-3)
-        assert out["trace"].imbalance[n] == pytest.approx(pure.imbalance[n],
-                                                          abs=1e-6)
+    # h_a = 0 included: the exact derivative needs no one-sided stencil there
+    for fld in (FieldConfig(h_a=1e-3), FieldConfig(h_a=0.0, delta_f=0.02)):
+        out = noisy_fisher(cfg, fld, gamma=0.0, cycles=6, dn=3, K=2)["trace"]
+        pure = stroboscopic_trace(cfg, fld, cycles=6)
+        for n in range(1, 7):
+            assert out.qfi[n] == pytest.approx(pure.qfi[n], rel=1e-9)
+            assert out.cfi_computational[n] == pytest.approx(
+                pure.cfi_computational[n], rel=1e-9)
+            assert out.cfi_collective[n] == pytest.approx(
+                pure.cfi_collective[n], rel=1e-9)
+            assert out.imbalance[n] == pytest.approx(pure.imbalance[n],
+                                                     abs=1e-12)
 
 
 def test_noisy_fisher_dephasing_suppresses_qfi():
     cfg = ProbeConfig(length=2, epsilon=0.1)
     fld = FieldConfig(h_a=1e-3)
-    quiet = noisy_fisher(cfg, fld, gamma=0.0, cycles=6, dn=3, K=2,
-                         substeps=256)
-    noisy = noisy_fisher(cfg, fld, gamma=0.05, cycles=6, dn=3, K=2,
-                         substeps=256)
+    quiet = noisy_fisher(cfg, fld, gamma=0.0, cycles=6, dn=3, K=2)
+    noisy = noisy_fisher(cfg, fld, gamma=0.05, cycles=6, dn=3, K=2)
     assert noisy["trace"].qfi[6] < quiet["trace"].qfi[6]
     assert noisy["trace"].gamma == 0.05
     pa = noisy["point_averaged"]
@@ -196,7 +174,7 @@ def test_noisy_fisher_dephasing_suppresses_qfi():
 def test_noisy_fisher_fisher_hierarchy_holds():
     cfg = ProbeConfig(length=2, epsilon=0.1)
     out = noisy_fisher(cfg, FieldConfig(h_a=1e-3), gamma=1e-3,
-                       cycles=5, dn=5, K=1, substeps=128)
+                       cycles=5, dn=5, K=1)
     tr = out["trace"]
     for n in range(1, 6):
         assert tr.qfi[n] >= tr.cfi_computational[n] - 1e-6
