@@ -25,20 +25,12 @@ from .model import (
 )
 from .floquet import (
     FloquetEngine,
-    a_factor,
-    apply_cycle,
-    attach_tangent,
-    build_cycle,
-    imbalance,
     initial_state_with_tangent,
-    propagate_with_tangent,
     theta_half,
 )
 from .metrology import (
     FitResult,
     StroboscopicTrace,
-    cfi_collective,
-    cfi_computational,
     find_transition,
     point_average,
     power_fit,
@@ -64,13 +56,10 @@ __all__ = [
     "ResourceLimitError",
     "FieldConfig", "InitConfig", "ProbeConfig", "PureState",
     "build_initial_state", "observable_diagonal",
-    "FloquetEngine", "a_factor", "apply_cycle", "attach_tangent",
-    "build_cycle", "imbalance", "initial_state_with_tangent",
-    "propagate_with_tangent", "theta_half",
-    "FitResult", "StroboscopicTrace", "cfi_collective", "cfi_computational",
-    "find_transition", "point_average", "power_fit", "qfi_bound",
-    "qfi_bound_variance", "qfi_mixed", "qfi_pure", "stroboscopic_trace",
-    "time_average",
+    "FloquetEngine", "initial_state_with_tangent", "theta_half",
+    "FitResult", "StroboscopicTrace", "find_transition", "point_average",
+    "power_fit", "qfi_bound", "qfi_bound_variance", "qfi_mixed", "qfi_pure",
+    "stroboscopic_trace", "time_average",
     "LindbladEngine", "MixedState", "evolve_lindblad", "initial_mixed_state",
     "noisy_fisher",
     "MATERIALS", "calibrate_unit_scale", "expcalc", "material_record",

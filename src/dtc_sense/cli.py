@@ -23,17 +23,17 @@ from .errors import ConfigError, NumericalError, ResourceLimitError
 from .expcalc import MATERIALS, expcalc, material_record
 from .lindblad import noisy_fisher
 from .metrology import find_transition, power_fit
-from .model import FieldConfig, InitConfig, ProbeConfig
 from .recipes import RECIPES, recipe_config
 from .sweep import (
     RunConfig,
     apply_dict,
     base_config,
-    check_resource_gates,
     emit_table,
     evaluate_point,
     load_config,
+    point_configs,
     run_sweep,
+    trace_rows,
     write_sidecar,
     write_text,
     _fmt,
@@ -82,30 +82,23 @@ def _print_resolved(cfg: RunConfig) -> None:
         print(f"{key} = {value}")
 
 
-def _out_path(cfg: RunConfig, args, default: str) -> str:
-    return cfg.get("out") or (args.out or default)
-
-
-def _cmd_simulate(cfg: RunConfig, args) -> int:
+def _cmd_simulate(cfg: RunConfig) -> int:
     if cfg.axes:
         raise ConfigError(
             f"simulate runs a single point; use the sweep subcommand for "
             f"axes {sorted(cfg.axes)}")
-    trace = evaluate_point(cfg.fixed)
-    rows = [((int(trace.n[i]), trace.imbalance[i], trace.qfi[i],
-              trace.cfi_computational[i], trace.cfi_collective[i]))
-            for i in range(len(trace))]
-    out = _out_path(cfg, args, "simulate.csv")
+    rows = trace_rows(evaluate_point(cfg.fixed))
+    out = cfg.get("out") or "simulate.csv"
     emit_table([], rows, out, cfg.resolved())
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
-def _cmd_sweep(cfg: RunConfig, args) -> int:
+def _cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.axes:
         raise ConfigError("sweep needs at least one comma-separated axis")
     axis_names, rows = run_sweep(cfg)
-    out = _out_path(cfg, args, "sweep.csv")
+    out = cfg.get("out") or "sweep.csv"
     emit_table(axis_names, rows, out, cfg.resolved())
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -121,7 +114,7 @@ def _read_csv_columns(path: str) -> np.ndarray:
     return np.atleast_1d(data)
 
 
-def _cmd_fit(cfg: RunConfig, args) -> int:
+def _cmd_fit(cfg: RunConfig) -> int:
     path = cfg.get("in")
     if not path:
         raise ConfigError("fit needs `in = <results.csv>` in the config")
@@ -147,7 +140,7 @@ def _cmd_fit(cfg: RunConfig, args) -> int:
     print(f"exponent = {fit.exponent:.6g}")
     print(f"prefactor = {fit.prefactor:.6g}")
     print(f"r_squared = {fit.r_squared:.8g}")
-    out = cfg.get("out") or args.out
+    out = cfg.get("out")
     if out:
         write_text(out, "exponent,prefactor,r_squared\n"
                         f"{fit.exponent:.12g},{fit.prefactor:.12g},"
@@ -156,43 +149,33 @@ def _cmd_fit(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_transition(cfg: RunConfig, args) -> int:
+def _cmd_transition(cfg: RunConfig) -> int:
     params = cfg.fixed
-    check_resource_gates(params)
-    probe = ProbeConfig(length=int(params["L"]),
-                        epsilon=float(params["epsilon"]))
-    fld = FieldConfig(h_a=0.0, delta_f=float(params["delta_f"]),
-                      eta=float(params["eta"]))
+    probe, fld, _ = point_configs(params)
     n = int(params.get("n", 10))
     grid = np.logspace(-5, 0, int(params.get("grid_points", 40)))
     h_max = find_transition(probe, fld, n, grid)
     print(f"h_a_max = {h_max:.6g}")
-    out = cfg.get("out") or args.out
+    out = cfg.get("out")
     if out:
         write_text(out, f"L,n,h_a_max\n{probe.length},{n},{h_max:.12g}\n")
         print(f"wrote transition point to {out}")
     return 0
 
 
-def _cmd_noise(cfg: RunConfig, args) -> int:
+def _cmd_noise(cfg: RunConfig) -> int:
     params = cfg.fixed
     if cfg.axes:
         raise ConfigError("noise runs a single parameter point")
-    check_resource_gates(params)
-    probe = ProbeConfig(length=int(params["L"]),
-                        epsilon=float(params["epsilon"]))
-    fld = FieldConfig(h_a=float(params["h_a_per_Jz"]),
-                      delta_f=float(params["delta_f"]),
-                      eta=float(params["eta"]))
-    init = InitConfig(tilt=float(params["theta_rad"]))
+    probe, fld, init = point_configs(params)
     gamma = float(params["gamma_per_Jz"])
     cycles, dn, K = int(params["cycles"]), int(params["dn"]), int(params["K"])
+    if K * dn > cycles:
+        raise ConfigError(f"K*dn = {K * dn} point-average windows exceed "
+                          f"cycles = {cycles}")
     result = noisy_fisher(probe, fld, gamma, cycles, dn, K, init)
-    trace = result["trace"]
-    rows = [((int(trace.n[i]), trace.imbalance[i], trace.qfi[i],
-              trace.cfi_computational[i], trace.cfi_collective[i]))
-            for i in range(len(trace))]
-    out = _out_path(cfg, args, "noise.csv")
+    rows = trace_rows(result["trace"])
+    out = cfg.get("out") or "noise.csv"
     emit_table([], rows, out, cfg.resolved())
     pa = result["point_averaged"]
     pa_path = os.path.splitext(out)[0] + ".pointavg.csv"
@@ -209,7 +192,7 @@ def _cmd_noise(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_expcalc(cfg: RunConfig, args) -> int:
+def _cmd_expcalc(cfg: RunConfig) -> int:
     params = cfg.fixed
     unit_scale = float(params.get("unit_scale", 1.0))
     L = int(params.get("L", 10))
@@ -229,7 +212,7 @@ def _cmd_expcalc(cfg: RunConfig, args) -> int:
         label = rec.get("material", "custom")
         print(f"[{label}] " + "  ".join(
             f"{k}={_fmt(v)}" for k, v in rec.items() if k != "material"))
-    out = cfg.get("out") or args.out
+    out = cfg.get("out")
     if out:
         keys = [k for k in records[0] if k != "material"]
         lines = [",".join(["material"] + keys)]
@@ -257,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         _print_resolved(cfg)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 from .model import (
     FieldConfig,
     InitConfig,
@@ -158,6 +157,12 @@ class FloquetEngine:
         return gates
 
     def apply_cycle(self, state: PureState, n: int) -> PureState:
+        """Advance `state` by cycle n (in place).
+
+        The diagonal half acts first, then the L pair gates (disjoint
+        supports, order-independent).  An attached tangent vector is
+        co-propagated.
+        """
         if state.amplitudes.shape[0] != self.cfg.dim:
             raise ValueError(
                 f"state dimension {state.amplitudes.shape[0]} does not match "
@@ -179,70 +184,9 @@ class FloquetEngine:
         return state
 
 
-def build_cycle(n: int, cfg: ProbeConfig,
-                field: FieldConfig) -> tuple[DiagonalPhase, list[PairGate]]:
-    """The two half-period factors of cycle n (diagonal phase, then pair gates)."""
-    engine = FloquetEngine(cfg, field)
-    return engine.diagonal_phase(n), engine.pair_gates(n)
-
-
-def apply_cycle(state: PureState, n: int, cfg: ProbeConfig,
-                field: FieldConfig) -> PureState:
-    """Advance `state` by one full Floquet cycle (in place).
-
-    The diagonal half acts first, then the L pair gates (disjoint supports,
-    order-independent).  An attached tangent vector is co-propagated.
-    """
-    return FloquetEngine(cfg, field).apply_cycle(state, n)
-
-
-def propagate_with_tangent(state: PureState, n: int, cfg: ProbeConfig,
-                           field: FieldConfig) -> PureState:
-    """apply_cycle that insists on a tangent vector being present."""
-    if state.tangent is None:
-        raise ValueError("state has no tangent vector; attach a zero tangent "
-                         "before the first cycle")
-    return apply_cycle(state, n, cfg, field)
-
-
-def imbalance(state: PureState, cfg: ProbeConfig) -> float:
-    """Normalized magnetization imbalance between the two chains.
-
-    <sum_j (s^az_j - s^bz_j)> divided by the same expectation on the run's
-    initial state; the subharmonic order parameter of the probe.
-    """
-    if abs(state.imbalance_norm) < 1e-12:
-        raise NumericalError(
-            "initial state has zero imbalance; the normalized trace is undefined")
-    d = observable_diagonal(cfg, "imbalance-numerator")
-    return float(d @ np.abs(state.amplitudes) ** 2) / state.imbalance_norm
-
-
-def a_factor(site: int, cycle: int, cfg: ProbeConfig, field: FieldConfig) -> float:
-    """Site-resolved drive-weight diagnostic for the ultimate-precision
-    condition, evaluated from the bare coupling amplitudes.
-
-    Values near 1 indicate the pair exchange stays effectively unperturbed by
-    the accumulated field phase at that site.  Note this uses the coupling
-    J_ab without the half-period duration, matching the originating
-    closed-form estimate rather than the gate actually applied.
-    """
-    if not 1 <= site <= cfg.length:
-        raise ValueError(f"site must lie in [1, {cfg.length}], got {site}")
-    th = theta_half(cycle, 2, field, cfg)
-    x2 = (site * th) ** 2
-    j2 = cfg.jab ** 2
-    if x2 + j2 == 0.0:
-        return 1.0
-    return float((x2 + j2 * np.cos(np.sqrt(x2 + j2)) ** 2) / (x2 + j2))
-
-
-def attach_tangent(state: PureState) -> PureState:
-    """Zero-initialize the parameter-derivative companion vector."""
-    state.tangent = np.zeros_like(state.amplitudes)
-    return state
-
-
 def initial_state_with_tangent(cfg: ProbeConfig,
                                init: InitConfig | None = None) -> PureState:
-    return attach_tangent(build_initial_state(cfg, init))
+    """The initial state with a zero h_a-tangent attached."""
+    state = build_initial_state(cfg, init)
+    state.tangent = np.zeros_like(state.amplitudes)
+    return state

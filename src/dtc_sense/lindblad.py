@@ -34,6 +34,7 @@ from .errors import NumericalError
 from .floquet import FloquetEngine, _pair_exponent, _theta_unit, theta_half
 from .metrology import (
     StroboscopicTrace,
+    _imbalance_norm,
     _readout,
     point_average,
     qfi_mixed,
@@ -44,6 +45,7 @@ from .model import (
     ProbeConfig,
     build_initial_state,
     collective_index_a,
+    spin_table,
 )
 
 #: largest chain length the density-matrix path accepts
@@ -78,13 +80,12 @@ class MixedState:
 
 
 def hamming_distance_matrix(cfg: ProbeConfig) -> np.ndarray:
-    """hamming(z XOR z') over all basis-integer pairs (small ints as float)."""
-    z = np.arange(cfg.dim)
-    x = z[:, None] ^ z[None, :]
-    d = np.zeros(x.shape, dtype=np.int64)
-    for q in range(2 * cfg.length):
-        d += (x >> q) & 1
-    return d.astype(float)
+    """hamming(z XOR z') over all basis-integer pairs (small ints as float):
+    the number of spin-table rows on which z and z' differ."""
+    d = np.zeros((cfg.dim, cfg.dim))
+    for s in spin_table(cfg.length):
+        d += s[:, None] != s[None, :]
+    return d
 
 
 def _expm(X: np.ndarray) -> np.ndarray:
@@ -246,7 +247,7 @@ def noisy_fisher(cfg: ProbeConfig, field: FieldConfig, gamma: float,
     state.tangent = np.zeros_like(state.rho)
     imb_diag = engine.unitary.imbalance_diag
     coll_idx = collective_index_a(cfg)
-    i0 = float(imb_diag @ np.diag(state.rho).real)
+    i0 = _imbalance_norm(float(imb_diag @ np.diag(state.rho).real))
     imb = np.empty(cycles + 1)
     qfi = np.zeros(cycles + 1)
     cfi_c = np.zeros(cycles + 1)

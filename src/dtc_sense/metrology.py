@@ -96,55 +96,28 @@ def _cfi_from_probs(p: np.ndarray, dp: np.ndarray) -> float:
     return float(np.sum(dp[mask] ** 2 / p[mask]))
 
 
+def _imbalance_norm(i0: float) -> float:
+    """The initial imbalance i0 that normalizes a trace; raises
+    NumericalError when it vanishes and the normalized trace is undefined."""
+    if abs(i0) < 1e-12:
+        raise NumericalError(
+            "initial state has zero imbalance; the normalized trace is undefined")
+    return i0
+
+
 def _readout(p: np.ndarray, dp: np.ndarray | None, imb_diag: np.ndarray,
              i0: float, coll_idx: np.ndarray | None
              ) -> tuple[float, float, float]:
     """Imbalance, CFI_computational and CFI_collective of one cycle from the
     basis distribution p and its h_a-derivative dp (both CFIs are 0 when dp
-    is None).  coll_idx is collective_index_a of the probe."""
+    is None).  coll_idx is collective_index_a of the probe: the collective
+    CFI coarse-grains p onto the outcomes of sum_j sigma^z_{a,j}."""
     imb = (imb_diag @ p) / i0
     if dp is None:
         return imb, 0.0, 0.0
     pm = np.bincount(coll_idx, weights=p)
     dpm = np.bincount(coll_idx, weights=dp)
     return imb, _cfi_from_probs(p, dp), _cfi_from_probs(pm, dpm)
-
-
-def _probs_and_derivs(state_or_rho, drho=None) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(state_or_rho, PureState):
-        if state_or_rho.tangent is None:
-            raise ValueError("state carries no tangent vector")
-        psi = state_or_rho.amplitudes
-        p = np.abs(psi) ** 2
-        dp = 2.0 * np.real(np.conj(psi) * state_or_rho.tangent)
-        return p, dp
-    if drho is None:
-        raise ValueError("mixed-state CFI needs drho")
-    return np.diag(state_or_rho).real, np.diag(drho).real
-
-
-def cfi_computational(state_or_rho, drho=None) -> float:
-    """CFI of the computational-basis measurement."""
-    p, dp = _probs_and_derivs(state_or_rho, drho)
-    return _cfi_from_probs(p, dp)
-
-
-def cfi_collective(state_or_rho, drho=None, cfg: ProbeConfig | None = None,
-                   chain: str = "a") -> float:
-    """CFI of the collective-magnetization measurement on one chain.
-
-    Outcomes are the eigenvalues m in {-L, -L+2, ..., L} of sum_j sigma^z_j on
-    the chosen chain; the basis distribution is coarse-grained onto them.
-    """
-    if cfg is None:
-        raise ValueError("cfi_collective needs the probe configuration")
-    if chain != "a":
-        raise NotImplementedError("only the probe chain measurement is wired up")
-    p, dp = _probs_and_derivs(state_or_rho, drho)
-    idx = collective_index_a(cfg)
-    pm = np.bincount(idx, weights=p, minlength=cfg.length + 1)
-    dpm = np.bincount(idx, weights=dp, minlength=cfg.length + 1)
-    return _cfi_from_probs(pm, dpm)
 
 
 def qfi_bound(cfg: ProbeConfig, n: int) -> float:
@@ -162,20 +135,14 @@ def _pair_swap_permutation(cfg: ProbeConfig) -> np.ndarray:
 
 
 def qfi_bound_variance(cfg: ProbeConfig, n: int,
-                       init: InitConfig | None = None,
-                       reference: np.ndarray | None = None) -> float:
+                       init: InitConfig | None = None) -> float:
     """Variance form of the bound, 4 n^2 Var(G) / pi^2, evaluated on the
     equal superposition of the initial state and its pair-swapped partner
-    (the subharmonic reference pair), or on an explicitly supplied reference
-    vector.  For the tilt=0 state this equals qfi_bound exactly; a reference
-    with Var(G) = 0 gives 0."""
-    if reference is not None:
-        ref = reference / np.linalg.norm(reference)
-    else:
-        psi0 = build_initial_state(cfg, init).amplitudes
-        swapped = psi0[_pair_swap_permutation(cfg)]
-        ref = psi0 + swapped
-        ref = ref / np.linalg.norm(ref)
+    (the subharmonic reference pair).  For the tilt=0 state this equals
+    qfi_bound exactly."""
+    psi0 = build_initial_state(cfg, init).amplitudes
+    ref = psi0 + psi0[_pair_swap_permutation(cfg)]
+    ref = ref / np.linalg.norm(ref)
     g = observable_diagonal(cfg, "gradient-z-a")
     p = np.abs(ref) ** 2
     var = float(g ** 2 @ p - (g @ p) ** 2)
@@ -191,7 +158,7 @@ def stroboscopic_trace(cfg: ProbeConfig, field: FieldConfig,
     state = initial_state_with_tangent(cfg, init) if with_fisher \
         else build_initial_state(cfg, init)
     imb_diag = engine.imbalance_diag
-    i0 = state.imbalance_norm
+    i0 = _imbalance_norm(state.imbalance_norm)
     coll_idx = collective_index_a(cfg) if with_fisher else None
 
     ns = np.arange(cycles + 1)

@@ -14,20 +14,22 @@ as plain real weight vectors of length 2^{2L}.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 
-#: Kinds accepted by :func:`observable_diagonal`.
-OBSERVABLE_KINDS = (
-    "gradient-z-a",        # sum_j j * sigma^z_{a,j}
-    "gradient-z-b",        # sum_j j * sigma^z_{b,j}
-    "collective-z-a",      # sum_j sigma^z_{a,j}
-    "collective-z-b",
-    "imbalance-numerator",  # sum_j (sigma^z_{a,j} - sigma^z_{b,j})
-)
+#: Kinds accepted by :func:`observable_diagonal`, each mapping site j to the
+#: weights (on sigma^z_{a,j}, on sigma^z_{b,j}).
+OBSERVABLE_KINDS = {
+    "gradient-z-a": lambda j: (j, 0),         # sum_j j * sigma^z_{a,j}
+    "gradient-z-b": lambda j: (0, j),         # sum_j j * sigma^z_{b,j}
+    "collective-z-a": lambda j: (1, 0),       # sum_j sigma^z_{a,j}
+    "collective-z-b": lambda j: (0, 1),
+    "imbalance-numerator": lambda j: (1, -1),  # sum_j (sigma^z_{a,j} - sigma^z_{b,j})
+}
 
 
 @dataclass(frozen=True)
@@ -138,40 +140,28 @@ class PureState:
         )
 
 
-def qubit_index(chain: str, site: int) -> int:
-    """Bit position of site `site` (1-based) on chain 'a' or 'b'."""
-    if chain == "a":
-        return 2 * (site - 1)
-    if chain == "b":
-        return 2 * (site - 1) + 1
-    raise ConfigError(f"chain must be 'a' or 'b', got {chain!r}")
-
-
-def spin_z_signs(cfg: ProbeConfig, chain: str, site: int) -> np.ndarray:
-    """sigma^z eigenvalue (+1 for up) of one site across all basis integers."""
-    z = np.arange(cfg.dim)
-    return 1.0 - 2.0 * ((z >> qubit_index(chain, site)) & 1)
+@functools.lru_cache(maxsize=None)
+def spin_table(length: int) -> np.ndarray:
+    """sigma^z eigenvalues (+1 up, -1 down) of every qubit over all basis
+    integers: int8 array of shape (2L, 4^L), row q = 2(j-1) for a_j and
+    2(j-1)+1 for b_j.  Built once per length and read-only."""
+    z = np.arange(1 << (2 * length))
+    table = np.empty((2 * length, z.size), dtype=np.int8)
+    for q in range(2 * length):
+        table[q] = 1 - 2 * ((z >> q) & 1)
+    table.flags.writeable = False
+    return table
 
 
 def observable_diagonal(cfg: ProbeConfig, kind: str) -> np.ndarray:
     """Diagonal weight vector d(z) of a named observable over basis integers."""
     if kind not in OBSERVABLE_KINDS:
         raise ConfigError(f"unknown observable kind {kind!r}")
-    L = cfg.length
+    spins = spin_table(cfg.length)
     d = np.zeros(cfg.dim)
-    for j in range(1, L + 1):
-        sa = spin_z_signs(cfg, "a", j)
-        sb = spin_z_signs(cfg, "b", j)
-        if kind == "gradient-z-a":
-            d += j * sa
-        elif kind == "gradient-z-b":
-            d += j * sb
-        elif kind == "collective-z-a":
-            d += sa
-        elif kind == "collective-z-b":
-            d += sb
-        else:  # imbalance-numerator
-            d += sa - sb
+    for j in range(1, cfg.length + 1):
+        w_a, w_b = OBSERVABLE_KINDS[kind](j)
+        d += w_a * spins[2 * j - 2] + w_b * spins[2 * j - 1]
     return d
 
 
@@ -181,20 +171,16 @@ def chain_interaction_diagonal(cfg: ProbeConfig) -> np.ndarray:
     H_a + H_b = -jz * sum_{mu in {a,b}} sum_{j=1}^{L-1} sigma^z_{mu,j} sigma^z_{mu,j+1},
     diagonal in the computational basis.
     """
+    spins = spin_table(cfg.length)
     e = np.zeros(cfg.dim)
-    for j in range(1, cfg.length):
-        e -= cfg.jz * spin_z_signs(cfg, "a", j) * spin_z_signs(cfg, "a", j + 1)
-        e -= cfg.jz * spin_z_signs(cfg, "b", j) * spin_z_signs(cfg, "b", j + 1)
+    for q in range(2 * cfg.length - 2):
+        e -= cfg.jz * (spins[q] * spins[q + 2])
     return e
 
 
 def total_magnetization_diagonal(cfg: ProbeConfig) -> np.ndarray:
     """Total sigma^z over all 2L qubits (conserved by the full dynamics)."""
-    z = np.arange(cfg.dim)
-    n_down = np.zeros(cfg.dim, dtype=np.int64)
-    for q in range(2 * cfg.length):
-        n_down += (z >> q) & 1
-    return 2.0 * cfg.length - 2.0 * n_down
+    return spin_table(cfg.length).sum(axis=0).astype(float)
 
 
 def collective_index_a(cfg: ProbeConfig) -> np.ndarray:
@@ -203,11 +189,7 @@ def collective_index_a(cfg: ProbeConfig) -> np.ndarray:
     Indexes the eigenvalue m = 2*k - L of the collective observable
     sum_j sigma^z_{a,j}; used to coarse-grain probability distributions.
     """
-    z = np.arange(cfg.dim)
-    k = np.zeros(cfg.dim, dtype=np.int64)
-    for j in range(cfg.length):
-        k += 1 - ((z >> (2 * j)) & 1)
-    return k
+    return (cfg.length + spin_table(cfg.length)[0::2].sum(axis=0)) // 2
 
 
 def build_initial_state(cfg: ProbeConfig, init: InitConfig | None = None) -> PureState:

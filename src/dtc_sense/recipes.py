@@ -82,9 +82,3 @@ def recipe_config(name: str) -> dict:
             f"unknown recipe {name!r}; available: {', '.join(sorted(RECIPES))}")
     return {k: v for k, v in RECIPES[name].items() if k != "command"}
 
-
-def recipe_command(name: str) -> str:
-    if name not in RECIPES:
-        raise ConfigError(
-            f"unknown recipe {name!r}; available: {', '.join(sorted(RECIPES))}")
-    return RECIPES[name]["command"]

@@ -142,26 +142,48 @@ def check_resource_gates(params: dict) -> None:
             f"pure-state runs are gated to L <= {PURE_STATE_MAX_L}, got L={L}")
 
 
-def evaluate_point(params: dict) -> StroboscopicTrace:
-    """One sweep point -> one stroboscopic trace (pure or dephased)."""
+#: smallest accepted value of each count key
+_MIN_COUNTS = {"cycles": 0, "n": 1, "dn": 1, "K": 1, "grid_points": 1}
+
+
+def point_configs(params: dict) -> tuple[ProbeConfig, FieldConfig, InitConfig]:
+    """Gate one parameter point and build its probe, field and initial-state
+    configs.  A count (cycles, n, dn, K, grid_points) below its minimum is a
+    ConfigError."""
     check_resource_gates(params)
+    for key, low in _MIN_COUNTS.items():
+        if key in params and int(params[key]) < low:
+            raise ConfigError(f"{key} must be >= {low}, got {params[key]}")
     probe = ProbeConfig(length=int(params["L"]),
                         epsilon=float(params["epsilon"]))
     fld = FieldConfig(h_a=float(params["h_a_per_Jz"]),
                       delta_f=float(params["delta_f"]),
                       eta=float(params["eta"]))
     init = InitConfig(tilt=float(params["theta_rad"]))
+    return probe, fld, init
+
+
+def evaluate_point(params: dict) -> StroboscopicTrace:
+    """One sweep point -> one stroboscopic trace (pure or dephased)."""
+    probe, fld, init = point_configs(params)
     cycles = int(params["cycles"])
     gamma = float(params.get("gamma_per_Jz", 0.0))
     if gamma > 0.0 and cycles > 0:
         # the sweep consumes only the per-cycle trace, so clamp the
         # point-average windows into the cycle budget rather than erroring
-        dn = max(1, min(int(params.get("dn", 5)), cycles))
-        K = max(1, min(int(params.get("K", 10)), cycles // dn))
+        dn = min(int(params.get("dn", 5)), cycles)
+        K = min(int(params.get("K", 10)), cycles // dn)
         return noisy_fisher(probe, fld, gamma, cycles, dn, K, init)["trace"]
     trace = stroboscopic_trace(probe, fld, init, cycles)
     trace.gamma = gamma
     return trace
+
+
+def trace_rows(trace: StroboscopicTrace, key: tuple = ()) -> list[tuple]:
+    """One CSV row per cycle, in CSV_COLUMNS order after the axis values `key`."""
+    return [key + (int(trace.n[i]), trace.imbalance[i], trace.qfi[i],
+                   trace.cfi_computational[i], trace.cfi_collective[i])
+            for i in range(len(trace))]
 
 
 def _eval_for_pool(args):
@@ -188,8 +210,8 @@ def run_sweep(cfg: RunConfig, workers: int | None = None
             expand(i + 1, {**chosen, axis_names[i]: v})
 
     expand(0, {})
-    for _, params in points:
-        check_resource_gates(params)
+    for _, params in points:  # gate and validate every point before any work
+        point_configs(params)
 
     workers = workers if workers is not None else int(cfg.get("workers", 1))
     results: dict[tuple, StroboscopicTrace] = {}
@@ -203,11 +225,7 @@ def run_sweep(cfg: RunConfig, workers: int | None = None
 
     rows = []
     for key in sorted(results):
-        trace = results[key]
-        for i in range(len(trace)):
-            rows.append(key + (int(trace.n[i]), trace.imbalance[i],
-                               trace.qfi[i], trace.cfi_computational[i],
-                               trace.cfi_collective[i]))
+        rows += trace_rows(results[key], key)
     return axis_names, rows
 
 

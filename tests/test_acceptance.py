@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 import oracles
 from dtc_sense.expcalc import calibrate_unit_scale, expcalc, material_record
-from dtc_sense.floquet import initial_state_with_tangent, propagate_with_tangent
+from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent
 from dtc_sense.lindblad import evolve_lindblad, initial_mixed_state, noisy_fisher
 from dtc_sense.metrology import (
     find_transition,
@@ -123,9 +123,10 @@ def test_c06_tangent_qfi_matches_finite_differences():
                           delta_f=float(rng.choice([0.0, 0.02, -0.02])),
                           eta=float(rng.uniform(0.0, 0.3)))
         cycles = int(rng.integers(1, 51))
+        engine = FloquetEngine(cfg, fld)
         state = initial_state_with_tangent(cfg)
         for n in range(1, cycles + 1):
-            propagate_with_tangent(state, n, cfg, fld)
+            engine.apply_cycle(state, n)
         got = qfi_pure(state)
         ref = oracles.dense_qfi_fd(cfg, fld, cycles)
         if ref > 1e-12:

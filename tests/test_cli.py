@@ -166,6 +166,44 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
     assert "cannot write output" in capsys.readouterr().err
 
 
+_QUARTER_TILT = "L = 3\ntheta_rad = 0.7853981633974483\ncycles = 4\n"
+
+
+@pytest.mark.parametrize("command,extra", [
+    pytest.param("simulate", "", id="simulate"),
+    pytest.param("noise", "gamma_per_Jz = 1e-3\ndn = 2\nK = 2\n", id="noise"),
+])
+def test_zero_initial_imbalance_is_a_numerical_error(tmp_path, capsys,
+                                                     command, extra):
+    # at tilt pi/4 the initial imbalance vanishes, so the normalized trace
+    # is undefined and nothing may be written
+    cfg = _write(tmp_path, "c.cfg", _QUARTER_TILT + extra)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert "zero imbalance" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_NOISE_L2 = "L = 2\ngamma_per_Jz = 1e-3\ncycles = 20\n"
+
+
+@pytest.mark.parametrize("command,text", [
+    pytest.param("simulate", "L = 2\ncycles = -1\n", id="simulate-cycles"),
+    pytest.param("sweep", "L = 2, 3\ncycles = -1\n", id="sweep-cycles"),
+    pytest.param("transition", "L = 2\nn = -1\n", id="transition-n"),
+    pytest.param("transition", "L = 2\ngrid_points = 0\n",
+                 id="transition-grid_points"),
+    pytest.param("noise", _NOISE_L2 + "dn = 5\nK = 10\n",
+                 id="noise-windows-exceed-cycles"),
+    pytest.param("noise", _NOISE_L2 + "dn = 0\n", id="noise-dn"),
+])
+def test_invalid_counts_are_config_errors(tmp_path, capsys, command, text):
+    cfg = _write(tmp_path, "c.cfg", text)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_expcalc_prints_all_presets(capsys):
     assert main(["expcalc"]) == 0
     stdout = capsys.readouterr().out

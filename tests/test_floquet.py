@@ -6,18 +6,9 @@ from scipy.integrate import quad
 
 import oracles
 from dtc_sense.errors import NumericalError
-from dtc_sense.floquet import (
-    FloquetEngine,
-    a_factor,
-    apply_cycle,
-    attach_tangent,
-    build_cycle,
-    imbalance,
-    initial_state_with_tangent,
-    propagate_with_tangent,
-    theta_half,
-)
-from dtc_sense.metrology import qfi_pure
+from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent, theta_half
+from dtc_sense.lindblad import noisy_fisher
+from dtc_sense.metrology import qfi_pure, stroboscopic_trace
 from dtc_sense.model import (
     FieldConfig,
     InitConfig,
@@ -87,8 +78,7 @@ def test_theta_rejects_bad_indices():
 
 def test_perfect_quench_is_full_exchange():
     cfg = ProbeConfig(length=2, epsilon=0.0)
-    _, gates = build_cycle(1, cfg, FieldConfig())
-    for gate in gates:
+    for gate in FloquetEngine(cfg, FieldConfig()).pair_gates(1):
         U = gate.unitary
         # |a down, b up> (local 1)  ->  -i |a up, b down> (local 2)
         assert U[2, 1] == pytest.approx(-1j, abs=1e-12)
@@ -97,7 +87,7 @@ def test_perfect_quench_is_full_exchange():
 
 def test_imperfect_quench_exchange_amplitude():
     cfg = ProbeConfig(length=2, epsilon=0.1)
-    _, gates = build_cycle(1, cfg, FieldConfig())
+    gates = FloquetEngine(cfg, FieldConfig()).pair_gates(1)
     amp = abs(gates[0].unitary[2, 1])
     assert amp == pytest.approx(np.sin(np.pi * 0.9 / 2), rel=1e-12)
     assert amp == pytest.approx(0.98769, abs=5e-6)
@@ -108,8 +98,7 @@ def test_imperfect_quench_exchange_amplitude():
        eta=st.floats(0.0, 0.5), n=st.integers(1, 6))
 def test_pair_gates_unitary_and_block_diagonal(eps, h, eta, n):
     cfg = ProbeConfig(length=3, epsilon=eps)
-    _, gates = build_cycle(n, cfg, FieldConfig(h_a=h, eta=eta))
-    for gate in gates:
+    for gate in FloquetEngine(cfg, FieldConfig(h_a=h, eta=eta)).pair_gates(n):
         U = gate.unitary
         assert np.allclose(U.conj().T @ U, np.eye(4), atol=1e-12)
         # pair magnetization blocks {0}, {1,2}, {3} stay uncoupled
@@ -119,7 +108,7 @@ def test_pair_gates_unitary_and_block_diagonal(eps, h, eta, n):
 
 def test_diagonal_half_preserves_norm():
     cfg = ProbeConfig(length=3)
-    diag, _ = build_cycle(1, cfg, FieldConfig(h_a=0.2, eta=0.1))
+    diag = FloquetEngine(cfg, FieldConfig(h_a=0.2, eta=0.1)).diagonal_phase(1)
     phase = np.exp(-1j * diag.phases)
     assert np.allclose(np.abs(phase), 1.0, atol=1e-12)
 
@@ -128,26 +117,19 @@ def test_diagonal_half_preserves_norm():
 
 def test_ideal_cycle_inverts_imbalance():
     cfg = ProbeConfig(length=3, epsilon=0.0)
-    fld = FieldConfig()
+    engine = FloquetEngine(cfg, FieldConfig())
     state = build_initial_state(cfg)
-    apply_cycle(state, 1, cfg, fld)
-    assert imbalance(state, cfg) == pytest.approx(-1.0, abs=1e-12)
-    apply_cycle(state, 2, cfg, fld)
-    assert imbalance(state, cfg) == pytest.approx(1.0, abs=1e-12)
+    for n, expected in ((1, -1.0), (2, 1.0)):
+        engine.apply_cycle(state, n)
+        imb = engine.imbalance_diag @ np.abs(state.amplitudes) ** 2
+        assert imb / state.imbalance_norm == pytest.approx(expected, abs=1e-12)
     assert state.norm() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_apply_cycle_rejects_wrong_dimension():
     state = build_initial_state(ProbeConfig(length=2))
     with pytest.raises(ValueError):
-        apply_cycle(state, 1, ProbeConfig(length=3), FieldConfig())
-
-
-def test_propagate_requires_tangent():
-    cfg = ProbeConfig(length=2)
-    state = build_initial_state(cfg)
-    with pytest.raises(ValueError):
-        propagate_with_tangent(state, 1, cfg, FieldConfig(h_a=0.01))
+        FloquetEngine(ProbeConfig(length=3), FieldConfig()).apply_cycle(state, 1)
 
 
 def test_gate_order_is_irrelevant():
@@ -169,11 +151,13 @@ def test_gate_order_is_irrelevant():
 
 def test_zero_crosstalk_matches_dedicated_path():
     cfg = ProbeConfig(length=3, epsilon=0.1)
+    e1 = FloquetEngine(cfg, FieldConfig(h_a=0.02, eta=0.0))
+    e2 = FloquetEngine(cfg, FieldConfig(h_a=0.02))
     s1 = build_initial_state(cfg)
     s2 = build_initial_state(cfg)
     for n in range(1, 6):
-        apply_cycle(s1, n, cfg, FieldConfig(h_a=0.02, eta=0.0))
-        apply_cycle(s2, n, cfg, FieldConfig(h_a=0.02))
+        e1.apply_cycle(s1, n)
+        e2.apply_cycle(s2, n)
     assert np.allclose(s1.amplitudes, s2.amplitudes, atol=1e-12)
 
 
@@ -190,9 +174,10 @@ def test_engine_matches_dense_expm(L, eps, h, df, eta, tilt):
     fld = FieldConfig(h_a=h, delta_f=df, eta=eta)
     init = InitConfig(tilt=tilt)
     dense = oracles.dense_evolve(cfg, fld, cycles=6, init=init)
+    engine = FloquetEngine(cfg, fld)
     state = build_initial_state(cfg, init)
     for n in range(1, 7):
-        apply_cycle(state, n, cfg, fld)
+        engine.apply_cycle(state, n)
         assert np.allclose(state.amplitudes, dense[n], atol=1e-12), \
             f"divergence from dense oracle at cycle {n}"
 
@@ -203,7 +188,7 @@ def test_single_pair_qfi_matches_brute_force():
     cfg = ProbeConfig(length=1, epsilon=0.0)
     fld = FieldConfig(h_a=1e-4)
     state = initial_state_with_tangent(cfg)
-    propagate_with_tangent(state, 1, cfg, fld)
+    FloquetEngine(cfg, fld).apply_cycle(state, 1)
     value = qfi_pure(state)
     ref = oracles.dense_qfi_fd(cfg, fld, cycles=1)
     assert value == pytest.approx(ref, rel=1e-7)
@@ -220,9 +205,10 @@ def test_single_pair_qfi_matches_brute_force():
 def test_tangent_matches_finite_difference(L, eps, h, df, eta, cycles):
     cfg = ProbeConfig(length=L, epsilon=eps)
     fld = FieldConfig(h_a=h, delta_f=df, eta=eta)
+    engine = FloquetEngine(cfg, fld)
     state = initial_state_with_tangent(cfg)
     for n in range(1, cycles + 1):
-        propagate_with_tangent(state, n, cfg, fld)
+        engine.apply_cycle(state, n)
     ref = oracles.dense_qfi_fd(cfg, fld, cycles=cycles)
     assert qfi_pure(state) == pytest.approx(ref, rel=1e-6)
 
@@ -232,9 +218,10 @@ def test_zero_field_tangent_matches_finite_difference():
     # tangent (and the QFI) stay finite and must agree with the FD oracle
     cfg = ProbeConfig(length=2, epsilon=0.1)
     fld = FieldConfig(h_a=0.0)
+    engine = FloquetEngine(cfg, fld)
     state = initial_state_with_tangent(cfg)
     for n in range(1, 21):
-        propagate_with_tangent(state, n, cfg, fld)
+        engine.apply_cycle(state, n)
     assert state.norm() == pytest.approx(1.0, abs=1e-10)
     ref = oracles.dense_qfi_fd(cfg, fld, cycles=20)
     assert qfi_pure(state) == pytest.approx(ref, rel=1e-6)
@@ -259,18 +246,23 @@ def test_norm_and_magnetization_over_long_run():
 def test_tangent_orthogonality_residual():
     # Re<psi|dpsi> stays at the derivative-of-norm level
     cfg = ProbeConfig(length=3, epsilon=0.1)
+    engine = FloquetEngine(cfg, FieldConfig(h_a=1e-3))
     state = initial_state_with_tangent(cfg)
     for n in range(1, 51):
-        propagate_with_tangent(state, n, cfg, FieldConfig(h_a=1e-3))
+        engine.apply_cycle(state, n)
     assert abs(np.vdot(state.amplitudes, state.tangent).real) < 1e-8
 
 
 def test_imbalance_refuses_zero_reference():
+    # at the largest tilt the initial imbalance vanishes, so neither trace
+    # builder can normalize; both refuse before the first cycle
     cfg = ProbeConfig(length=2)
-    state = build_initial_state(cfg)
-    state.imbalance_norm = 0.0
+    init = InitConfig(tilt=np.pi / 4)
     with pytest.raises(NumericalError):
-        imbalance(state, cfg)
+        stroboscopic_trace(cfg, FieldConfig(h_a=1e-3), init, cycles=1)
+    with pytest.raises(NumericalError):
+        noisy_fisher(cfg, FieldConfig(h_a=1e-3), 1e-3, cycles=1, dn=1, K=1,
+                     init=init)
 
 
 def test_imbalance_stays_in_range():
@@ -285,28 +277,7 @@ def test_imbalance_stays_in_range():
         assert -1.0 - 1e-10 <= val <= 1.0 + 1e-10
 
 
-# ----------------------------------------------------------------- a_factor
-
-def test_a_factor_limits():
-    cfg = ProbeConfig(length=3, epsilon=0.1)
-    tiny = FieldConfig(h_a=1e-12)
-    assert a_factor(1, 1, cfg, tiny) == pytest.approx(
-        np.cos(0.9 * np.pi) ** 2, rel=1e-9)
-    huge = FieldConfig(h_a=1e9)
-    assert a_factor(1, 1, cfg, huge) == pytest.approx(1.0, rel=1e-9)
-
-
-def test_a_factor_plugin_value():
-    cfg = ProbeConfig(length=2, epsilon=0.1)
-    fld = FieldConfig(h_a=0.1)
-    th = theta_half(1, 2, fld, cfg)
-    x2, j2 = th ** 2, cfg.jab ** 2
-    expected = (x2 + j2 * np.cos(np.sqrt(x2 + j2)) ** 2) / (x2 + j2)
-    assert a_factor(1, 1, cfg, fld) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        a_factor(5, 1, cfg, fld)
-
-
 def test_attach_tangent_initializes_zero():
-    state = attach_tangent(build_initial_state(ProbeConfig(length=2)))
+    state = initial_state_with_tangent(ProbeConfig(length=2))
+    assert state.tangent.shape == state.amplitudes.shape
     assert np.all(state.tangent == 0)

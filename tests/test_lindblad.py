@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from dtc_sense.errors import NumericalError
-from dtc_sense.floquet import apply_cycle
+from dtc_sense.floquet import FloquetEngine
 from dtc_sense.lindblad import (
     LindbladEngine,
     MixedState,
@@ -94,9 +94,10 @@ def test_zero_noise_matches_unitary_engine():
     fld = FieldConfig(h_a=1e-3)
     rho0 = initial_mixed_state(cfg)
     traj = evolve_lindblad(rho0, 6, cfg, fld, gamma=0.0)
+    engine = FloquetEngine(cfg, fld)
     state = build_initial_state(cfg)
     for n in range(1, 7):
-        apply_cycle(state, n, cfg, fld)
+        engine.apply_cycle(state, n)
     pure_rho = np.outer(state.amplitudes, state.amplitudes.conj())
     assert np.max(np.abs(traj[-1].rho - pure_rho)) < 1e-13
 

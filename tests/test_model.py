@@ -12,7 +12,7 @@ from dtc_sense.model import (
     chain_interaction_diagonal,
     collective_index_a,
     observable_diagonal,
-    qubit_index,
+    spin_table,
     total_magnetization_diagonal,
 )
 
@@ -53,12 +53,15 @@ def test_init_config_range():
 
 
 def test_qubit_interleaving():
-    assert qubit_index("a", 1) == 0
-    assert qubit_index("b", 1) == 1
-    assert qubit_index("a", 3) == 4
-    assert qubit_index("b", 3) == 5
-    with pytest.raises(ConfigError):
-        qubit_index("c", 1)
+    # row 2(j-1) is a_j and row 2(j-1)+1 is b_j; bit value 1 is spin down
+    spins = spin_table(3)
+    assert spins.shape == (6, 64) and spins.dtype == np.int8
+    for q, z in ((0, 1 << 0), (1, 1 << 1), (4, 1 << 4), (5, 1 << 5)):
+        assert spins[q, z] == -1
+        assert spins[q, 0] == 1
+        assert np.count_nonzero(spins[:, z] == -1) == 1
+    assert not spins.flags.writeable
+    assert spin_table(3) is spins
 
 
 def test_reference_state_is_single_configuration():

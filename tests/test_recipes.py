@@ -1,13 +1,13 @@
 import pytest
 
 from dtc_sense.errors import ConfigError
-from dtc_sense.recipes import RECIPES, recipe_command, recipe_config
+from dtc_sense.recipes import RECIPES, recipe_config
 from dtc_sense.sweep import AXIS_KEYS, apply_dict, base_config, check_resource_gates
 
 
 def test_every_recipe_builds_a_valid_config():
     for name in RECIPES:
-        cmd = recipe_command(name)
+        cmd = RECIPES[name]["command"]
         assert cmd in {"simulate", "sweep", "fit", "transition", "noise",
                        "expcalc"}
         cfg = apply_dict(base_config(), recipe_config(name))
@@ -21,7 +21,7 @@ def test_recipes_respect_resource_gates():
     # every state-evolving preset must run on a desk machine without
     # tripping gates (expcalc and fit do no evolution, any L is fine there)
     for name in RECIPES:
-        if recipe_command(name) in {"expcalc", "fit"}:
+        if RECIPES[name]["command"] in {"expcalc", "fit"}:
             continue
         cfg = apply_dict(base_config(), recipe_config(name))
         axis_L = cfg.axes.get("L", [cfg.get("L")])
@@ -34,7 +34,7 @@ def test_recipes_respect_resource_gates():
 def test_sweep_recipes_have_axes_and_simulate_recipes_do_not():
     for name in RECIPES:
         cfg = apply_dict(base_config(), recipe_config(name))
-        cmd = recipe_command(name)
+        cmd = RECIPES[name]["command"]
         if cmd == "sweep":
             assert cfg.axes, f"{name} declares no sweep axis"
         elif cmd in {"simulate", "noise"}:
