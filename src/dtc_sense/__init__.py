@@ -44,7 +44,6 @@ from .metrology import (
 from .lindblad import (
     LindbladEngine,
     MixedState,
-    evolve_lindblad,
     initial_mixed_state,
     noisy_fisher,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "FitResult", "StroboscopicTrace", "find_transition", "point_average",
     "power_fit", "qfi_bound", "qfi_bound_variance", "qfi_mixed", "qfi_pure",
     "stroboscopic_trace", "time_average",
-    "LindbladEngine", "MixedState", "evolve_lindblad", "initial_mixed_state",
-    "noisy_fisher",
+    "LindbladEngine", "MixedState", "initial_mixed_state", "noisy_fisher",
     "MATERIALS", "calibrate_unit_scale", "expcalc", "material_record",
 ]

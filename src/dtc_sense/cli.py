@@ -151,7 +151,7 @@ def _cmd_fit(cfg: RunConfig) -> int:
 
 def _cmd_transition(cfg: RunConfig) -> int:
     params = cfg.fixed
-    probe, fld, _ = point_configs(params)
+    probe, fld, _ = point_configs(params, mixed=False)
     n = int(params.get("n", 10))
     grid = np.logspace(-5, 0, int(params.get("grid_points", 40)))
     h_max = find_transition(probe, fld, n, grid)
@@ -167,7 +167,7 @@ def _cmd_noise(cfg: RunConfig) -> int:
     params = cfg.fixed
     if cfg.axes:
         raise ConfigError("noise runs a single parameter point")
-    probe, fld, init = point_configs(params)
+    probe, fld, init = point_configs(params, mixed=True)
     gamma = float(params["gamma_per_Jz"])
     cycles, dn, K = int(params["cycles"]), int(params["dn"]), int(params["K"])
     if K * dn > cycles:

@@ -5,7 +5,13 @@ One drive cycle of period T = t1 + t2 factorizes into
   1. a diagonal half-period  exp(-i [t1 * H_chain + Theta_1 * (G_a + eta G_b)])
      (intra-chain ZZ couplings plus the accumulated gradient-field phase), then
   2. L disjoint pair gates   exp(-i [t2 * J_ab * hop_j + Theta_2 * j * (s^az_j + eta s^bz_j)])
-     acting on each (a_j, b_j) qubit pair.
+     acting on each (a_j, b_j) pair.
+
+The engine runs at the pair dimension d of its ProbeConfig (model docstring):
+the diagonals come from the d^L spin table and each pair gate is the 4x4
+exponent restricted to the d kept local states, so it is 4x4 on the full
+space and 2x2 in the one-up-per-pair sector, where it reads
+exp(-i [t2 J_ab tau^x_j + Theta_2 j (1 - eta) tau^z_j]).
 
 The sinusoidal drive enters only through its per-half-period time integral
 Theta (the square-pulse/accumulated-phase approximation); there is no
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    PAIR_STATES,
     FieldConfig,
     InitConfig,
     ProbeConfig,
@@ -72,15 +79,17 @@ class DiagonalPhase:
 
 @dataclass(frozen=True)
 class PairGate:
-    """4x4 unitary on the (a_j, b_j) pair, with its exact h_a-derivative."""
+    """d x d unitary on the (a_j, b_j) pair, with its exact h_a-derivative."""
 
     site: int
     unitary: np.ndarray
     dunitary_dh: np.ndarray
 
 
-def _pair_exponent(site: int, theta: float, eta: float, angle: float) -> np.ndarray:
-    """Hermitian exponent of the pair gate in the local basis
+def _pair_exponent(site: int, theta: float, eta: float, angle: float,
+                   pair_dim: int) -> np.ndarray:
+    """Hermitian exponent of the pair gate on the local states that
+    model.PAIR_STATES keeps at `pair_dim`, out of the full local basis
     {(a up, b up), (a down, b up), (a up, b down), (a down, b down)}."""
     M = np.zeros((4, 4))
     M[0, 0] = site * theta * (1 + eta)
@@ -88,39 +97,41 @@ def _pair_exponent(site: int, theta: float, eta: float, angle: float) -> np.ndar
     M[2, 2] = site * theta * (1 - eta)
     M[3, 3] = -site * theta * (1 + eta)
     M[1, 2] = M[2, 1] = angle
-    return M
+    local = list(PAIR_STATES[pair_dim])
+    return M[local][:, local]
 
 
 def _pair_gate(site: int, theta: float, dtheta_dh: float, eta: float,
-               angle: float) -> PairGate:
-    M = _pair_exponent(site, theta, eta, angle)
+               angle: float, pair_dim: int) -> PairGate:
+    M = _pair_exponent(site, theta, eta, angle, pair_dim)
     lam, V = np.linalg.eigh(M)
     f = np.exp(-1j * lam)
     U = (V * f) @ V.T
     # Frechet derivative of exp(-iM) along dM/dtheta, via divided differences
     # of the eigenvalues; the degenerate branch is the derivative limit.
-    dM = _pair_exponent(site, 1.0, eta, 0.0)  # linear in theta
+    dM = _pair_exponent(site, 1.0, eta, 0.0, pair_dim)  # linear in theta
     dlam = lam[:, None] - lam[None, :]
     deg = np.abs(dlam) < _DEGENERATE_EIG
     phi = (f[:, None] - f[None, :]) / np.where(deg, 1.0, dlam)
-    phi[deg] = (np.broadcast_to(-1j * f[:, None], (4, 4)))[deg]
+    phi[deg] = (np.broadcast_to(-1j * f[:, None], phi.shape))[deg]
     dU = V @ (phi * (V.T @ dM @ V)) @ V.T
     return PairGate(site, U, dU * dtheta_dh)
 
 
 def _apply_pair(U: np.ndarray, psi: np.ndarray, site: int, L: int) -> np.ndarray:
-    """Apply a 4x4 gate to the (a_site, b_site) bit pair of a statevector."""
-    blocks = 4 ** (L - site)
-    inner = 4 ** (site - 1)
+    """Apply a d x d gate to the (a_site, b_site) pair digit of a statevector."""
+    d = U.shape[0]
+    blocks = d ** (L - site)
+    inner = d ** (site - 1)
     return np.einsum("ij,ajb->aib", U,
-                     psi.reshape(blocks, 4, inner)).reshape(-1)
+                     psi.reshape(blocks, d, inner)).reshape(-1)
 
 
 class FloquetEngine:
     """Caches the diagonal vectors and pair gates for repeated cycle application.
 
     At resonance only two field phases (+/- h_a/pi jz) ever occur, so the gate
-    cache stays tiny; off resonance each cycle costs L fresh 4x4
+    cache stays tiny; off resonance each cycle costs L fresh d x d
     eigendecompositions, which is negligible next to the statevector work.
     """
 
@@ -149,7 +160,8 @@ class FloquetEngine:
             key = (site, th)
             gate = self._gate_cache.get(key)
             if gate is None:
-                gate = _pair_gate(site, th, 1.0, self.field.eta, angle)
+                gate = _pair_gate(site, th, 1.0, self.field.eta, angle,
+                                  self.cfg.pair_dim)
                 self._gate_cache[key] = gate
             if dth != 1.0:
                 gate = PairGate(site, gate.unitary, gate.dunitary_dh * dth)
@@ -166,7 +178,8 @@ class FloquetEngine:
         if state.amplitudes.shape[0] != self.cfg.dim:
             raise ValueError(
                 f"state dimension {state.amplitudes.shape[0]} does not match "
-                f"L={self.cfg.length} (expect {self.cfg.dim})")
+                f"L={self.cfg.length}, d={self.cfg.pair_dim} "
+                f"(expect {self.cfg.dim})")
         diag = self.diagonal_phase(n)
         phase = np.exp(-1j * diag.phases)
         psi = phase * state.amplitudes

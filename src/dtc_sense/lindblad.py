@@ -9,28 +9,36 @@ elementwise: (sum_j sigma^z_j rho sigma^z_j) - 2L rho has matrix elements
 -2 * hamming(z XOR z') * rho_{zz'}.
 
 Every term of each half's generator is pair-local, and the terms commute, so
-each half has an exact channel built from the unitary engine's pieces:
+each half has an exact channel built from the unitary engine's pieces, at
+the engine's pair dimension d (4 on the full space, 2 in the one-up-per-pair
+sector; see the model docstring):
 
   1. diagonal half: rho_{zz'} <- exp(-i (phi_z - phi_z') - 2 Gamma t1 hamming(z, z')) rho_{zz'},
      with phi = t1 E_chain + Theta_1 (G_a + eta G_b) the pure engine's phases;
-  2. exchange half: L commuting 16x16 pair superoperators
-     S_j = exp(A_j),  A_j = -i (M_j x 1 - 1 x M_j^T) - 2 Gamma t2 diag(hamming_4),
-     where M_j is the pure engine's pair-gate exponent (floquet._pair_exponent)
-     and hamming_4 the Hamming distance over the pair's two qubits.
+  2. exchange half: L commuting d^2 x d^2 pair superoperators
+     S_j = exp(A_j),  A_j = -i (M_j x 1 - 1 x M_j^T) - 2 Gamma t2 diag(hamming_d),
+     where M_j is the pure engine's d x d pair-gate exponent
+     (floquet._pair_exponent) and hamming_d the Hamming distance over the
+     pair's two spins.
+
+hamming counts the spin-table rows on which z and z' differ; in the sector a
+tau flip flips both spins of its pair, so sigma^z dephasing at rate Gamma
+on a_j and b_j acts there as tau^z dephasing at rate 2 Gamma.
 
 The derivative d rho / d h_a is co-propagated by the product rule.  The
 exchange-half factor dS_j/dTheta is the top-right block of
 exp([[A_j, E_j], [0, A_j]]) with E_j = dA_j/dTheta (Al-Mohy & Higham,
-SIAM J. Matrix Anal. Appl. 30, 1639 (2009)), computed with the same 32x32
-exponential as S_j.  There is no time stepping and no finite difference.
+SIAM J. Matrix Anal. Appl. 30, 1639 (2009)), computed with the same
+2d^2 x 2d^2 exponential as S_j.  There is no time stepping and no finite
+difference.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 from .floquet import FloquetEngine, _pair_exponent, _theta_unit, theta_half
 from .metrology import (
     StroboscopicTrace,
@@ -44,14 +52,12 @@ from .model import (
     InitConfig,
     ProbeConfig,
     build_initial_state,
+    check_state_size,
     collective_index_a,
+    engine_probe,
     spin_table,
 )
 
-#: largest chain length the density-matrix path accepts
-LINDBLAD_MAX_L = 5
-_POSITIVITY_HARD = -1e-6
-_TRACE_TOL = 1e-6
 _TAYLOR_DEGREE = 16
 
 
@@ -71,19 +77,12 @@ class MixedState:
     def trace(self) -> float:
         return float(np.trace(self.rho).real)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.rho)[0])
-
-    def copy(self) -> "MixedState":
-        return MixedState(self.rho.copy(), self.cycle, self.gamma,
-                          None if self.tangent is None else self.tangent.copy())
-
 
 def hamming_distance_matrix(cfg: ProbeConfig) -> np.ndarray:
     """hamming(z XOR z') over all basis-integer pairs (small ints as float):
     the number of spin-table rows on which z and z' differ."""
     d = np.zeros((cfg.dim, cfg.dim))
-    for s in spin_table(cfg.length):
+    for s in spin_table(cfg.length, cfg.pair_dim):
         d += s[:, None] != s[None, :]
     return d
 
@@ -108,28 +107,31 @@ def _pair_superoperator(site: int, theta: float, eta: float, angle: float,
                         deph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact exchange-half channel S on the (a_site, b_site) pair and dS/dTheta.
 
-    Both act on the row-major vec of the pair's 4x4 block of rho;
-    `deph` = 2 Gamma t2 hamming_4 in the same layout.
+    Both act on the row-major vec of the pair's d x d block of rho;
+    `deph` is the d x d matrix 2 Gamma t2 hamming_d.
     """
-    eye = np.eye(4)
-    M = _pair_exponent(site, theta, eta, angle)
-    dM = _pair_exponent(site, 1.0, eta, 0.0)  # the exponent is linear in Theta
-    block = np.zeros((32, 32), dtype=complex)
-    block[:16, :16] = block[16:, 16:] = (
-        -1j * (np.kron(M, eye) - np.kron(eye, M.T)) - np.diag(deph))
-    block[:16, 16:] = -1j * (np.kron(dM, eye) - np.kron(eye, dM.T))
+    d = deph.shape[0]
+    n = d * d
+    eye = np.eye(d)
+    M = _pair_exponent(site, theta, eta, angle, d)
+    dM = _pair_exponent(site, 1.0, eta, 0.0, d)  # linear in Theta
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n] = block[n:, n:] = (
+        -1j * (np.kron(M, eye) - np.kron(eye, M.T)) - np.diag(deph.reshape(-1)))
+    block[:n, n:] = -1j * (np.kron(dM, eye) - np.kron(eye, dM.T))
     F = _expm(block)
-    return F[:16, :16], F[:16, 16:]
+    return F[:n, :n], F[:n, n:]
 
 
 def _apply_pair_super(S: np.ndarray, rho: np.ndarray, site: int,
                       L: int) -> np.ndarray:
-    """Apply a 16x16 pair superoperator to the (a_site, b_site) bit pair of
-    both indices of a density matrix."""
-    blocks = 4 ** (L - site)
-    inner = 4 ** (site - 1)
-    r = rho.reshape(blocks, 4, inner, blocks, 4, inner)
-    out = np.tensordot(S.reshape(4, 4, 4, 4), r, axes=([2, 3], [1, 4]))
+    """Apply a d^2 x d^2 pair superoperator to the (a_site, b_site) pair
+    digit of both indices of a density matrix."""
+    d = math.isqrt(S.shape[0])
+    blocks = d ** (L - site)
+    inner = d ** (site - 1)
+    r = rho.reshape(blocks, d, inner, blocks, d, inner)
+    out = np.tensordot(S.reshape(d, d, d, d), r, axes=([2, 3], [1, 4]))
     return out.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape)
 
 
@@ -147,9 +149,9 @@ class LindbladEngine:
         self.gamma = gamma
         self.unitary = FloquetEngine(cfg, field)
         self.decay = np.exp(-2.0 * gamma * cfg.t1 * hamming_distance_matrix(cfg))
-        # a single pair: Hamming distance over its two qubits
-        ham4 = hamming_distance_matrix(ProbeConfig(length=1))
-        self._pair_deph = 2.0 * gamma * cfg.t2 * ham4.reshape(-1)
+        # a single pair: Hamming distance over its two spins
+        pair = ProbeConfig(length=1, pair_dim=cfg.pair_dim)
+        self._pair_deph = 2.0 * gamma * cfg.t2 * hamming_distance_matrix(pair)
         self._super_cache: dict[tuple[int, float],
                                 tuple[np.ndarray, np.ndarray]] = {}
 
@@ -197,49 +199,23 @@ def initial_mixed_state(cfg: ProbeConfig, init: InitConfig | None = None,
     return MixedState(np.outer(psi, psi.conj()), cycle=0, gamma=gamma)
 
 
-def evolve_lindblad(rho0: MixedState, cycles: int, cfg: ProbeConfig,
-                    field: FieldConfig, gamma: float) -> list[MixedState]:
-    """Evolve for `cycles` periods, returning a copy of the state after every
-    cycle.
-
-    A trace drift beyond 1e-6 or an eigenvalue below -1e-6 raises
-    NumericalError: the channel is exact, so either means lost precision.
-    """
-    engine = LindbladEngine(cfg, field, gamma)
-    state = rho0.copy()
-    state.gamma = gamma
-    trajectory = []
-    for n in range(1, cycles + 1):
-        engine.apply_cycle(state, n)
-        tr = state.trace()
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise NumericalError(f"trace drifted to {tr} at cycle {n}")
-        lam = state.min_eigenvalue()
-        if lam < _POSITIVITY_HARD:
-            raise NumericalError(
-                f"rho has eigenvalue {lam:g} below {_POSITIVITY_HARD} at "
-                f"cycle {n}")
-        trajectory.append(state.copy())
-    return trajectory
-
-
 def noisy_fisher(cfg: ProbeConfig, field: FieldConfig, gamma: float,
                  cycles: int, dn: int, K: int,
                  init: InitConfig | None = None) -> dict:
     """Mixed-state QFI and CFIs per cycle under dephasing, plus their
     point averages.
 
-    One LindbladEngine evolves rho together with its exact h_a-derivative
-    d rho / d h_a (the tangent, co-propagated through each half's exact
-    channel), so no finite-difference twins are needed and h_a = 0 needs no
-    special case.  The mixed QFI is the spectral formula on (rho, d rho),
-    which raises NumericalError on trace drift or negative eigenvalues.
+    One LindbladEngine, at the pair dimension model.engine_probe picks for
+    `init`, evolves rho together with its exact h_a-derivative d rho / d h_a
+    (the tangent, co-propagated through each half's exact channel), so no
+    finite-difference twins are needed and h_a = 0 needs no special case.
+    The mixed QFI is the spectral formula on (rho, d rho), which raises
+    NumericalError on trace drift or negative eigenvalues.  A density matrix
+    beyond model.MIXED_STATE_MAX_DIM rows raises ResourceLimitError.
     Returns the per-cycle trace and the point-averaged series.
     """
-    if cfg.length > LINDBLAD_MAX_L:
-        raise NumericalError(
-            f"density-matrix evolution is gated to L <= {LINDBLAD_MAX_L}, "
-            f"got {cfg.length}")
+    cfg = engine_probe(cfg, init)
+    check_state_size(cfg, mixed=True)
     if K * dn > cycles:
         raise ValueError(f"K*dn = {K * dn} exceeds cycle budget {cycles}")
     engine = LindbladEngine(cfg, field, gamma)

@@ -9,7 +9,7 @@ magnetization of the probe chain.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .model import (
     PureState,
     build_initial_state,
     collective_index_a,
+    engine_probe,
     observable_diagonal,
 )
 
@@ -127,7 +128,8 @@ def qfi_bound(cfg: ProbeConfig, n: int) -> float:
 
 
 def _pair_swap_permutation(cfg: ProbeConfig) -> np.ndarray:
-    """Basis permutation exchanging a_j <-> b_j within every pair."""
+    """Basis permutation exchanging a_j <-> b_j within every pair (of the
+    full pair space, d = 4)."""
     z = np.arange(cfg.dim)
     even_mask = 0x5555555555555555 & (cfg.dim - 1)
     odd_mask = 0xAAAAAAAAAAAAAAAA & (cfg.dim - 1)
@@ -140,6 +142,7 @@ def qfi_bound_variance(cfg: ProbeConfig, n: int,
     equal superposition of the initial state and its pair-swapped partner
     (the subharmonic reference pair).  For the tilt=0 state this equals
     qfi_bound exactly."""
+    cfg = replace(cfg, pair_dim=4)
     psi0 = build_initial_state(cfg, init).amplitudes
     ref = psi0 + psi0[_pair_swap_permutation(cfg)]
     ref = ref / np.linalg.norm(ref)
@@ -153,7 +156,10 @@ def stroboscopic_trace(cfg: ProbeConfig, field: FieldConfig,
                        init: InitConfig | None = None, cycles: int = 50,
                        with_fisher: bool = True) -> StroboscopicTrace:
     """Run the unitary engine for `cycles` periods, recording imbalance and
-    (optionally) QFI plus both CFIs at every stroboscopic time n = 0..cycles."""
+    (optionally) QFI plus both CFIs at every stroboscopic time n = 0..cycles.
+    The engine runs at the pair dimension model.engine_probe picks for
+    `init`, so a tilt-0 run holds 2^L amplitudes."""
+    cfg = engine_probe(cfg, init)
     engine = FloquetEngine(cfg, field)
     state = initial_state_with_tangent(cfg, init) if with_fisher \
         else build_initial_state(cfg, init)

@@ -1,25 +1,41 @@
 """Two-chain spin model: configurations, basis encoding, observables, initial states.
 
-Two spin-1/2 chains (a = probe, b = reference) of length L each.  Qubits are
-interleaved so that the pair (a_j, b_j) occupies adjacent bit positions:
+Two spin-1/2 chains (a = probe, b = reference) of length L each, grouped into
+L pairs (a_j, b_j).  A basis state is a string of L local pair states, one
+base-d digit per pair with pair 1 least significant, where d = pair_dim is
+the local dimension the engines run at:
 
-    q(a, j) = 2(j-1),   q(b, j) = 2(j-1) + 1,   j = 1..L
+  d = 4  the full pair space.  Local index bit_a + 2 bit_b, so the qubits
+         interleave as q(a, j) = 2(j-1), q(b, j) = 2(j-1) + 1 and the basis
+         integer is sum(bit_q * 2^q) over the 2L qubits.
+  d = 2  the one-up-per-pair sector span{|a up, b down>, |a down, b up>},
+         which the dynamics never leave.  Each pair is one qubit tau_j with
+         local 0 = tau up = (a up, b down) = full local 2, and local 1 =
+         tau down = (a down, b up) = full local 1.  A tilt-0 initial state
+         lies in the sector, so its runs need d^L = 2^L amplitudes, not 4^L.
 
-Bit value 0 encodes |up> (sigma^z eigenvalue +1), bit 1 encodes |down>, and a
-basis state is the integer sum(bit_q * 2^q) with qubit 0 least significant.
-Basis integer 0 is therefore the fully polarized all-up configuration.
-
-All observables used downstream are diagonal in this basis and are represented
-as plain real weight vectors of length 2^{2L}.
+Bit value 0 encodes |up> (sigma^z eigenvalue +1), bit 1 encodes |down>.  Every
+observable used downstream is diagonal in this basis and is built from one
+spin table (the sigma^z value of each of the 2L spins over all d^L basis
+states), so the same code serves both d: at d = 2 the a_j row is tau_j and
+the b_j row is -tau_j.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ResourceLimitError
+
+#: Full-pair local indices (bit_a + 2 bit_b) kept at each local dimension d.
+PAIR_STATES = {4: (0, 1, 2, 3), 2: (2, 1)}
+
+#: Largest state the gates admit: d^L amplitudes of a state vector (4^8)
+#: and d^L rows of a density matrix (4^5).
+PURE_STATE_MAX_DIM = 4 ** 8
+MIXED_STATE_MAX_DIM = 4 ** 5
 
 #: Kinds accepted by :func:`observable_diagonal`, each mapping site j to the
 #: weights (on sigma^z_{a,j}, on sigma^z_{b,j}).
@@ -39,12 +55,15 @@ class ProbeConfig:
     The inter-chain exchange coupling and the two half-period durations are
     derived quantities: ``jab = pi * jz * (1 - epsilon)`` and
     ``t1 = t2 = 1/(2 jz)``, so that a perfect quench (epsilon = 0) performs a
-    full pair exchange each cycle.
+    full pair exchange each cycle.  ``pair_dim`` is the local dimension d of
+    the simulated pair space (module docstring); the trace builders set it
+    with :func:`engine_probe`.
     """
 
     length: int
     epsilon: float = 0.1
     jz: float = 1.0
+    pair_dim: int = 4
 
     def __post_init__(self):
         if self.length < 1 or self.length != int(self.length):
@@ -53,6 +72,8 @@ class ProbeConfig:
             raise ConfigError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         if self.jz <= 0:
             raise ConfigError(f"jz must be positive, got {self.jz}")
+        if self.pair_dim not in PAIR_STATES:
+            raise ConfigError(f"pair_dim must be 2 or 4, got {self.pair_dim}")
 
     @property
     def jab(self) -> float:
@@ -72,7 +93,7 @@ class ProbeConfig:
 
     @property
     def dim(self) -> int:
-        return 1 << (2 * self.length)
+        return self.pair_dim ** self.length
 
 
 @dataclass(frozen=True)
@@ -113,7 +134,7 @@ class InitConfig:
 
 @dataclass
 class PureState:
-    """Dense statevector over the 2^{2L} two-chain Hilbert space.
+    """Dense statevector over the d^L basis states of the probe config.
 
     `tangent` (optional) carries the derivative of the amplitudes with
     respect to the field amplitude h_a, co-propagated by the Floquet engine.
@@ -140,15 +161,36 @@ class PureState:
         )
 
 
+def engine_probe(cfg: ProbeConfig, init: InitConfig | None) -> ProbeConfig:
+    """`cfg` at the pair dimension the engines run from `init`: d = 2 (the
+    one-up-per-pair sector) at tilt 0, d = 4 otherwise."""
+    tilt = (init or InitConfig()).tilt
+    return replace(cfg, pair_dim=2 if tilt == 0.0 else 4)
+
+
+def check_state_size(cfg: ProbeConfig, mixed: bool) -> None:
+    """Resource gate: a state vector of at most PURE_STATE_MAX_DIM amplitudes,
+    or a density matrix of at most MIXED_STATE_MAX_DIM rows."""
+    limit = MIXED_STATE_MAX_DIM if mixed else PURE_STATE_MAX_DIM
+    if cfg.dim > limit:
+        kind = "density-matrix" if mixed else "pure-state"
+        raise ResourceLimitError(
+            f"{kind} runs are gated to {limit} basis states; L={cfg.length} "
+            f"at pair dimension {cfg.pair_dim} needs {cfg.dim}")
+
+
 @functools.lru_cache(maxsize=None)
-def spin_table(length: int) -> np.ndarray:
-    """sigma^z eigenvalues (+1 up, -1 down) of every qubit over all basis
-    integers: int8 array of shape (2L, 4^L), row q = 2(j-1) for a_j and
-    2(j-1)+1 for b_j.  Built once per length and read-only."""
-    z = np.arange(1 << (2 * length))
+def spin_table(length: int, pair_dim: int = 4) -> np.ndarray:
+    """sigma^z eigenvalues (+1 up, -1 down) of every spin over all basis
+    states: int8 array of shape (2L, d^L), row 2(j-1) for a_j and 2(j-1)+1
+    for b_j.  Built once per (length, d) and read-only."""
+    local = np.array(PAIR_STATES[pair_dim])
+    z = np.arange(pair_dim ** length)
     table = np.empty((2 * length, z.size), dtype=np.int8)
-    for q in range(2 * length):
-        table[q] = 1 - 2 * ((z >> q) & 1)
+    for j in range(length):
+        k = local[(z // pair_dim ** j) % pair_dim]
+        table[2 * j] = 1 - 2 * (k & 1)
+        table[2 * j + 1] = 1 - 2 * (k >> 1)
     table.flags.writeable = False
     return table
 
@@ -157,11 +199,14 @@ def observable_diagonal(cfg: ProbeConfig, kind: str) -> np.ndarray:
     """Diagonal weight vector d(z) of a named observable over basis integers."""
     if kind not in OBSERVABLE_KINDS:
         raise ConfigError(f"unknown observable kind {kind!r}")
-    spins = spin_table(cfg.length)
+    # one weight per spin-table row (a_1, b_1, a_2, ...), as floats: the sum
+    # must not be carried in the int8 rows (sum_j j = 136 at L = 16)
+    weights = np.array([OBSERVABLE_KINDS[kind](j)
+                        for j in range(1, cfg.length + 1)], dtype=float)
     d = np.zeros(cfg.dim)
-    for j in range(1, cfg.length + 1):
-        w_a, w_b = OBSERVABLE_KINDS[kind](j)
-        d += w_a * spins[2 * j - 2] + w_b * spins[2 * j - 1]
+    for w, row in zip(weights.reshape(-1), spin_table(cfg.length, cfg.pair_dim)):
+        if w:
+            d += w * row
     return d
 
 
@@ -171,7 +216,7 @@ def chain_interaction_diagonal(cfg: ProbeConfig) -> np.ndarray:
     H_a + H_b = -jz * sum_{mu in {a,b}} sum_{j=1}^{L-1} sigma^z_{mu,j} sigma^z_{mu,j+1},
     diagonal in the computational basis.
     """
-    spins = spin_table(cfg.length)
+    spins = spin_table(cfg.length, cfg.pair_dim)
     e = np.zeros(cfg.dim)
     for q in range(2 * cfg.length - 2):
         e -= cfg.jz * (spins[q] * spins[q + 2])
@@ -180,7 +225,7 @@ def chain_interaction_diagonal(cfg: ProbeConfig) -> np.ndarray:
 
 def total_magnetization_diagonal(cfg: ProbeConfig) -> np.ndarray:
     """Total sigma^z over all 2L qubits (conserved by the full dynamics)."""
-    return spin_table(cfg.length).sum(axis=0).astype(float)
+    return spin_table(cfg.length, cfg.pair_dim).sum(axis=0).astype(float)
 
 
 def collective_index_a(cfg: ProbeConfig) -> np.ndarray:
@@ -189,7 +234,7 @@ def collective_index_a(cfg: ProbeConfig) -> np.ndarray:
     Indexes the eigenvalue m = 2*k - L of the collective observable
     sum_j sigma^z_{a,j}; used to coarse-grain probability distributions.
     """
-    return (cfg.length + spin_table(cfg.length)[0::2].sum(axis=0)) // 2
+    return (cfg.length + spin_table(cfg.length, cfg.pair_dim)[0::2].sum(axis=0)) // 2
 
 
 def build_initial_state(cfg: ProbeConfig, init: InitConfig | None = None) -> PureState:
@@ -199,17 +244,22 @@ def build_initial_state(cfg: ProbeConfig, init: InitConfig | None = None) -> Pur
         (cos t |up> + sin t |down>)_a  x  (-sin t |up> + cos t |down>)_b
 
     At tilt = 0 this is |up...up>_a |down...down>_b, the state whose imbalance
-    normalizes the subharmonic-response trace.
+    normalizes the subharmonic-response trace; at d = 2 it is basis state 0
+    (every tau up), and only tilt 0 lies in that sector.
     """
     init = init or InitConfig()
     t = init.tilt
+    if cfg.pair_dim == 2 and t != 0.0:
+        raise ConfigError(f"tilt {t} leaves the one-up-per-pair sector")
     amp_a = np.array([np.cos(t), np.sin(t)])
     amp_b = np.array([-np.sin(t), np.cos(t)])
+    local = list(PAIR_STATES[cfg.pair_dim])
     psi = np.array([1.0])
-    # qubit q is bit q of the basis integer, so later (more significant)
-    # factors must be kron'ed on the left
-    for q in range(2 * cfg.length):
-        psi = np.kron(amp_a if q % 2 == 0 else amp_b, psi)
+    # pair j is digit j of the basis index, so later (more significant)
+    # factors must be kron'ed on the left; within a pair, b is above a
+    for _ in range(cfg.length):
+        pair = np.kron(amp_b, np.kron(amp_a, psi)).reshape(4, -1)
+        psi = pair[local].reshape(-1)
     psi = psi.astype(np.complex128)
     imb = observable_diagonal(cfg, "imbalance-numerator")
     i0 = float(imb @ np.abs(psi) ** 2)

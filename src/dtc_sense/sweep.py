@@ -14,18 +14,22 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 from . import __version__
-from .errors import ConfigError, ResourceLimitError
-from .lindblad import LINDBLAD_MAX_L, noisy_fisher
+from .errors import ConfigError
+from .lindblad import noisy_fisher
 from .metrology import StroboscopicTrace, stroboscopic_trace
-from .model import FieldConfig, InitConfig, ProbeConfig
+from .model import (
+    FieldConfig,
+    InitConfig,
+    ProbeConfig,
+    check_state_size,
+    engine_probe,
+)
 
 #: sweepable keys, in canonical column order
 AXIS_KEYS = ("L", "epsilon", "h_a_per_Jz", "delta_f", "eta", "theta_rad",
              "gamma_per_Jz")
 _INT_KEYS = {"L", "cycles", "workers", "dn", "K", "n", "grid_points"}
 _STR_KEYS = {"out", "in", "x", "y", "recipe", "material"}
-
-PURE_STATE_MAX_L = 8
 
 CSV_COLUMNS = ("n", "imbalance", "qfi", "cfi_comp", "cfi_coll")
 
@@ -130,36 +134,33 @@ def _point_params(cfg: RunConfig, axis_values: dict) -> dict:
     return p
 
 
-def check_resource_gates(params: dict) -> None:
-    L = int(params["L"])
-    if params.get("gamma_per_Jz", 0.0) > 0.0:
-        if L > LINDBLAD_MAX_L:
-            raise ResourceLimitError(
-                f"density-matrix runs are gated to L <= {LINDBLAD_MAX_L}, "
-                f"got L={L}")
-    elif L > PURE_STATE_MAX_L:
-        raise ResourceLimitError(
-            f"pure-state runs are gated to L <= {PURE_STATE_MAX_L}, got L={L}")
-
-
 #: smallest accepted value of each count key
 _MIN_COUNTS = {"cycles": 0, "n": 1, "dn": 1, "K": 1, "grid_points": 1}
 
 
-def point_configs(params: dict) -> tuple[ProbeConfig, FieldConfig, InitConfig]:
-    """Gate one parameter point and build its probe, field and initial-state
-    configs.  A count (cycles, n, dn, K, grid_points) below its minimum is a
-    ConfigError."""
-    check_resource_gates(params)
+def _runs_mixed(params: dict) -> bool:
+    """Whether a sweep point runs the density-matrix path."""
+    return (float(params.get("gamma_per_Jz", 0.0)) > 0.0
+            and int(params["cycles"]) > 0)
+
+
+def point_configs(params: dict, mixed: bool | None = None
+                  ) -> tuple[ProbeConfig, FieldConfig, InitConfig]:
+    """Build one parameter point's probe (at the pair dimension its engine
+    runs), field and initial-state configs, and gate the state that engine
+    will hold: a density matrix when `mixed`, else a state vector (None: as
+    a sweep point runs).  A count (cycles, n, dn, K, grid_points) below its
+    minimum is a ConfigError."""
     for key, low in _MIN_COUNTS.items():
         if key in params and int(params[key]) < low:
             raise ConfigError(f"{key} must be >= {low}, got {params[key]}")
-    probe = ProbeConfig(length=int(params["L"]),
-                        epsilon=float(params["epsilon"]))
+    init = InitConfig(tilt=float(params["theta_rad"]))
+    probe = engine_probe(ProbeConfig(length=int(params["L"]),
+                                     epsilon=float(params["epsilon"])), init)
     fld = FieldConfig(h_a=float(params["h_a_per_Jz"]),
                       delta_f=float(params["delta_f"]),
                       eta=float(params["eta"]))
-    init = InitConfig(tilt=float(params["theta_rad"]))
+    check_state_size(probe, _runs_mixed(params) if mixed is None else mixed)
     return probe, fld, init
 
 
@@ -168,7 +169,7 @@ def evaluate_point(params: dict) -> StroboscopicTrace:
     probe, fld, init = point_configs(params)
     cycles = int(params["cycles"])
     gamma = float(params.get("gamma_per_Jz", 0.0))
-    if gamma > 0.0 and cycles > 0:
+    if _runs_mixed(params):
         # the sweep consumes only the per-cycle trace, so clamp the
         # point-average windows into the cycle budget rather than erroring
         dn = min(int(params.get("dn", 5)), cycles)

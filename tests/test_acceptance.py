@@ -13,7 +13,7 @@ from scipy.integrate import quad
 import oracles
 from dtc_sense.expcalc import calibrate_unit_scale, expcalc, material_record
 from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent
-from dtc_sense.lindblad import evolve_lindblad, initial_mixed_state, noisy_fisher
+from dtc_sense.lindblad import LindbladEngine, initial_mixed_state, noisy_fisher
 from dtc_sense.metrology import (
     find_transition,
     point_average,
@@ -247,18 +247,20 @@ def test_c11_dephased_qfi_still_grows():
 def test_c12_zero_noise_consistency():
     cfg = ProbeConfig(length=3, epsilon=EPS)
     fld = FieldConfig(h_a=DTC_FIELD)
-    traj = evolve_lindblad(initial_mixed_state(cfg), 20, cfg, fld, gamma=0.0)
+    engine = LindbladEngine(cfg, fld, gamma=0.0)
+    state = initial_mixed_state(cfg)
     unitary = stroboscopic_trace(cfg, fld, cycles=20, with_fisher=False)
     imb_diag = np.diag(oracles.dense_operators(cfg)["imbalance_num"]).real
     i0 = imb_diag @ np.abs(oracles.dense_initial_state(cfg)) ** 2
     worst_imb = 0.0
     worst_trace = 0.0
     worst_eig = 0.0
-    for n, st in enumerate(traj, start=1):
-        imb = (imb_diag @ np.diag(st.rho).real) / i0
+    for n in range(1, 21):
+        rho = engine.apply_cycle(state, n).rho
+        imb = (imb_diag @ np.diag(rho).real) / i0
         worst_imb = max(worst_imb, abs(imb - unitary.imbalance[n]))
-        worst_trace = max(worst_trace, abs(st.trace() - 1.0))
-        worst_eig = min(worst_eig, st.min_eigenvalue())
+        worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
+        worst_eig = min(worst_eig, np.linalg.eigvalsh(rho)[0])
     print(f"\n[C12] Gamma=0 vs unitary: max imbalance deviation = "
           f"{worst_imb:.2e} (< 1e-7), trace drift = {worst_trace:.2e} "
           f"(< 1e-7), min eigenvalue = {worst_eig:.2e} (>= -1e-8)")

@@ -51,11 +51,32 @@ def test_sweep_output_is_reproducible(tmp_path, capsys):
 
 
 def test_resource_gate_exit_code(tmp_path, capsys):
-    cfg = _write(tmp_path, "run.cfg", "L = 9\ncycles = 1\n")
+    cfg = _write(tmp_path, "run.cfg", "L = 9\ncycles = 1\ntheta_rad = 0.1\n")
     rc = main(["simulate", "--config", cfg, "--out",
                str(tmp_path / "x.csv")])
     assert rc == 3
     assert "resource gate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text", [
+    ("simulate", "L = 17\ncycles = 1\n"),
+    # noise runs the density-matrix path at any gamma
+    ("noise", "L = 6\ngamma_per_Jz = 0\ntheta_rad = 0.1\n"
+              "cycles = 2\ndn = 1\nK = 1\n"),
+])
+def test_gate_rejections_exit_3(tmp_path, capsys, command, text):
+    cfg = _write(tmp_path, "run.cfg", text)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert "resource gate" in capsys.readouterr().err
+
+
+def test_tilt_zero_runs_beyond_the_full_space_gate(tmp_path, capsys):
+    # L = 12 needs 4^12 amplitudes on the full space but 2^12 in the sector
+    cfg = _write(tmp_path, "run.cfg", "L = 12\ncycles = 2\nh_a_per_Jz = 1e-5\n")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4
 
 
 def test_fit_on_sweep_output(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,14 +10,17 @@ import oracles
 from dtc_sense.errors import NumericalError
 from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent, theta_half
 from dtc_sense.lindblad import noisy_fisher
-from dtc_sense.metrology import qfi_pure, stroboscopic_trace
+from dtc_sense.metrology import _readout, qfi_pure, stroboscopic_trace
 from dtc_sense.model import (
     FieldConfig,
     InitConfig,
     ProbeConfig,
     build_initial_state,
+    collective_index_a,
     total_magnetization_diagonal,
 )
+from dtc_sense.recipes import RECIPES
+from dtc_sense.sweep import apply_dict, base_config
 
 
 # ---------------------------------------------------------------- theta_half
@@ -281,3 +286,75 @@ def test_attach_tangent_initializes_zero():
     state = initial_state_with_tangent(ProbeConfig(length=2))
     assert state.tangent.shape == state.amplitudes.shape
     assert np.all(state.tangent == 0)
+
+
+# ------------------------------------------------------- pair-qubit sector
+
+def test_sector_pair_gate_is_the_kept_block():
+    # at d = 2 each gate is the 4x4 gate's block on the kept local states
+    # (tau up = full local 2, tau down = full local 1)
+    fld = FieldConfig(h_a=0.07, delta_f=0.01, eta=0.15)
+    full = FloquetEngine(ProbeConfig(length=3, epsilon=0.1), fld)
+    sector = FloquetEngine(ProbeConfig(length=3, epsilon=0.1, pair_dim=2), fld)
+    keep = np.ix_([2, 1], [2, 1])
+    for n in (1, 2, 5):
+        for g4, g2 in zip(full.pair_gates(n), sector.pair_gates(n)):
+            assert g2.unitary.shape == (2, 2)
+            assert np.allclose(g2.unitary, g4.unitary[keep], atol=1e-14)
+            assert np.allclose(g2.dunitary_dh, g4.dunitary_dh[keep],
+                               atol=1e-14)
+
+
+def _tilt_zero_recipe_points():
+    """(epsilon, h_a, delta_f, eta) -> cycles of every tilt-0 point of the
+    pure-state recipes."""
+    points = {}
+    for recipe in RECIPES.values():
+        if recipe["command"] not in ("simulate", "sweep"):
+            continue
+        cfg = apply_dict(base_config(), recipe)
+        for values in itertools.product(*cfg.axes.values()):
+            p = {**cfg.fixed, **dict(zip(cfg.axes, values))}
+            if p["theta_rad"] == 0.0:
+                key = (p["epsilon"], p["h_a_per_Jz"], p["delta_f"], p["eta"])
+                points[key] = max(points.get(key, 0), p["cycles"])
+    return points
+
+
+def _full_space_trace(cfg, fld, cycles):
+    """Imbalance, QFI, CFI_comp and CFI_coll per cycle from the d = 4 engine."""
+    engine = FloquetEngine(cfg, fld)
+    state = initial_state_with_tangent(cfg)
+    coll = collective_index_a(cfg)
+    out = np.zeros((cycles + 1, 4))
+    out[0, 0] = 1.0
+    for n in range(1, cycles + 1):
+        engine.apply_cycle(state, n)
+        p = np.abs(state.amplitudes) ** 2
+        dp = 2.0 * np.real(np.conj(state.amplitudes) * state.tangent)
+        imb, cfi_c, cfi_m = _readout(p, dp, engine.imbalance_diag,
+                                     state.imbalance_norm, coll)
+        out[n] = imb, qfi_pure(state), cfi_c, cfi_m
+    return out
+
+
+def test_sector_trace_equals_full_engine_on_every_tilt_zero_recipe():
+    # the trace builder runs tilt 0 at d = 2; each column must match the
+    # full engine to 1e-12 relative to the trace's largest value in it
+    # (single entries near zero, such as CFI(1) ~ 1e-10, carry only
+    # rounding-level absolute differences)
+    points = _tilt_zero_recipe_points()
+    assert len(points) > 50
+    for (eps, h, df, eta), cycles in points.items():
+        fld = FieldConfig(h_a=h, delta_f=df, eta=eta)
+        for L in range(1, 7):
+            cfg = ProbeConfig(length=L, epsilon=eps)
+            trace = stroboscopic_trace(cfg, fld, cycles=cycles)
+            assert trace.probe.pair_dim == 2
+            got = np.column_stack([trace.imbalance, trace.qfi,
+                                   trace.cfi_computational,
+                                   trace.cfi_collective])
+            ref = _full_space_trace(cfg, fld, cycles)
+            scale = np.abs(ref).max(axis=0)
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale), \
+                (L, eps, h, df, eta)

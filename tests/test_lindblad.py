@@ -2,18 +2,23 @@ import numpy as np
 import pytest
 
 import oracles
-from dtc_sense.errors import NumericalError
+from dtc_sense.errors import ResourceLimitError
 from dtc_sense.floquet import FloquetEngine
 from dtc_sense.lindblad import (
     LindbladEngine,
     MixedState,
-    evolve_lindblad,
     hamming_distance_matrix,
     initial_mixed_state,
     noisy_fisher,
 )
-from dtc_sense.model import FieldConfig, InitConfig, ProbeConfig, build_initial_state
-from dtc_sense.metrology import stroboscopic_trace
+from dtc_sense.model import (
+    FieldConfig,
+    InitConfig,
+    ProbeConfig,
+    build_initial_state,
+    collective_index_a,
+)
+from dtc_sense.metrology import _readout, qfi_mixed, stroboscopic_trace
 
 
 def _random_density(dim, seed):
@@ -27,6 +32,17 @@ def _random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return A + A.conj().T
+
+
+def _trajectory(cfg, fld, gamma, cycles):
+    """rho after each of cycles 1..cycles, from the initial state."""
+    engine = LindbladEngine(cfg, fld, gamma)
+    state = initial_mixed_state(cfg, gamma=gamma)
+    out = []
+    for n in range(1, cycles + 1):
+        engine.apply_cycle(state, n)
+        out.append(state.rho)
+    return out
 
 
 # -------------------------------------------------------------- ingredients
@@ -92,34 +108,33 @@ def test_pure_dephasing_closes_exponentially():
 def test_zero_noise_matches_unitary_engine():
     cfg = ProbeConfig(length=2, epsilon=0.1)
     fld = FieldConfig(h_a=1e-3)
-    rho0 = initial_mixed_state(cfg)
-    traj = evolve_lindblad(rho0, 6, cfg, fld, gamma=0.0)
+    traj = _trajectory(cfg, fld, 0.0, 6)
     engine = FloquetEngine(cfg, fld)
     state = build_initial_state(cfg)
     for n in range(1, 7):
         engine.apply_cycle(state, n)
     pure_rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    assert np.max(np.abs(traj[-1].rho - pure_rho)) < 1e-13
+    assert np.max(np.abs(traj[-1] - pure_rho)) < 1e-13
 
 
 def test_trajectory_is_trace_preserving_and_positive():
     cfg = ProbeConfig(length=3, epsilon=0.1)
     fld = FieldConfig(h_a=1e-3)
-    rho0 = initial_mixed_state(cfg, gamma=5e-3)
-    traj = evolve_lindblad(rho0, 10, cfg, fld, 5e-3)
-    for st in traj:
-        assert st.trace() == pytest.approx(1.0, abs=1e-12)
-        assert st.min_eigenvalue() > -1e-12
-        assert np.allclose(st.rho, st.rho.conj().T, atol=1e-13)
-    assert traj[-1].cycle == 10
+    engine = LindbladEngine(cfg, fld, 5e-3)
+    state = initial_mixed_state(cfg, gamma=5e-3)
+    for n in range(1, 11):
+        engine.apply_cycle(state, n)
+        assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(state.rho)[0] > -1e-12
+        assert np.allclose(state.rho, state.rho.conj().T, atol=1e-13)
+    assert state.cycle == 10
 
 
 def test_dephasing_shrinks_purity():
     cfg = ProbeConfig(length=2, epsilon=0.1)
     fld = FieldConfig(h_a=1e-3)
-    rho0 = initial_mixed_state(cfg, gamma=0.01)
-    traj = evolve_lindblad(rho0, 8, cfg, fld, 0.01)
-    purities = [np.trace(st.rho @ st.rho).real for st in traj]
+    traj = _trajectory(cfg, fld, 0.01, 8)
+    purities = [np.trace(rho @ rho).real for rho in traj]
     assert purities[-1] < 1.0 - 1e-4
     assert all(p2 <= p1 + 1e-9 for p1, p2 in zip(purities, purities[1:]))
 
@@ -136,8 +151,12 @@ def test_initial_mixed_state_is_projector():
 # ------------------------------------------------------------ noisy_fisher
 
 def test_noisy_fisher_gate_and_window_validation():
-    with pytest.raises(NumericalError):
+    # the gate counts density-matrix rows: 4^6 at tilt > 0, 2^11 at tilt 0
+    with pytest.raises(ResourceLimitError):
         noisy_fisher(ProbeConfig(length=6), FieldConfig(h_a=1e-3), 1e-3,
+                     cycles=4, dn=2, K=2, init=InitConfig(tilt=0.1))
+    with pytest.raises(ResourceLimitError):
+        noisy_fisher(ProbeConfig(length=11), FieldConfig(h_a=1e-3), 1e-3,
                      cycles=4, dn=2, K=2)
     with pytest.raises(ValueError):
         noisy_fisher(ProbeConfig(length=2), FieldConfig(h_a=1e-3), 1e-3,
@@ -180,3 +199,31 @@ def test_noisy_fisher_fisher_hierarchy_holds():
     for n in range(1, 6):
         assert tr.qfi[n] >= tr.cfi_computational[n] - 1e-6
         assert tr.cfi_computational[n] >= tr.cfi_collective[n] - 1e-8
+
+
+@pytest.mark.parametrize("length", [2, 3])
+def test_noisy_fisher_sector_equals_full_engine(length):
+    # noisy_fisher runs tilt 0 at d = 2 (2^L x 2^L rho, tau^z dephasing at
+    # rate 2 gamma); the d = 4 engine on the full 4^L x 4^L rho must agree
+    cfg = ProbeConfig(length=length, epsilon=0.1)
+    fld = FieldConfig(h_a=1e-2, delta_f=0.02, eta=0.1)
+    gamma, cycles = 1e-2, 20
+    trace = noisy_fisher(cfg, fld, gamma, cycles, dn=5, K=4)["trace"]
+    assert trace.probe.pair_dim == 2
+    got = np.column_stack([trace.imbalance, trace.qfi,
+                           trace.cfi_computational, trace.cfi_collective])
+    engine = LindbladEngine(cfg, fld, gamma)
+    state = initial_mixed_state(cfg, gamma=gamma)
+    state.tangent = np.zeros_like(state.rho)
+    imb_diag = engine.unitary.imbalance_diag
+    i0 = imb_diag @ np.diag(state.rho).real
+    ref = np.zeros((cycles + 1, 4))
+    ref[0, 0] = 1.0
+    for n in range(1, cycles + 1):
+        engine.apply_cycle(state, n)
+        imb, cfi_c, cfi_m = _readout(np.diag(state.rho).real,
+                                     np.diag(state.tangent).real, imb_diag,
+                                     i0, collective_index_a(cfg))
+        ref[n] = imb, qfi_mixed(state.rho, state.tangent), cfi_c, cfi_m
+    scale = np.abs(ref).max(axis=0)
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)

@@ -302,3 +302,19 @@ def test_trace_without_fisher_skips_tangent_work():
                                with_fisher=False)
     assert np.all(trace.qfi == 0.0)
     assert trace.imbalance[1] != 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(h=st.floats(1e-6, 0.5), eta=st.floats(0.0, 0.9),
+       df=st.floats(-0.05, 0.05), eps=st.floats(0.05, 0.3))
+def test_crosstalk_rescales_the_field(h, eta, df, eps):
+    # from tilt 0 the field couples only through (G_a + eta G_b) restricted
+    # to the one-up-per-pair sector, (1 - eta) sum_j j tau^z_j, so
+    # QFI(h, eta) = (1 - eta)^2 QFI((1 - eta) h, 0) at every cycle
+    cfg = ProbeConfig(length=4, epsilon=eps)
+    with_eta = stroboscopic_trace(cfg, FieldConfig(h_a=h, delta_f=df, eta=eta),
+                                  cycles=10).qfi
+    rescaled = stroboscopic_trace(
+        cfg, FieldConfig(h_a=(1 - eta) * h, delta_f=df), cycles=10).qfi
+    diff = np.abs(with_eta - (1 - eta) ** 2 * rescaled)
+    assert diff.max() <= 1e-11 * with_eta.max()

@@ -11,6 +11,7 @@ from dtc_sense.model import (
     build_initial_state,
     chain_interaction_diagonal,
     collective_index_a,
+    engine_probe,
     observable_diagonal,
     spin_table,
     total_magnetization_diagonal,
@@ -159,3 +160,59 @@ def test_collective_index_counts_up_a_spins(L):
     # collective observable eigenvalue is 2k - L
     coll = observable_diagonal(cfg, "collective-z-a")
     assert np.allclose(coll, 2 * idx - L)
+
+
+# ------------------------------------------------------- pair-qubit sector
+
+def _sector_columns(L):
+    """Full-space basis index of each sector basis state: tau_j up is the
+    full local state 2 (a up, b down), tau_j down is 1 (a down, b up)."""
+    return np.array([sum((2, 1)[(z >> j) & 1] * 4 ** j for j in range(L))
+                     for z in range(2 ** L)])
+
+
+def test_engine_probe_picks_the_sector_at_tilt_zero_only():
+    cfg = ProbeConfig(length=5, epsilon=0.2)
+    sector = engine_probe(cfg, None)
+    assert sector.pair_dim == 2 and sector.dim == 32
+    assert (sector.length, sector.epsilon) == (5, 0.2)
+    assert engine_probe(cfg, InitConfig(tilt=1e-3)).pair_dim == 4
+    with pytest.raises(ConfigError):
+        ProbeConfig(length=2, pair_dim=3)
+    with pytest.raises(ConfigError):
+        build_initial_state(sector, InitConfig(tilt=0.1))
+
+
+@pytest.mark.parametrize("L", [1, 2, 4])
+def test_sector_table_and_diagonals_are_full_space_columns(L):
+    # row a_j is tau_j and row b_j is -tau_j, so every diagonal (and the
+    # initial state) is the full-space one restricted to the sector
+    full, sector = ProbeConfig(length=L), ProbeConfig(length=L, pair_dim=2)
+    cols = _sector_columns(L)
+    spins = spin_table(L, 2)
+    assert spins.shape == (2 * L, 2 ** L) and spins.dtype == np.int8
+    assert np.array_equal(spins[1::2], -spins[0::2])
+    assert np.array_equal(spins, spin_table(L)[:, cols])
+    for kind in ("gradient-z-a", "gradient-z-b", "collective-z-a",
+                 "imbalance-numerator"):
+        assert np.array_equal(observable_diagonal(sector, kind),
+                              observable_diagonal(full, kind)[cols])
+    assert np.array_equal(chain_interaction_diagonal(sector),
+                          chain_interaction_diagonal(full)[cols])
+    assert np.array_equal(collective_index_a(sector),
+                          collective_index_a(full)[cols])
+    state = build_initial_state(sector)
+    assert state.amplitudes[0] == 1.0 and state.norm() == 1.0
+    assert np.array_equal(state.amplitudes,
+                          build_initial_state(full).amplitudes[cols])
+    assert state.imbalance_norm == 2 * L
+
+
+def test_sector_gradient_does_not_overflow_at_L16():
+    # the spin table is int8; the gradient sum_j j tau_j reaches
+    # sum_j j = 136 > 127 at L = 16, so it must accumulate in float
+    cfg = engine_probe(ProbeConfig(length=16), InitConfig())
+    g = observable_diagonal(cfg, "gradient-z-a")
+    assert g.dtype == np.float64
+    assert g.max() == 136.0 and g[0] == 136.0
+    assert g.min() == -136.0 and g[-1] == -136.0

@@ -2,7 +2,9 @@ import pytest
 
 from dtc_sense.errors import ConfigError
 from dtc_sense.recipes import RECIPES, recipe_config
-from dtc_sense.sweep import AXIS_KEYS, apply_dict, base_config, check_resource_gates
+import itertools
+
+from dtc_sense.sweep import AXIS_KEYS, apply_dict, base_config, point_configs
 
 
 def test_every_recipe_builds_a_valid_config():
@@ -24,11 +26,10 @@ def test_recipes_respect_resource_gates():
         if RECIPES[name]["command"] in {"expcalc", "fit"}:
             continue
         cfg = apply_dict(base_config(), recipe_config(name))
-        axis_L = cfg.axes.get("L", [cfg.get("L")])
-        axis_g = cfg.axes.get("gamma_per_Jz", [cfg.get("gamma_per_Jz", 0.0)])
-        for L in axis_L:
-            for g in axis_g:
-                check_resource_gates({"L": L, "gamma_per_Jz": g})
+        mixed = True if RECIPES[name]["command"] == "noise" else None
+        for values in itertools.product(*cfg.axes.values()):
+            point_configs({**cfg.fixed, **dict(zip(cfg.axes, values))},
+                          mixed)
 
 
 def test_sweep_recipes_have_axes_and_simulate_recipes_do_not():

@@ -6,9 +6,9 @@ from dtc_sense.sweep import (
     CSV_COLUMNS,
     apply_dict,
     base_config,
-    check_resource_gates,
     emit_table,
     parse_config_text,
+    point_configs,
     run_sweep,
     sidecar_path,
 )
@@ -74,17 +74,42 @@ def test_resolved_view_serializes_axes():
 
 # ------------------------------------------------------------------- gates
 
+def _point(**values):
+    return {**base_config().fixed, **values}
+
+
 def test_pure_state_size_gate():
-    params = {"L": 9, "gamma_per_Jz": 0.0}
+    # the gate counts the state the engine holds: 4^L amplitudes at tilt > 0,
+    # 2^L in the tilt-0 pair-qubit sector; both budgets are 4^8
+    params = _point(L=9, gamma_per_Jz=0.0, theta_rad=0.1)
     with pytest.raises(ResourceLimitError):
-        check_resource_gates(params)
-    check_resource_gates({"L": 8, "gamma_per_Jz": 0.0})
+        point_configs(params)
+    point_configs(_point(L=8, gamma_per_Jz=0.0, theta_rad=0.1))
+    with pytest.raises(ResourceLimitError):
+        point_configs(_point(L=17, gamma_per_Jz=0.0))
+    probe, _, _ = point_configs(_point(L=16, gamma_per_Jz=0.0))
+    assert probe.pair_dim == 2 and probe.dim == 4 ** 8
 
 
 def test_lindblad_size_gate():
+    # density matrices: d^L rows up to 4^5, so L <= 5 at tilt > 0, L <= 10
+    # at tilt 0
     with pytest.raises(ResourceLimitError):
-        check_resource_gates({"L": 6, "gamma_per_Jz": 1e-3})
-    check_resource_gates({"L": 5, "gamma_per_Jz": 1e-3})
+        point_configs(_point(L=6, gamma_per_Jz=1e-3, theta_rad=0.1))
+    point_configs(_point(L=5, gamma_per_Jz=1e-3, theta_rad=0.1))
+    with pytest.raises(ResourceLimitError):
+        point_configs(_point(L=11, gamma_per_Jz=1e-3))
+    point_configs(_point(L=10, gamma_per_Jz=1e-3))
+
+
+def test_gate_follows_the_engine_that_runs():
+    # noise always runs the density-matrix path, even at gamma = 0; a sweep
+    # point at gamma = 0 (or with no cycles) runs the pure one
+    with pytest.raises(ResourceLimitError):
+        point_configs(_point(L=6, gamma_per_Jz=0.0, theta_rad=0.1),
+                      mixed=True)
+    point_configs(_point(L=6, gamma_per_Jz=0.0, theta_rad=0.1))
+    point_configs(_point(L=6, gamma_per_Jz=1e-3, theta_rad=0.1, cycles=0))
 
 
 # ------------------------------------------------------------- evaluation
@@ -134,7 +159,7 @@ def test_gamma_axis_routes_to_density_matrix_path():
 
 def test_sweep_gate_applies_before_any_work():
     cfg = _tiny_cfg()
-    apply_dict(cfg, {"L": [2, 9]})
+    apply_dict(cfg, {"L": [2, 17]})
     with pytest.raises(ResourceLimitError):
         run_sweep(cfg)
 
