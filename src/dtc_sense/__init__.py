@@ -35,11 +35,10 @@ from .metrology import (
     point_average,
     power_fit,
     qfi_bound,
-    qfi_bound_variance,
     qfi_mixed,
     qfi_pure,
     stroboscopic_trace,
-    time_average,
+    stroboscopic_traces,
 )
 from .lindblad import (
     LindbladEngine,
@@ -57,8 +56,8 @@ __all__ = [
     "build_initial_state", "observable_diagonal",
     "FloquetEngine", "initial_state_with_tangent", "theta_half",
     "FitResult", "StroboscopicTrace", "find_transition", "point_average",
-    "power_fit", "qfi_bound", "qfi_bound_variance", "qfi_mixed", "qfi_pure",
-    "stroboscopic_trace", "time_average",
+    "power_fit", "qfi_bound", "qfi_mixed", "qfi_pure",
+    "stroboscopic_trace", "stroboscopic_traces",
     "LindbladEngine", "MixedState", "initial_mixed_state", "noisy_fisher",
     "MATERIALS", "calibrate_unit_scale", "expcalc", "material_record",
 ]

@@ -173,7 +173,7 @@ class LindbladEngine:
     def apply_cycle(self, state: MixedState, n: int) -> MixedState:
         L = self.cfg.length
         diag = self.unitary.diagonal_phase(n)
-        f = np.exp(-1j * diag.phases)
+        f = np.exp(-1j * diag.phases[0])
         m = np.outer(f, f.conj()) * self.decay
         rho = m * state.rho
         tan = state.tangent

@@ -9,13 +9,14 @@ magnetization of the probe chain.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import BoundaryPeakWarning, NumericalError
-from .floquet import FloquetEngine, initial_state_with_tangent
+from .floquet import FloquetEngine
 from .model import (
+    PURE_STATE_MAX_DIM,
     FieldConfig,
     InitConfig,
     ProbeConfig,
@@ -23,7 +24,6 @@ from .model import (
     build_initial_state,
     collective_index_a,
     engine_probe,
-    observable_diagonal,
 )
 
 PROB_CUTOFF = 1e-14       # probabilities below this are dropped from CFI sums
@@ -60,15 +60,18 @@ class FitResult:
     points: tuple = dataclass_field(default=())
 
 
-def qfi_pure(state: PureState) -> float:
-    """4( <d psi|d psi> - |<psi|d psi>|^2 ) from the attached tangent vector."""
+def qfi_pure(state: PureState) -> float | np.ndarray:
+    """4( <d psi|d psi> - |<psi|d psi>|^2 ) from the attached tangent vector,
+    per field of a batched state; any field's value below -1e-10 raises
+    NumericalError."""
     if state.tangent is None:
         raise ValueError("state carries no tangent vector")
     psi, tan = state.amplitudes, state.tangent
-    value = 4.0 * (np.vdot(tan, tan).real - abs(np.vdot(psi, tan)) ** 2)
-    if value < -1e-10:
-        raise NumericalError(f"pure-state QFI came out negative: {value}")
-    return max(value, 0.0)
+    value = 4.0 * ((tan.real ** 2 + tan.imag ** 2).sum(axis=-1)
+                   - np.abs((psi.conj() * tan).sum(axis=-1)) ** 2)
+    if np.min(value) < -1e-10:
+        raise NumericalError(f"pure-state QFI came out negative: {np.min(value)}")
+    return np.maximum(value, 0.0)
 
 
 def qfi_mixed(rho: np.ndarray, drho: np.ndarray) -> float:
@@ -90,11 +93,12 @@ def qfi_mixed(rho: np.ndarray, drho: np.ndarray) -> float:
     return float(2.0 * np.sum(np.abs(W[mask]) ** 2 / denom[mask]))
 
 
-def _cfi_from_probs(p: np.ndarray, dp: np.ndarray) -> float:
+def _cfi_from_probs(p: np.ndarray, dp: np.ndarray) -> float | np.ndarray:
+    """sum dp^2 / p over the outcomes with p above PROB_CUTOFF, per row of a
+    batch; a probability below -1e-12 in any row raises NumericalError."""
     if p.min() < -1e-12:
         raise NumericalError(f"negative probability {p.min():g}")
-    mask = p > PROB_CUTOFF
-    return float(np.sum(dp[mask] ** 2 / p[mask]))
+    return np.sum(dp ** 2 / np.where(p > PROB_CUTOFF, p, np.inf), axis=-1)
 
 
 def _imbalance_norm(i0: float) -> float:
@@ -107,17 +111,20 @@ def _imbalance_norm(i0: float) -> float:
 
 
 def _readout(p: np.ndarray, dp: np.ndarray | None, imb_diag: np.ndarray,
-             i0: float, coll_idx: np.ndarray | None
-             ) -> tuple[float, float, float]:
+             i0: float, coll_idx: np.ndarray | None) -> tuple:
     """Imbalance, CFI_computational and CFI_collective of one cycle from the
     basis distribution p and its h_a-derivative dp (both CFIs are 0 when dp
-    is None).  coll_idx is collective_index_a of the probe: the collective
-    CFI coarse-grains p onto the outcomes of sum_j sigma^z_{a,j}."""
-    imb = (imb_diag @ p) / i0
+    is None), per field when p and dp hold one row per field.  coll_idx is
+    collective_index_a of the probe: the collective CFI coarse-grains p onto
+    the outcomes of sum_j sigma^z_{a,j}."""
+    imb = (p @ imb_diag) / i0
     if dp is None:
         return imb, 0.0, 0.0
-    pm = np.bincount(coll_idx, weights=p)
-    dpm = np.bincount(coll_idx, weights=dp)
+    # one bincount over all rows: row r's outcome k goes to bin r*width + k
+    width = int(coll_idx.max()) + 1
+    idx = (coll_idx + width * np.arange(p.size // p.shape[-1])[:, None]).ravel()
+    pm, dpm = (np.bincount(idx, weights=w.ravel()).reshape(
+        p.shape[:-1] + (width,)) for w in (p, dp))
     return imb, _cfi_from_probs(p, dp), _cfi_from_probs(pm, dpm)
 
 
@@ -127,77 +134,52 @@ def qfi_bound(cfg: ProbeConfig, n: int) -> float:
     return n ** 2 * L ** 2 * (L + 1) ** 2 / np.pi ** 2
 
 
-def _pair_swap_permutation(cfg: ProbeConfig) -> np.ndarray:
-    """Basis permutation exchanging a_j <-> b_j within every pair (of the
-    full pair space, d = 4)."""
-    z = np.arange(cfg.dim)
-    even_mask = 0x5555555555555555 & (cfg.dim - 1)
-    odd_mask = 0xAAAAAAAAAAAAAAAA & (cfg.dim - 1)
-    return ((z & even_mask) << 1) | ((z & odd_mask) >> 1)
+def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
+                        init: InitConfig | None = None, cycles: int = 50,
+                        with_fisher: bool = True) -> list[StroboscopicTrace]:
+    """Run the unitary engine for `cycles` periods on every field (all
+    sharing delta_f and eta), recording imbalance and (optionally) QFI plus
+    both CFIs at every stroboscopic time n = 0..cycles: one trace per field.
+    The fields propagate as one batch (floquet docstring), split only where
+    it would exceed model.PURE_STATE_MAX_DIM amplitudes.  The engine runs at
+    the pair dimension model.engine_probe picks for `init`, so a tilt-0 run
+    holds 2^L amplitudes per field."""
+    cfg = engine_probe(cfg, init)
+    size = max(1, PURE_STATE_MAX_DIM // cfg.dim)
+    if len(fields) > size:
+        return [trace for i in range(0, len(fields), size)
+                for trace in stroboscopic_traces(cfg, fields[i:i + size], init,
+                                                 cycles, with_fisher)]
+    engine = FloquetEngine(cfg, fields)
+    psi0 = build_initial_state(cfg, init)
+    i0 = _imbalance_norm(psi0.imbalance_norm)
+    amps = np.tile(psi0.amplitudes, (len(fields), 1))
+    state = PureState(amps, np.zeros_like(amps) if with_fisher else None, i0)
+    coll_idx = collective_index_a(cfg) if with_fisher else None
 
-
-def qfi_bound_variance(cfg: ProbeConfig, n: int,
-                       init: InitConfig | None = None) -> float:
-    """Variance form of the bound, 4 n^2 Var(G) / pi^2, evaluated on the
-    equal superposition of the initial state and its pair-swapped partner
-    (the subharmonic reference pair).  For the tilt=0 state this equals
-    qfi_bound exactly."""
-    cfg = replace(cfg, pair_dim=4)
-    psi0 = build_initial_state(cfg, init).amplitudes
-    ref = psi0 + psi0[_pair_swap_permutation(cfg)]
-    ref = ref / np.linalg.norm(ref)
-    g = observable_diagonal(cfg, "gradient-z-a")
-    p = np.abs(ref) ** 2
-    var = float(g ** 2 @ p - (g @ p) ** 2)
-    return 4.0 * n ** 2 * var / np.pi ** 2
+    # imbalance, QFI, CFI_computational, CFI_collective per field and cycle
+    rec = np.zeros((4, len(fields), cycles + 1))
+    rec[0, :, 0] = 1.0
+    for n in range(1, cycles + 1):
+        engine.apply_cycle(state, n)
+        psi = state.amplitudes
+        p = np.abs(psi) ** 2
+        dp = 2.0 * np.real(psi.conj() * state.tangent) if with_fisher else None
+        rec[0, :, n], rec[2, :, n], rec[3, :, n] = _readout(
+            p, dp, engine.imbalance_diag, i0, coll_idx)
+        if with_fisher:
+            rec[1, :, n] = qfi_pure(state)
+    return [StroboscopicTrace(np.arange(cycles + 1), *rec[:, b],
+                              probe=cfg, field=fld,
+                              init=init or InitConfig(), gamma=0.0)
+            for b, fld in enumerate(fields)]
 
 
 def stroboscopic_trace(cfg: ProbeConfig, field: FieldConfig,
                        init: InitConfig | None = None, cycles: int = 50,
                        with_fisher: bool = True) -> StroboscopicTrace:
-    """Run the unitary engine for `cycles` periods, recording imbalance and
-    (optionally) QFI plus both CFIs at every stroboscopic time n = 0..cycles.
-    The engine runs at the pair dimension model.engine_probe picks for
-    `init`, so a tilt-0 run holds 2^L amplitudes."""
-    cfg = engine_probe(cfg, init)
-    engine = FloquetEngine(cfg, field)
-    state = initial_state_with_tangent(cfg, init) if with_fisher \
-        else build_initial_state(cfg, init)
-    imb_diag = engine.imbalance_diag
-    i0 = _imbalance_norm(state.imbalance_norm)
-    coll_idx = collective_index_a(cfg) if with_fisher else None
-
-    ns = np.arange(cycles + 1)
-    imb = np.empty(cycles + 1)
-    qfi = np.zeros(cycles + 1)
-    cfi_c = np.zeros(cycles + 1)
-    cfi_m = np.zeros(cycles + 1)
-    imb[0] = 1.0
-    for n in range(1, cycles + 1):
-        engine.apply_cycle(state, n)
-        p = np.abs(state.amplitudes) ** 2
-        dp = 2.0 * np.real(np.conj(state.amplitudes) * state.tangent) \
-            if with_fisher else None
-        imb[n], cfi_c[n], cfi_m[n] = _readout(p, dp, imb_diag, i0, coll_idx)
-        if with_fisher:
-            qfi[n] = qfi_pure(state)
-    return StroboscopicTrace(ns, imb, qfi, cfi_c, cfi_m,
-                             probe=cfg, field=field,
-                             init=init or InitConfig(), gamma=0.0)
-
-
-def time_average(trace: StroboscopicTrace, N: int) -> dict[str, float]:
-    """(1/N) sum_{n=1}^{N} F(n) for each Fisher quantity."""
-    if N < 1:
-        raise ValueError(f"averaging window must be >= 1, got {N}")
-    if trace.cycles < N:
-        raise ValueError(f"trace holds {trace.cycles} cycles, needs >= {N}")
-    sel = slice(1, N + 1)
-    return {
-        "qfi": float(trace.qfi[sel].mean()),
-        "cfi_computational": float(trace.cfi_computational[sel].mean()),
-        "cfi_collective": float(trace.cfi_collective[sel].mean()),
-    }
+    """One field's trace: the one-field call of stroboscopic_traces."""
+    return stroboscopic_traces(cfg, [field], init, cycles, with_fisher)[0]
 
 
 def point_average(trace: StroboscopicTrace, dn: int, K: int) -> dict[str, np.ndarray]:
@@ -245,11 +227,12 @@ def golden_section_peak(fn, grid: np.ndarray, rel_width: float = 1e-3) -> float:
     """Argmax of a unimodal function: coarse grid argmax, then golden-section
     refinement (in log space) of the bracketing interval.
 
+    `fn` is called once on the whole grid array, then on single points.
     Warns with BoundaryPeakWarning when the coarse maximum sits on the grid
     edge, in which case the edge value is returned as-is.
     """
     grid = np.asarray(grid, dtype=float)
-    vals = np.array([fn(g) for g in grid])
+    vals = np.asarray(fn(grid), dtype=float)
     k = int(np.argmax(vals))
     if k == 0 or k == grid.size - 1:
         warnings.warn("peak at grid boundary; widen the search grid",
@@ -274,14 +257,15 @@ def golden_section_peak(fn, grid: np.ndarray, rel_width: float = 1e-3) -> float:
 
 def find_transition(cfg: ProbeConfig, field_template: FieldConfig, n: int = 10,
                     h_grid: np.ndarray | None = None) -> float:
-    """Field amplitude h_a^max at which QFI(n) peaks (the DTC collapse point)."""
+    """Field amplitude h_a^max at which QFI(n) peaks (the DTC collapse
+    point).  The coarse grid runs as one field batch."""
     if h_grid is None:
         h_grid = np.logspace(-5, 0, 40)
 
-    def peak_qfi(h: float) -> float:
-        fld = FieldConfig(h_a=h, delta_f=field_template.delta_f,
-                          eta=field_template.eta)
-        trace = stroboscopic_trace(cfg, fld, cycles=n)
-        return float(trace.qfi[n])
+    def peak_qfi(h):
+        fields = [FieldConfig(h_a=x, delta_f=field_template.delta_f,
+                              eta=field_template.eta) for x in np.ravel(h)]
+        traces = stroboscopic_traces(cfg, fields, cycles=n)
+        return np.reshape([trace.qfi[n] for trace in traces], np.shape(h))
 
     return golden_section_peak(peak_qfi, h_grid)

@@ -134,10 +134,12 @@ class InitConfig:
 
 @dataclass
 class PureState:
-    """Dense statevector over the d^L basis states of the probe config.
+    """Dense statevector over the d^L basis states of the probe config, or
+    one row of them per field of a batch (shape (B, d^L)).
 
-    `tangent` (optional) carries the derivative of the amplitudes with
-    respect to the field amplitude h_a, co-propagated by the Floquet engine.
+    `tangent` (optional, same shape) carries the derivative of the amplitudes
+    with respect to the field amplitude h_a up to a phase term i a psi, as
+    the Floquet engine co-propagates it (floquet docstring).
     `imbalance_norm` is the imbalance expectation of the run's initial state,
     used to self-normalize the imbalance trace.
     """
@@ -146,19 +148,9 @@ class PureState:
     tangent: np.ndarray | None = None
     imbalance_norm: float = field(default=0.0)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "PureState":
-        return PureState(
-            self.amplitudes.copy(),
-            None if self.tangent is None else self.tangent.copy(),
-            self.imbalance_norm,
-        )
+    def norm(self) -> float | np.ndarray:
+        """The norm of the amplitudes, per field of a batch."""
+        return np.linalg.norm(self.amplitudes, axis=-1)
 
 
 def engine_probe(cfg: ProbeConfig, init: InitConfig | None) -> ProbeConfig:
@@ -221,11 +213,6 @@ def chain_interaction_diagonal(cfg: ProbeConfig) -> np.ndarray:
     for q in range(2 * cfg.length - 2):
         e -= cfg.jz * (spins[q] * spins[q + 2])
     return e
-
-
-def total_magnetization_diagonal(cfg: ProbeConfig) -> np.ndarray:
-    """Total sigma^z over all 2L qubits (conserved by the full dynamics)."""
-    return spin_table(cfg.length, cfg.pair_dim).sum(axis=0).astype(float)
 
 
 def collective_index_a(cfg: ProbeConfig) -> np.ndarray:

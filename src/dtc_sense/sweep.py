@@ -6,17 +6,18 @@ carry their units: couplings and rates are in units of the chain coupling
 hold a comma-separated list, which turns it into a sweep axis; the Cartesian
 product of all axes is evaluated, in parallel when workers > 1, and rows are
 emitted sorted by axis values so output never depends on completion order.
+Pure-state points that differ only in h_a_per_Jz run as one field batch
+(metrology.stroboscopic_traces); dephased points run one by one.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 from . import __version__
 from .errors import ConfigError
 from .lindblad import noisy_fisher
-from .metrology import StroboscopicTrace, stroboscopic_trace
+from .metrology import StroboscopicTrace, stroboscopic_traces
 from .model import (
     FieldConfig,
     InitConfig,
@@ -128,12 +129,6 @@ def load_config(path: str, overrides: dict | None = None,
     return parse_config_text(text, overrides, base)
 
 
-def _point_params(cfg: RunConfig, axis_values: dict) -> dict:
-    p = dict(cfg.fixed)
-    p.update(axis_values)
-    return p
-
-
 #: smallest accepted value of each count key
 _MIN_COUNTS = {"cycles": 0, "n": 1, "dn": 1, "K": 1, "grid_points": 1}
 
@@ -164,9 +159,12 @@ def point_configs(params: dict, mixed: bool | None = None
     return probe, fld, init
 
 
-def evaluate_point(params: dict) -> StroboscopicTrace:
-    """One sweep point -> one stroboscopic trace (pure or dephased)."""
-    probe, fld, init = point_configs(params)
+def evaluate_group(points: list[dict]) -> list[StroboscopicTrace]:
+    """Sweep points that differ only in h_a_per_Jz -> one stroboscopic trace
+    each: pure points as one field batch, dephased points one by one."""
+    params = points[0]
+    probe, _, init = point_configs(params)
+    fields = [point_configs(p)[1] for p in points]
     cycles = int(params["cycles"])
     gamma = float(params.get("gamma_per_Jz", 0.0))
     if _runs_mixed(params):
@@ -174,10 +172,17 @@ def evaluate_point(params: dict) -> StroboscopicTrace:
         # point-average windows into the cycle budget rather than erroring
         dn = min(int(params.get("dn", 5)), cycles)
         K = min(int(params.get("K", 10)), cycles // dn)
-        return noisy_fisher(probe, fld, gamma, cycles, dn, K, init)["trace"]
-    trace = stroboscopic_trace(probe, fld, init, cycles)
-    trace.gamma = gamma
-    return trace
+        return [noisy_fisher(probe, fld, gamma, cycles, dn, K, init)["trace"]
+                for fld in fields]
+    traces = stroboscopic_traces(probe, fields, init, cycles)
+    for trace in traces:
+        trace.gamma = gamma
+    return traces
+
+
+def evaluate_point(params: dict) -> StroboscopicTrace:
+    """One sweep point -> one stroboscopic trace (pure or dephased)."""
+    return evaluate_group([params])[0]
 
 
 def trace_rows(trace: StroboscopicTrace, key: tuple = ()) -> list[tuple]:
@@ -187,9 +192,9 @@ def trace_rows(trace: StroboscopicTrace, key: tuple = ()) -> list[tuple]:
             for i in range(len(trace))]
 
 
-def _eval_for_pool(args):
-    key, params = args
-    return key, evaluate_point(params)
+def _eval_for_pool(group: list[tuple[tuple, dict]]):
+    keys, params = zip(*group)
+    return keys, evaluate_group(list(params))
 
 
 def run_sweep(cfg: RunConfig, workers: int | None = None
@@ -205,7 +210,7 @@ def run_sweep(cfg: RunConfig, workers: int | None = None
     def expand(i: int, chosen: dict):
         if i == len(axis_names):
             key = tuple(chosen[k] for k in axis_names)
-            points.append((key, _point_params(cfg, chosen)))
+            points.append((key, {**cfg.fixed, **chosen}))
             return
         for v in cfg.axes[axis_names[i]]:
             expand(i + 1, {**chosen, axis_names[i]: v})
@@ -214,15 +219,25 @@ def run_sweep(cfg: RunConfig, workers: int | None = None
     for _, params in points:  # gate and validate every point before any work
         point_configs(params)
 
+    # pure points that differ only in h_a_per_Jz share one field batch;
+    # each dephased point is a group of its own
+    groups: dict[tuple, list[tuple[tuple, dict]]] = {}
+    for key, params in points:
+        mixed = _runs_mixed(params)
+        shared = key if mixed else tuple(
+            v for name, v in zip(axis_names, key) if name != "h_a_per_Jz")
+        groups.setdefault((mixed, shared), []).append((key, params))
+
     workers = workers if workers is not None else int(cfg.get("workers", 1))
     results: dict[tuple, StroboscopicTrace] = {}
-    if workers > 1 and len(points) > 1:
+    if workers > 1 and len(groups) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, trace in pool.map(_eval_for_pool, points):
-                results[key] = trace
+            for keys, traces in pool.map(_eval_for_pool, groups.values()):
+                results.update(zip(keys, traces))
     else:
-        for key, params in points:
-            results[key] = evaluate_point(params)
+        for group in groups.values():
+            results.update(zip(*_eval_for_pool(group)))
 
     rows = []
     for key in sorted(results):

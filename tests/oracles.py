@@ -10,6 +10,7 @@ import numpy as np
 from scipy.linalg import expm, expm_frechet
 
 from dtc_sense.floquet import theta_half
+from dtc_sense.metrology import StroboscopicTrace
 from dtc_sense.model import FieldConfig, InitConfig, ProbeConfig
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -162,3 +163,52 @@ def dense_lindblad_cycle(rho: np.ndarray, cfg: ProbeConfig, field: FieldConfig,
     shape = rho.shape
     return v.reshape(shape) if dv is None else (v.reshape(shape),
                                                  dv.reshape(shape))
+
+
+# ------------------------------------------------ references for test helpers
+
+def total_magnetization_diagonal(cfg: ProbeConfig) -> np.ndarray:
+    """Total sigma^z over all 2L qubits of the full pair space (conserved by
+    the full dynamics): 2L minus twice the number of down (set) bits."""
+    nq = 2 * cfg.length
+    return np.array([nq - 2 * bin(z).count("1") for z in range(1 << nq)],
+                    dtype=float)
+
+
+def pair_swap_permutation(cfg: ProbeConfig) -> np.ndarray:
+    """Basis permutation exchanging a_j <-> b_j within every pair (of the
+    full pair space, d = 4)."""
+    dim = 4 ** cfg.length
+    z = np.arange(dim)
+    even_mask = 0x5555555555555555 & (dim - 1)
+    odd_mask = 0xAAAAAAAAAAAAAAAA & (dim - 1)
+    return ((z & even_mask) << 1) | ((z & odd_mask) >> 1)
+
+
+def qfi_bound_variance(cfg: ProbeConfig, n: int,
+                       init: InitConfig | None = None) -> float:
+    """Variance form of the bound, 4 n^2 Var(G_a) / pi^2, evaluated on the
+    equal superposition of the initial state and its pair-swapped partner
+    (the subharmonic reference pair), from the dense operators.  For the
+    tilt=0 state this equals metrology.qfi_bound exactly."""
+    psi0 = dense_initial_state(cfg, init)
+    ref = psi0 + psi0[pair_swap_permutation(cfg)]
+    ref = ref / np.linalg.norm(ref)
+    g = np.diag(dense_operators(cfg)["g_a"]).real
+    p = np.abs(ref) ** 2
+    var = float(g ** 2 @ p - (g @ p) ** 2)
+    return 4.0 * n ** 2 * var / np.pi ** 2
+
+
+def time_average(trace: StroboscopicTrace, N: int) -> dict[str, float]:
+    """(1/N) sum_{n=1}^{N} F(n) for each Fisher quantity."""
+    if N < 1:
+        raise ValueError(f"averaging window must be >= 1, got {N}")
+    if trace.cycles < N:
+        raise ValueError(f"trace holds {trace.cycles} cycles, needs >= {N}")
+    sel = slice(1, N + 1)
+    return {
+        "qfi": float(trace.qfi[sel].mean()),
+        "cfi_computational": float(trace.cfi_computational[sel].mean()),
+        "cfi_collective": float(trace.cfi_collective[sel].mean()),
+    }

@@ -21,7 +21,6 @@ from dtc_sense.metrology import (
     qfi_bound,
     qfi_pure,
     stroboscopic_trace,
-    time_average,
 )
 from dtc_sense.model import FieldConfig, InitConfig, ProbeConfig
 
@@ -213,7 +212,7 @@ def test_c10_cfi_feasibility_scaling():
     sizes = np.arange(3, 8)
     comp, coll = [], []
     for L in sizes:
-        avg = time_average(dtc_trace(L), 50)
+        avg = oracles.time_average(dtc_trace(L), 50)
         comp.append(avg["cfi_computational"])
         coll.append(avg["cfi_collective"])
         trace = dtc_trace(L)

@@ -281,3 +281,13 @@ def test_console_script_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "[Dy]" in proc.stdout
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # --workers 1 never needs a process pool, so importing the CLI must not
+    # pay for multiprocessing
+    code = ("import sys, dtc_sense.cli; "
+            "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -17,7 +17,6 @@ from dtc_sense.model import (
     ProbeConfig,
     build_initial_state,
     collective_index_a,
-    total_magnetization_diagonal,
 )
 from dtc_sense.recipes import RECIPES
 from dtc_sense.sweep import apply_dict, base_config
@@ -81,10 +80,25 @@ def test_theta_rejects_bad_indices():
 
 # ---------------------------------------------------------------- pair gates
 
+def _first_field(gate):
+    """(U, dU/dh_a) of the first field from one pair's (B, 2d, 2d) block
+    gates [[U, 0], [dU, U]]."""
+    d = gate.shape[-1] // 2
+    return gate[0, :d, :d], gate[0, d:, :d]
+
+
+def _apply_pair(U, psi, site, L):
+    """Reference: a d x d gate on the (a_site, b_site) pair digit of one
+    statevector, contracted on its own."""
+    d = U.shape[0]
+    return np.einsum("ij,ajb->aib", U,
+                     psi.reshape(d ** (L - site), d, d ** (site - 1))).reshape(-1)
+
+
 def test_perfect_quench_is_full_exchange():
     cfg = ProbeConfig(length=2, epsilon=0.0)
     for gate in FloquetEngine(cfg, FieldConfig()).pair_gates(1):
-        U = gate.unitary
+        U, _ = _first_field(gate)
         # |a down, b up> (local 1)  ->  -i |a up, b down> (local 2)
         assert U[2, 1] == pytest.approx(-1j, abs=1e-12)
         assert abs(U[1, 1]) == pytest.approx(0.0, abs=1e-12)
@@ -93,7 +107,7 @@ def test_perfect_quench_is_full_exchange():
 def test_imperfect_quench_exchange_amplitude():
     cfg = ProbeConfig(length=2, epsilon=0.1)
     gates = FloquetEngine(cfg, FieldConfig()).pair_gates(1)
-    amp = abs(gates[0].unitary[2, 1])
+    amp = abs(_first_field(gates[0])[0][2, 1])
     assert amp == pytest.approx(np.sin(np.pi * 0.9 / 2), rel=1e-12)
     assert amp == pytest.approx(0.98769, abs=5e-6)
 
@@ -104,7 +118,7 @@ def test_imperfect_quench_exchange_amplitude():
 def test_pair_gates_unitary_and_block_diagonal(eps, h, eta, n):
     cfg = ProbeConfig(length=3, epsilon=eps)
     for gate in FloquetEngine(cfg, FieldConfig(h_a=h, eta=eta)).pair_gates(n):
-        U = gate.unitary
+        U, _ = _first_field(gate)
         assert np.allclose(U.conj().T @ U, np.eye(4), atol=1e-12)
         # pair magnetization blocks {0}, {1,2}, {3} stay uncoupled
         assert abs(U[0, 1]) + abs(U[0, 2]) + abs(U[0, 3]) < 1e-14
@@ -143,15 +157,19 @@ def test_gate_order_is_irrelevant():
     engine = FloquetEngine(cfg, fld)
     diag, gates = engine.diagonal_phase(1), engine.pair_gates(1)
     psi0 = build_initial_state(cfg, InitConfig(tilt=0.1)).amplitudes
-    psi0 = np.exp(-1j * diag.phases) * psi0
-    from dtc_sense.floquet import _apply_pair
+    psi0 = np.exp(-1j * diag.phases[0]) * psi0
+    sites = range(1, cfg.length + 1)
     out_fwd = psi0.copy()
-    for g in gates:
-        out_fwd = _apply_pair(g.unitary, out_fwd, g.site, cfg.length)
+    for site, g in zip(sites, gates):
+        out_fwd = _apply_pair(_first_field(g)[0], out_fwd, site, cfg.length)
     out_rev = psi0.copy()
-    for g in reversed(gates):
-        out_rev = _apply_pair(g.unitary, out_rev, g.site, cfg.length)
+    for site, g in reversed(list(zip(sites, gates))):
+        out_rev = _apply_pair(_first_field(g)[0], out_rev, site, cfg.length)
     assert np.allclose(out_fwd, out_rev, atol=1e-12)
+    # the fused pass (pair L first) gives the same state
+    state = build_initial_state(cfg, InitConfig(tilt=0.1))
+    assert np.allclose(engine.apply_cycle(state, 1).amplitudes, out_fwd,
+                       atol=1e-12)
 
 
 def test_zero_crosstalk_matches_dedicated_path():
@@ -239,7 +257,7 @@ def test_norm_and_magnetization_over_long_run():
     fld = FieldConfig(h_a=1e-3, delta_f=0.005, eta=0.05)
     engine = FloquetEngine(cfg, fld)
     state = build_initial_state(cfg, InitConfig(tilt=0.05))
-    mag = total_magnetization_diagonal(cfg)
+    mag = oracles.total_magnetization_diagonal(cfg)
     m0 = mag @ np.abs(state.amplitudes) ** 2
     for n in range(1, 1001):
         engine.apply_cycle(state, n)
@@ -299,10 +317,10 @@ def test_sector_pair_gate_is_the_kept_block():
     keep = np.ix_([2, 1], [2, 1])
     for n in (1, 2, 5):
         for g4, g2 in zip(full.pair_gates(n), sector.pair_gates(n)):
-            assert g2.unitary.shape == (2, 2)
-            assert np.allclose(g2.unitary, g4.unitary[keep], atol=1e-14)
-            assert np.allclose(g2.dunitary_dh, g4.dunitary_dh[keep],
-                               atol=1e-14)
+            (u4, du4), (u2, du2) = _first_field(g4), _first_field(g2)
+            assert u2.shape == (2, 2)
+            assert np.allclose(u2, u4[keep], atol=1e-14)
+            assert np.allclose(du2, du4[keep], atol=1e-14)
 
 
 def _tilt_zero_recipe_points():
@@ -358,3 +376,19 @@ def test_sector_trace_equals_full_engine_on_every_tilt_zero_recipe():
             scale = np.abs(ref).max(axis=0)
             assert np.all(np.abs(got - ref) <= 1e-12 * scale), \
                 (L, eps, h, df, eta)
+
+
+def test_gate_cache_holds_the_two_latest_theta_units():
+    # a resonant drive reuses its two gate sets; off resonance the cache
+    # stays at two entries however long the run
+    cfg = ProbeConfig(length=3)
+    for fld, reused in ((FieldConfig(h_a=1e-3), True),
+                        (FieldConfig(h_a=1e-3, delta_f=0.01), False)):
+        engine = FloquetEngine(cfg, [fld, FieldConfig(h_a=0.2,
+                                                      delta_f=fld.delta_f)])
+        first = engine.pair_gates(1)
+        assert first.shape == (3, 2, 8, 8)
+        for n in range(2, 12):
+            engine.pair_gates(n)
+        assert len(engine._gate_cache) == 2
+        assert (engine.pair_gates(11) is engine.pair_gates(1)) == reused

