@@ -31,6 +31,8 @@ for all fields.  Pairs run from L down to 1, each as the most significant
 digit of the basis index: the matmul contracts the (c, top digit) axis and
 its result moves that digit to the least significant place, so after L
 pairs the digits are back in order, at one matmul and one copy per pair.
+This loop, apply_pair_gates, also runs the Lindblad engine's exchange half
+at local dimension d^2 (lindblad docstring).
 
 Horizontal gauge.  The exact d psi / d h_a gathers a phase-derivative part
 i a psi (a real, growing linearly in n: |a| = 334 at L = 6 after 50
@@ -113,12 +115,34 @@ def _pair_exponent(site: int, theta: float, eta: float, angle: float,
     return M[local][:, local]
 
 
+def cached_pair_gates(cache: dict, unit: float, build) -> np.ndarray:
+    """build(unit), cached for the two latest Theta units: both units of a
+    resonant drive."""
+    gates = cache.get(unit)
+    if gates is None:
+        if len(cache) == 2:
+            del cache[next(iter(cache))]
+        gates = cache[unit] = build(unit)
+    return gates
+
+
+def apply_pair_gates(X: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    """The (B, c, D^L) stacks X, one base-D digit per pair, after the pair
+    blocks `gates` (L, B, 2D, 2D) of the module docstring; c = 1 uses only
+    their top-left D x D gate."""
+    B, c = X.shape[:2]
+    k = c * gates.shape[-1] // 2
+    for gate in gates[::-1, :, :k, :k]:
+        X = (gate @ X.reshape(B, k, -1)).reshape(B, c, k // c, -1) \
+            .swapaxes(2, 3)
+    return X.reshape(B, c, -1)
+
+
 class FloquetEngine:
     """Caches the diagonal vectors and pair gates for repeated cycle
     application to one FieldConfig, or a list of them sharing (delta_f, eta)
-    (module docstring).  Gates are cached for the two most recent Theta
-    units: both units of a resonant drive; off resonance each cycle builds
-    L*B fresh d x d eigendecompositions, small next to the statevector work.
+    (module docstring).  Off resonance each cycle builds L*B fresh d x d
+    eigendecompositions, small next to the statevector work.
     """
 
     def __init__(self, cfg: ProbeConfig,
@@ -148,12 +172,7 @@ class FloquetEngine:
         """Block gates [[U, 0], [dU/dh_a, U]] of the exchange half of cycle
         n: shape (L, B, 2d, 2d), row j-1 for the (a_j, b_j) pair."""
         unit = _theta_unit(n, 2, self.fields[0], self.cfg)
-        gates = self._gate_cache.get(unit)
-        if gates is None:
-            if len(self._gate_cache) == 2:  # drop the older unit
-                del self._gate_cache[next(iter(self._gate_cache))]
-            gates = self._gate_cache[unit] = self._build_gates(unit)
-        return gates
+        return cached_pair_gates(self._gate_cache, unit, self._build_gates)
 
     def _build_gates(self, unit: float) -> np.ndarray:
         cfg, d = self.cfg, self.cfg.pair_dim
@@ -187,7 +206,7 @@ class FloquetEngine:
         is co-propagated.  The diagonal half acts first, then the L pair
         gates (disjoint supports, order-independent).
         """
-        cfg, d, B = self.cfg, self.cfg.pair_dim, len(self.fields)
+        cfg, B = self.cfg, len(self.fields)
         psi, tan = state.amplitudes, state.tangent
         if psi.shape[-1] != cfg.dim or psi.size != B * cfg.dim:
             raise ValueError(
@@ -199,10 +218,7 @@ class FloquetEngine:
         X = np.exp(-1j * diag.phases)[:, None, :] * X.reshape(B, c, cfg.dim)
         if tan is not None:
             X[:, 1] += (-1j * diag.dtheta_dh) * diag.gradient * X[:, 0]
-        for gate in self.pair_gates(n)[::-1, :, :c * d, :c * d]:
-            X = (gate @ X.reshape(B, c * d, -1)).reshape(B, c, d, -1) \
-                .swapaxes(2, 3)
-        X = X.reshape(B, c, cfg.dim)
+        X = apply_pair_gates(X, self.pair_gates(n))
         if tan is not None:  # horizontal gauge (module docstring)
             X[:, 1] -= 1j * (X[:, 0].conj() * X[:, 1]).sum(-1).imag[:, None] \
                 * X[:, 0]

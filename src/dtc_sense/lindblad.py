@@ -25,21 +25,24 @@ hamming counts the spin-table rows on which z and z' differ; in the sector a
 tau flip flips both spins of its pair, so sigma^z dephasing at rate Gamma
 on a_j and b_j acts there as tau^z dephasing at rate 2 Gamma.
 
-The derivative d rho / d h_a is co-propagated by the product rule.  The
-exchange-half factor dS_j/dTheta is the top-right block of
-exp([[A_j, E_j], [0, A_j]]) with E_j = dA_j/dTheta (Al-Mohy & Higham,
-SIAM J. Matrix Anal. Appl. 30, 1639 (2009)), computed with the same
-2d^2 x 2d^2 exponential as S_j.  There is no time stepping and no finite
-difference.
+The derivative d rho / d h_a is co-propagated by the product rule: each
+pair's block [[S_j, 0], [dS_j/dh_a, S_j]] is exp([[A_j, 0], [Theta_unit E_j,
+A_j]]) with E_j = dA_j/dTheta (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
+30, 1639 (2009)).  For the exchange half, (rho, d rho) is transposed into
+one (1, 2, d^(2L)) array with one digit (z_j, z'_j), the row-major vec of
+the pair's d x d block, per pair (pair 1 least significant).  There the
+blocks act as the unitary engine's block gates do on (psi, d psi), so
+floquet.apply_pair_gates runs them at local dimension d^2; one transpose
+restores the matrices.  There is no time stepping and no finite difference.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import FloquetEngine, _pair_exponent, _theta_unit, theta_half
+from .floquet import (FloquetEngine, _pair_exponent, _theta_unit,
+                      apply_pair_gates, cached_pair_gates)
 from .metrology import (
     StroboscopicTrace,
     _imbalance_norm,
@@ -103,36 +106,21 @@ def _expm(X: np.ndarray) -> np.ndarray:
     return E
 
 
-def _pair_superoperator(site: int, theta: float, eta: float, angle: float,
-                        deph: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact exchange-half channel S on the (a_site, b_site) pair and dS/dTheta.
-
-    Both act on the row-major vec of the pair's d x d block of rho;
-    `deph` is the d x d matrix 2 Gamma t2 hamming_d.
-    """
+def _pair_superoperator(site: int, h_a: float, unit: float, eta: float,
+                        angle: float, deph: np.ndarray) -> np.ndarray:
+    """Block [[S, 0], [dS/dh_a, S]] of the exchange-half channel S on the
+    (a_site, b_site) pair at Theta = h_a * unit, on the row-major vec of the
+    pair's d x d block of rho; `deph` is the d x d 2 Gamma t2 hamming_d."""
     d = deph.shape[0]
-    n = d * d
     eye = np.eye(d)
-    M = _pair_exponent(site, theta, eta, angle, d)
-    dM = _pair_exponent(site, 1.0, eta, 0.0, d)  # linear in Theta
-    block = np.zeros((2 * n, 2 * n), dtype=complex)
-    block[:n, :n] = block[n:, n:] = (
-        -1j * (np.kron(M, eye) - np.kron(eye, M.T)) - np.diag(deph.reshape(-1)))
-    block[:n, n:] = -1j * (np.kron(dM, eye) - np.kron(eye, dM.T))
-    F = _expm(block)
-    return F[:n, :n], F[:n, n:]
 
+    def lift(X):  # X rho - rho X as a matrix on the row-major vec of rho
+        return -1j * (np.kron(X, eye) - np.kron(eye, X.T))
 
-def _apply_pair_super(S: np.ndarray, rho: np.ndarray, site: int,
-                      L: int) -> np.ndarray:
-    """Apply a d^2 x d^2 pair superoperator to the (a_site, b_site) pair
-    digit of both indices of a density matrix."""
-    d = math.isqrt(S.shape[0])
-    blocks = d ** (L - site)
-    inner = d ** (site - 1)
-    r = rho.reshape(blocks, d, inner, blocks, d, inner)
-    out = np.tensordot(S.reshape(d, d, d, d), r, axes=([2, 3], [1, 4]))
-    return out.transpose(2, 0, 3, 4, 1, 5).reshape(rho.shape)
+    A = lift(_pair_exponent(site, h_a * unit, eta, angle, d)) \
+        - np.diag(deph.reshape(-1))
+    E = unit * lift(_pair_exponent(site, 1.0, eta, 0.0, d))  # linear in Theta
+    return _expm(np.block([[A, np.zeros_like(A)], [E, A]]))
 
 
 class LindbladEngine:
@@ -152,26 +140,23 @@ class LindbladEngine:
         # a single pair: Hamming distance over its two spins
         pair = ProbeConfig(length=1, pair_dim=cfg.pair_dim)
         self._pair_deph = 2.0 * gamma * cfg.t2 * hamming_distance_matrix(pair)
-        self._super_cache: dict[tuple[int, float],
-                                tuple[np.ndarray, np.ndarray]] = {}
+        self._gate_cache: dict[float, np.ndarray] = {}
+        # axes (c, z_L..z_1, z'_L..z'_1) to (c, z_L, z'_L, .., z_1, z'_1)
+        L = cfg.length
+        self._interleave = [0, *np.arange(1, 2 * L + 1).reshape(2, L).T.flat]
 
-    def pair_superoperators(self, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """(site, S, dS/dTheta) for the exchange half of cycle n."""
-        th = theta_half(n, 2, self.field, self.cfg)
-        angle = self.cfg.t2 * self.cfg.jab
-        out = []
-        for site in range(1, self.cfg.length + 1):
-            key = (site, th)
-            pair = self._super_cache.get(key)
-            if pair is None:
-                pair = _pair_superoperator(site, th, self.field.eta, angle,
-                                           self._pair_deph)
-                self._super_cache[key] = pair
-            out.append((site, *pair))
-        return out
+    def pair_gates(self, n: int) -> np.ndarray:
+        """Block superoperators [[S, 0], [dS/dh_a, S]] of the exchange half
+        of cycle n: shape (L, 1, 2d^2, 2d^2), row j-1 for the (a_j, b_j)
+        pair."""
+        unit = _theta_unit(n, 2, self.field, self.cfg)
+        return cached_pair_gates(self._gate_cache, unit, lambda u: np.stack([
+            _pair_superoperator(site, self.field.h_a, u, self.field.eta,
+                                self.cfg.t2 * self.cfg.jab, self._pair_deph)
+            for site in range(1, self.cfg.length + 1)])[:, None])
 
     def apply_cycle(self, state: MixedState, n: int) -> MixedState:
-        L = self.cfg.length
+        cfg, d = self.cfg, self.cfg.pair_dim
         diag = self.unitary.diagonal_phase(n)
         f = np.exp(-1j * diag.phases[0])
         m = np.outer(f, f.conj()) * self.decay
@@ -180,15 +165,15 @@ class LindbladEngine:
         if tan is not None:
             g = diag.gradient
             tan = m * tan - (1j * diag.dtheta_dh) * (g[:, None] * rho - rho * g)
-        dth = _theta_unit(n, 2, self.field, self.cfg)
-        for site, S, dS in self.pair_superoperators(n):
-            new_rho = _apply_pair_super(S, rho, site, L)
-            if tan is not None:
-                tan = (_apply_pair_super(S, tan, site, L)
-                       + dth * _apply_pair_super(dS, rho, site, L))
-            rho = new_rho
-        state.rho = rho
-        state.tangent = tan
+        Y = rho[None] if tan is None else np.stack((rho, tan))
+        c = Y.shape[0]
+        digits = (c,) + (d,) * (2 * cfg.length)
+        X = Y.reshape(digits).transpose(self._interleave).reshape(1, c, -1)
+        X = apply_pair_gates(X, self.pair_gates(n))
+        Y = X.reshape(digits).transpose(np.argsort(self._interleave)) \
+            .reshape(c, cfg.dim, cfg.dim)
+        state.rho = Y[0]
+        state.tangent = Y[1] if c == 2 else None
         state.cycle = n
         return state
 
@@ -224,18 +209,16 @@ def noisy_fisher(cfg: ProbeConfig, field: FieldConfig, gamma: float,
     imb_diag = engine.unitary.imbalance_diag
     coll_idx = collective_index_a(cfg)
     i0 = _imbalance_norm(float(imb_diag @ np.diag(state.rho).real))
-    imb = np.empty(cycles + 1)
-    qfi = np.zeros(cycles + 1)
-    cfi_c = np.zeros(cycles + 1)
-    cfi_m = np.zeros(cycles + 1)
-    imb[0] = 1.0
+    # imbalance, QFI, CFI_computational, CFI_collective per cycle
+    rec = np.zeros((4, cycles + 1))
+    rec[0, 0] = 1.0
     for n in range(1, cycles + 1):
         engine.apply_cycle(state, n)
         p = np.diag(state.rho).real
         dp = np.diag(state.tangent).real
-        imb[n], cfi_c[n], cfi_m[n] = _readout(p, dp, imb_diag, i0, coll_idx)
-        qfi[n] = qfi_mixed(state.rho, state.tangent)
-    trace = StroboscopicTrace(np.arange(cycles + 1), imb, qfi, cfi_c, cfi_m,
+        rec[[0, 2, 3], n] = _readout(p, dp, imb_diag, i0, coll_idx)
+        rec[1, n] = qfi_mixed(state.rho, state.tangent)
+    trace = StroboscopicTrace(np.arange(cycles + 1), *rec,
                               probe=cfg, field=field,
                               init=init or InitConfig(), gamma=gamma)
     return {"trace": trace, "point_averaged": point_average(trace, dn, K)}

@@ -77,10 +77,11 @@ def qfi_pure(state: PureState) -> float | np.ndarray:
 def qfi_mixed(rho: np.ndarray, drho: np.ndarray) -> float:
     """Spectral mixed-state QFI: 2 sum |<i|drho|j>|^2 / (lam_i + lam_j) over
     eigenpairs of rho with lam_i + lam_j above cutoff."""
-    if not np.allclose(rho, rho.conj().T, atol=1e-8):
-        raise ValueError("rho is not Hermitian")
-    if not np.allclose(drho, drho.conj().T, atol=1e-8):
-        raise ValueError("drho is not Hermitian")
+    pair = np.stack((rho, drho))
+    hermitian = np.isclose(pair, pair.conj().swapaxes(1, 2), atol=1e-8)
+    for name, ok in zip(("rho", "drho"), hermitian.all(axis=(1, 2))):
+        if not ok:
+            raise ValueError(f"{name} is not Hermitian")
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-6:
         raise NumericalError(f"rho trace deviates from 1 by {tr - 1.0:g}")
@@ -110,16 +111,14 @@ def _imbalance_norm(i0: float) -> float:
     return i0
 
 
-def _readout(p: np.ndarray, dp: np.ndarray | None, imb_diag: np.ndarray,
-             i0: float, coll_idx: np.ndarray | None) -> tuple:
+def _readout(p: np.ndarray, dp: np.ndarray, imb_diag: np.ndarray,
+             i0: float, coll_idx: np.ndarray) -> tuple:
     """Imbalance, CFI_computational and CFI_collective of one cycle from the
-    basis distribution p and its h_a-derivative dp (both CFIs are 0 when dp
-    is None), per field when p and dp hold one row per field.  coll_idx is
-    collective_index_a of the probe: the collective CFI coarse-grains p onto
-    the outcomes of sum_j sigma^z_{a,j}."""
+    basis distribution p and its h_a-derivative dp, per field when p and dp
+    hold one row per field.  coll_idx is collective_index_a of the probe:
+    the collective CFI coarse-grains p onto the outcomes of
+    sum_j sigma^z_{a,j}."""
     imb = (p @ imb_diag) / i0
-    if dp is None:
-        return imb, 0.0, 0.0
     # one bincount over all rows: row r's outcome k goes to bin r*width + k
     width = int(coll_idx.max()) + 1
     idx = (coll_idx + width * np.arange(p.size // p.shape[-1])[:, None]).ravel()
@@ -135,11 +134,11 @@ def qfi_bound(cfg: ProbeConfig, n: int) -> float:
 
 
 def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
-                        init: InitConfig | None = None, cycles: int = 50,
-                        with_fisher: bool = True) -> list[StroboscopicTrace]:
+                        init: InitConfig | None = None,
+                        cycles: int = 50) -> list[StroboscopicTrace]:
     """Run the unitary engine for `cycles` periods on every field (all
-    sharing delta_f and eta), recording imbalance and (optionally) QFI plus
-    both CFIs at every stroboscopic time n = 0..cycles: one trace per field.
+    sharing delta_f and eta), recording imbalance, QFI and both CFIs at
+    every stroboscopic time n = 0..cycles: one trace per field.
     The fields propagate as one batch (floquet docstring), split only where
     it would exceed model.PURE_STATE_MAX_DIM amplitudes.  The engine runs at
     the pair dimension model.engine_probe picks for `init`, so a tilt-0 run
@@ -149,13 +148,13 @@ def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
     if len(fields) > size:
         return [trace for i in range(0, len(fields), size)
                 for trace in stroboscopic_traces(cfg, fields[i:i + size], init,
-                                                 cycles, with_fisher)]
+                                                 cycles)]
     engine = FloquetEngine(cfg, fields)
     psi0 = build_initial_state(cfg, init)
     i0 = _imbalance_norm(psi0.imbalance_norm)
     amps = np.tile(psi0.amplitudes, (len(fields), 1))
-    state = PureState(amps, np.zeros_like(amps) if with_fisher else None, i0)
-    coll_idx = collective_index_a(cfg) if with_fisher else None
+    state = PureState(amps, np.zeros_like(amps), i0)
+    coll_idx = collective_index_a(cfg)
 
     # imbalance, QFI, CFI_computational, CFI_collective per field and cycle
     rec = np.zeros((4, len(fields), cycles + 1))
@@ -164,11 +163,10 @@ def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
         engine.apply_cycle(state, n)
         psi = state.amplitudes
         p = np.abs(psi) ** 2
-        dp = 2.0 * np.real(psi.conj() * state.tangent) if with_fisher else None
+        dp = 2.0 * np.real(psi.conj() * state.tangent)
         rec[0, :, n], rec[2, :, n], rec[3, :, n] = _readout(
             p, dp, engine.imbalance_diag, i0, coll_idx)
-        if with_fisher:
-            rec[1, :, n] = qfi_pure(state)
+        rec[1, :, n] = qfi_pure(state)
     return [StroboscopicTrace(np.arange(cycles + 1), *rec[:, b],
                               probe=cfg, field=fld,
                               init=init or InitConfig(), gamma=0.0)
@@ -176,10 +174,10 @@ def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
 
 
 def stroboscopic_trace(cfg: ProbeConfig, field: FieldConfig,
-                       init: InitConfig | None = None, cycles: int = 50,
-                       with_fisher: bool = True) -> StroboscopicTrace:
+                       init: InitConfig | None = None,
+                       cycles: int = 50) -> StroboscopicTrace:
     """One field's trace: the one-field call of stroboscopic_traces."""
-    return stroboscopic_traces(cfg, [field], init, cycles, with_fisher)[0]
+    return stroboscopic_traces(cfg, [field], init, cycles)[0]
 
 
 def point_average(trace: StroboscopicTrace, dn: int, K: int) -> dict[str, np.ndarray]:

@@ -52,8 +52,7 @@ def offres_trace(L: int, cycles: int):
 
 def test_c01_period_doubling_plateau():
     trace = stroboscopic_trace(ProbeConfig(length=6, epsilon=EPS),
-                               FieldConfig(h_a=0.0), cycles=50,
-                               with_fisher=False)
+                               FieldConfig(h_a=0.0), cycles=50)
     even = trace.imbalance[2:51:2]
     odd = trace.imbalance[1:51:2]
     print(f"\n[C1] min even-cycle imbalance = {even.min():.4f} (target >= 0.95), "
@@ -248,7 +247,7 @@ def test_c12_zero_noise_consistency():
     fld = FieldConfig(h_a=DTC_FIELD)
     engine = LindbladEngine(cfg, fld, gamma=0.0)
     state = initial_mixed_state(cfg)
-    unitary = stroboscopic_trace(cfg, fld, cycles=20, with_fisher=False)
+    unitary = stroboscopic_trace(cfg, fld, cycles=20)
     imb_diag = np.diag(oracles.dense_operators(cfg)["imbalance_num"]).real
     i0 = imb_diag @ np.abs(oracles.dense_initial_state(cfg)) ** 2
     worst_imb = 0.0

@@ -139,6 +139,32 @@ def test_dephasing_shrinks_purity():
     assert all(p2 <= p1 + 1e-9 for p1, p2 in zip(purities, purities[1:]))
 
 
+def test_gate_cache_holds_the_two_latest_theta_units():
+    # off resonance every cycle has a new Theta unit, and the cache still
+    # holds at most two; at resonance the two cached units serve every
+    # cycle, with the results of an engine built afresh for each cycle
+    cfg, gamma = ProbeConfig(length=3), 1e-3
+    init = InitConfig(tilt=0.1)
+    engine = LindbladEngine(cfg, FieldConfig(h_a=0.1, delta_f=0.01), gamma)
+    state = initial_mixed_state(cfg, init)
+    state.tangent = np.zeros_like(state.rho)
+    for n in range(1, 201):
+        engine.apply_cycle(state, n)
+    assert len(engine._gate_cache) <= 2
+    resonant = FieldConfig(h_a=0.1)
+    engine = LindbladEngine(cfg, resonant, gamma)
+    cached, fresh = (initial_mixed_state(cfg, init) for _ in range(2))
+    cached.tangent = np.zeros_like(cached.rho)
+    fresh.tangent = np.zeros_like(fresh.rho)
+    for n in range(1, 7):
+        engine.apply_cycle(cached, n)
+        LindbladEngine(cfg, resonant, gamma).apply_cycle(fresh, n)
+        assert np.array_equal(cached.rho, fresh.rho)
+        assert np.array_equal(cached.tangent, fresh.tangent)
+    assert len(engine._gate_cache) == 2
+    assert engine.pair_gates(5) is engine.pair_gates(1)
+
+
 def test_initial_mixed_state_is_projector():
     cfg = ProbeConfig(length=2)
     st = initial_mixed_state(cfg, InitConfig(tilt=0.1), gamma=0.0)

@@ -83,11 +83,12 @@ def test_qfi_mixed_insensitive_generator_gives_zero():
     assert qfi_mixed(rho, np.zeros((dim, dim))) == 0.0
 
 
-def test_qfi_mixed_rejects_non_hermitian():
-    rho = np.eye(4) / 4.0
-    rho[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        qfi_mixed(rho, np.zeros((4, 4)))
+@pytest.mark.parametrize("which", ["rho", "drho"])
+def test_qfi_mixed_rejects_non_hermitian(which):
+    args = {"rho": np.eye(4) / 4.0, "drho": np.zeros((4, 4))}
+    args[which][0, 1] = 0.5
+    with pytest.raises(ValueError, match=f"^{which} is not Hermitian"):
+        qfi_mixed(args["rho"], args["drho"])
 
 
 def test_qfi_mixed_rejects_trace_drift():
@@ -295,14 +296,6 @@ def test_trace_matches_dense_oracle_qfi():
     trace = stroboscopic_trace(cfg, fld, cycles=15)
     ref = oracles.dense_qfi_fd(cfg, fld, cycles=15)
     assert trace.qfi[15] == pytest.approx(ref, rel=1e-6)
-
-
-def test_trace_without_fisher_skips_tangent_work():
-    cfg = ProbeConfig(length=2)
-    trace = stroboscopic_trace(cfg, FieldConfig(h_a=1e-3), cycles=5,
-                               with_fisher=False)
-    assert np.all(trace.qfi == 0.0)
-    assert trace.imbalance[1] != 1.0
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,8 +2,12 @@
 
 perfbench/setup_probe.py builds engines through the package's public API;
 running it here makes an API change that would break the benchmark fail in
-the test suite.
+the test suite.  perfbench/traced_cli.py wraps named functions for its
+per-layer metrics and skips a missing one with only a note on stderr, so
+every name it wraps is checked here.
 """
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,6 +21,29 @@ import dtc_sense
 ROOT = Path(__file__).resolve().parents[1]
 _POINT = {"L": 2, "epsilon": 0.1, "h_a_per_Jz": 1e-3, "delta_f": 0.0,
           "eta": 0.0, "theta_rad": 0.0, "gamma_per_Jz": 1e-3}
+
+
+def _traced_cli():
+    spec = importlib.util.spec_from_file_location(
+        "traced_cli", ROOT / "perfbench" / "traced_cli.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    # the rule traced_cli._patch applies: a "Class.method" must be defined
+    # on the class itself, a plain name on the module
+    traced = _traced_cli()
+    missing = []
+    for module_name, attr, *_ in traced.SPANS:
+        module = importlib.import_module(f"dtc_sense.{module_name}")
+        cls_name, _, name = attr.rpartition(".")
+        owner = vars(getattr(module, cls_name, object)) if cls_name \
+            else vars(module)
+        if name not in owner:
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []
 
 
 def test_every_public_name_resolves():
