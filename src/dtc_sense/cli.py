@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .expcalc import MATERIALS, expcalc, material_record
 from .lindblad import noisy_fisher
-from .metrology import find_transition, power_fit
+from .metrology import find_transition, point_average, power_fit
 from .recipes import RECIPES, recipe_config
 from .sweep import (
     RunConfig,
@@ -151,10 +151,10 @@ def _cmd_fit(cfg: RunConfig) -> int:
 
 def _cmd_transition(cfg: RunConfig) -> int:
     params = cfg.fixed
-    probe, fld, _ = point_configs(params, mixed=False)
+    probe, fld, init = point_configs(params, mixed=False)
     n = int(params.get("n", 10))
     grid = np.logspace(-5, 0, int(params.get("grid_points", 40)))
-    h_max = find_transition(probe, fld, n, grid)
+    h_max = find_transition(probe, fld, n, grid, init)
     print(f"h_a_max = {h_max:.6g}")
     out = cfg.get("out")
     if out:
@@ -173,11 +173,11 @@ def _cmd_noise(cfg: RunConfig) -> int:
     if K * dn > cycles:
         raise ConfigError(f"K*dn = {K * dn} point-average windows exceed "
                           f"cycles = {cycles}")
-    result = noisy_fisher(probe, fld, gamma, cycles, dn, K, init)
-    rows = trace_rows(result["trace"])
+    trace = noisy_fisher(probe, fld, gamma, cycles, init)
+    rows = trace_rows(trace)
     out = cfg.get("out") or "noise.csv"
     emit_table([], rows, out, cfg.resolved())
-    pa = result["point_averaged"]
+    pa = point_average(trace, dn, K)
     pa_path = os.path.splitext(out)[0] + ".pointavg.csv"
     lines = ["n_mid,n_cumulative,qfi,cfi_comp,cfi_coll"]
     for i in range(len(pa["n_mid"])):

@@ -32,7 +32,8 @@ digit of the basis index: the matmul contracts the (c, top digit) axis and
 its result moves that digit to the least significant place, so after L
 pairs the digits are back in order, at one matmul and one copy per pair.
 This loop, apply_pair_gates, also runs the Lindblad engine's exchange half
-at local dimension d^2 (lindblad docstring).
+at local dimension d^2; LindbladEngine subclasses FloquetEngine and reuses
+its exponents (_exponents) and pair-block cache (lindblad docstring).
 
 Horizontal gauge.  The exact d psi / d h_a gathers a phase-derivative part
 i a psi (a real, growing linearly in n: |a| = 334 at L = 6 after 50
@@ -174,7 +175,9 @@ class FloquetEngine:
         unit = _theta_unit(n, 2, self.fields[0], self.cfg)
         return cached_pair_gates(self._gate_cache, unit, self._build_gates)
 
-    def _build_gates(self, unit: float) -> np.ndarray:
+    def _exponents(self, unit: float) -> tuple[np.ndarray, np.ndarray]:
+        """Hermitian exponents M of the pair gates at Theta = h_a * unit and
+        their derivatives dM/dTheta: shapes (L, B, d, d) and (L, 1, d, d)."""
         cfg, d = self.cfg, self.cfg.pair_dim
         eta = self.fields[0].eta
         sites = np.arange(1, cfg.length + 1)[:, None, None, None]
@@ -182,10 +185,15 @@ class FloquetEngine:
         dM = _pair_exponent(1, 1.0, eta, 0.0, d)
         M0 = _pair_exponent(1, 0.0, eta, cfg.t2 * cfg.jab, d)
         M = sites * (self.h_a * unit)[:, None, None] * dM + M0
+        return M, sites * dM
+
+    def _build_gates(self, unit: float) -> np.ndarray:
+        d = self.cfg.pair_dim
+        M, dM = self._exponents(unit)
         lam, V = np.linalg.eigh(M)
         Vt = V.swapaxes(-1, -2)
         f = np.exp(-1j * lam)
-        # Frechet derivative of exp(-iM) along dM/dTheta = site dM, via
+        # Frechet derivative of exp(-iM) along dM/dTheta, via
         # divided differences of the eigenvalues; the degenerate branch is
         # the derivative limit
         dlam = lam[..., :, None] - lam[..., None, :]
@@ -195,7 +203,7 @@ class FloquetEngine:
                        / np.where(deg, 1.0, dlam))
         gates = np.zeros(M.shape[:2] + (2 * d, 2 * d), dtype=complex)
         gates[..., :d, :d] = gates[..., d:, d:] = (V * f[..., None, :]) @ Vt
-        gates[..., d:, :d] = (V @ (phi * (Vt @ (sites * dM) @ V)) @ Vt) * unit
+        gates[..., d:, :d] = (V @ (phi * (Vt @ dM @ V)) @ Vt) * unit
         return gates
 
     def apply_cycle(self, state: PureState, n: int) -> PureState:

@@ -17,9 +17,8 @@ sector; see the model docstring):
      with phi = t1 E_chain + Theta_1 (G_a + eta G_b) the pure engine's phases;
   2. exchange half: L commuting d^2 x d^2 pair superoperators
      S_j = exp(A_j),  A_j = -i (M_j x 1 - 1 x M_j^T) - 2 Gamma t2 diag(hamming_d),
-     where M_j is the pure engine's d x d pair-gate exponent
-     (floquet._pair_exponent) and hamming_d the Hamming distance over the
-     pair's two spins.
+     where M_j is the pure engine's d x d pair-gate exponent and hamming_d
+     the Hamming distance over the pair's two spins.
 
 hamming counts the spin-table rows on which z and z' differ; in the sector a
 tau flip flips both spins of its pair, so sigma^z dephasing at rate Gamma
@@ -34,6 +33,14 @@ the pair's d x d block, per pair (pair 1 least significant).  There the
 blocks act as the unitary engine's block gates do on (psi, d psi), so
 floquet.apply_pair_gates runs them at local dimension d^2; one transpose
 restores the matrices.  There is no time stepping and no finite difference.
+
+LindbladEngine is a FloquetEngine: it reuses the diagonals, the exponents
+M_j and dM_j/dTheta and the pair-block cache, and exponentiates the L lifted
+blocks as one stack.  Its diagonal half stays in matrix layout: as a
+diagonal factor on vec rho, rebuilt each cycle, resonant cycles ran 10-20 %
+slower at L = 6-10 (0.245 -> 0.29, 4.8 -> 5.8 and 125 -> 135 ms on 2 vCPUs),
+and cached per Theta unit it raised the peak RSS of a tilt-0 L = 10 noise
+run from 284 to 323 MB.
 """
 from __future__ import annotations
 
@@ -41,15 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import (FloquetEngine, _pair_exponent, _theta_unit,
-                      apply_pair_gates, cached_pair_gates)
-from .metrology import (
-    StroboscopicTrace,
-    _imbalance_norm,
-    _readout,
-    point_average,
-    qfi_mixed,
-)
+from .floquet import FloquetEngine, apply_pair_gates
+from .metrology import StroboscopicTrace, _imbalance_norm, _readout, qfi_mixed
 from .model import (
     FieldConfig,
     InitConfig,
@@ -66,14 +66,13 @@ _TAYLOR_DEGREE = 16
 
 @dataclass
 class MixedState:
-    """Dense density matrix with its cycle counter and dephasing rate.
+    """Dense density matrix with its dephasing rate.
 
     `tangent` (optional) carries d rho / d h_a, co-propagated by the Lindblad
     engine as PureState.tangent is by the unitary one.
     """
 
     rho: np.ndarray
-    cycle: int = 0
     gamma: float = 0.0
     tangent: np.ndarray | None = None
 
@@ -91,13 +90,14 @@ def hamming_distance_matrix(cfg: ProbeConfig) -> np.ndarray:
 
 
 def _expm(X: np.ndarray) -> np.ndarray:
-    """Matrix exponential: Taylor polynomial of degree 16 (Horner form) on X
-    scaled to 1-norm <= 1/2, where its truncation error is below 1e-20, then
-    squared back."""
-    norm = np.abs(X).sum(axis=0).max()
+    """Matrix exponential of each matrix of the stack X (..., n, n): Taylor
+    polynomial of degree 16 (Horner form) on X scaled to 1-norm <= 1/2, where
+    its truncation error is below 1e-20, then squared back.  The whole stack
+    shares one scaling, set by its largest 1-norm."""
+    norm = np.abs(X).sum(axis=-2).max()
     s = int(np.ceil(np.log2(max(norm, 0.5) / 0.5)))
     X = X / 2.0 ** s
-    eye = np.eye(X.shape[0])
+    eye = np.eye(X.shape[-1])
     E = eye.astype(X.dtype)
     for k in range(_TAYLOR_DEGREE, 0, -1):
         E = eye + (X @ E) / k
@@ -106,58 +106,43 @@ def _expm(X: np.ndarray) -> np.ndarray:
     return E
 
 
-def _pair_superoperator(site: int, h_a: float, unit: float, eta: float,
-                        angle: float, deph: np.ndarray) -> np.ndarray:
-    """Block [[S, 0], [dS/dh_a, S]] of the exchange-half channel S on the
-    (a_site, b_site) pair at Theta = h_a * unit, on the row-major vec of the
-    pair's d x d block of rho; `deph` is the d x d 2 Gamma t2 hamming_d."""
-    d = deph.shape[0]
-    eye = np.eye(d)
-
-    def lift(X):  # X rho - rho X as a matrix on the row-major vec of rho
-        return -1j * (np.kron(X, eye) - np.kron(eye, X.T))
-
-    A = lift(_pair_exponent(site, h_a * unit, eta, angle, d)) \
-        - np.diag(deph.reshape(-1))
-    E = unit * lift(_pair_exponent(site, 1.0, eta, 0.0, d))  # linear in Theta
-    return _expm(np.block([[A, np.zeros_like(A)], [E, A]]))
-
-
-class LindbladEngine:
+class LindbladEngine(FloquetEngine):
     """Steps a density matrix (and an attached d rho / d h_a) cycle by cycle
-    through the exact channel of each half-period."""
+    through the exact channel of each half-period: a FloquetEngine whose
+    pair blocks are the exchange-half superoperators (module docstring)."""
 
     # one exact step per half-period; perfbench/traced_cli.py reads this to
     # count the work of apply_cycle
     substeps = 1
 
     def __init__(self, cfg: ProbeConfig, field: FieldConfig, gamma: float):
-        self.cfg = cfg
-        self.field = field
-        self.gamma = gamma
-        self.unitary = FloquetEngine(cfg, field)
+        super().__init__(cfg, field)
         self.decay = np.exp(-2.0 * gamma * cfg.t1 * hamming_distance_matrix(cfg))
         # a single pair: Hamming distance over its two spins
         pair = ProbeConfig(length=1, pair_dim=cfg.pair_dim)
         self._pair_deph = 2.0 * gamma * cfg.t2 * hamming_distance_matrix(pair)
-        self._gate_cache: dict[float, np.ndarray] = {}
         # axes (c, z_L..z_1, z'_L..z'_1) to (c, z_L, z'_L, .., z_1, z'_1)
         L = cfg.length
         self._interleave = [0, *np.arange(1, 2 * L + 1).reshape(2, L).T.flat]
 
-    def pair_gates(self, n: int) -> np.ndarray:
+    def _build_gates(self, unit: float) -> np.ndarray:
         """Block superoperators [[S, 0], [dS/dh_a, S]] of the exchange half
-        of cycle n: shape (L, 1, 2d^2, 2d^2), row j-1 for the (a_j, b_j)
+        at Theta = h_a * unit, on the row-major vec of each pair's d x d
+        block of rho: shape (L, 1, 2d^2, 2d^2), row j-1 for the (a_j, b_j)
         pair."""
-        unit = _theta_unit(n, 2, self.field, self.cfg)
-        return cached_pair_gates(self._gate_cache, unit, lambda u: np.stack([
-            _pair_superoperator(site, self.field.h_a, u, self.field.eta,
-                                self.cfg.t2 * self.cfg.jab, self._pair_deph)
-            for site in range(1, self.cfg.length + 1)])[:, None])
+        M, dM = self._exponents(unit)
+        eye = np.eye(self.cfg.pair_dim)
+
+        def lift(X):  # X rho - rho X as a matrix on the row-major vec of rho
+            return -1j * (np.kron(X, eye) - np.kron(eye, X.swapaxes(-1, -2)))
+
+        A = lift(M) - np.diag(self._pair_deph.reshape(-1))
+        E = unit * lift(dM)  # the exponent is linear in Theta
+        return _expm(np.block([[A, np.zeros_like(A)], [E, A]]))
 
     def apply_cycle(self, state: MixedState, n: int) -> MixedState:
         cfg, d = self.cfg, self.cfg.pair_dim
-        diag = self.unitary.diagonal_phase(n)
+        diag = self.diagonal_phase(n)
         f = np.exp(-1j * diag.phases[0])
         m = np.outer(f, f.conj()) * self.decay
         rho = m * state.rho
@@ -174,21 +159,19 @@ class LindbladEngine:
             .reshape(c, cfg.dim, cfg.dim)
         state.rho = Y[0]
         state.tangent = Y[1] if c == 2 else None
-        state.cycle = n
         return state
 
 
 def initial_mixed_state(cfg: ProbeConfig, init: InitConfig | None = None,
                         gamma: float = 0.0) -> MixedState:
     psi = build_initial_state(cfg, init).amplitudes
-    return MixedState(np.outer(psi, psi.conj()), cycle=0, gamma=gamma)
+    return MixedState(np.outer(psi, psi.conj()), gamma=gamma)
 
 
 def noisy_fisher(cfg: ProbeConfig, field: FieldConfig, gamma: float,
-                 cycles: int, dn: int, K: int,
-                 init: InitConfig | None = None) -> dict:
-    """Mixed-state QFI and CFIs per cycle under dephasing, plus their
-    point averages.
+                 cycles: int,
+                 init: InitConfig | None = None) -> StroboscopicTrace:
+    """Mixed-state QFI and CFIs at every cycle n = 0..cycles under dephasing.
 
     One LindbladEngine, at the pair dimension model.engine_probe picks for
     `init`, evolves rho together with its exact h_a-derivative d rho / d h_a
@@ -197,16 +180,13 @@ def noisy_fisher(cfg: ProbeConfig, field: FieldConfig, gamma: float,
     The mixed QFI is the spectral formula on (rho, d rho), which raises
     NumericalError on trace drift or negative eigenvalues.  A density matrix
     beyond model.MIXED_STATE_MAX_DIM rows raises ResourceLimitError.
-    Returns the per-cycle trace and the point-averaged series.
     """
     cfg = engine_probe(cfg, init)
     check_state_size(cfg, mixed=True)
-    if K * dn > cycles:
-        raise ValueError(f"K*dn = {K * dn} exceeds cycle budget {cycles}")
     engine = LindbladEngine(cfg, field, gamma)
     state = initial_mixed_state(cfg, init, gamma)
     state.tangent = np.zeros_like(state.rho)
-    imb_diag = engine.unitary.imbalance_diag
+    imb_diag = engine.imbalance_diag
     coll_idx = collective_index_a(cfg)
     i0 = _imbalance_norm(float(imb_diag @ np.diag(state.rho).real))
     # imbalance, QFI, CFI_computational, CFI_collective per cycle
@@ -218,7 +198,6 @@ def noisy_fisher(cfg: ProbeConfig, field: FieldConfig, gamma: float,
         dp = np.diag(state.tangent).real
         rec[[0, 2, 3], n] = _readout(p, dp, imb_diag, i0, coll_idx)
         rec[1, n] = qfi_mixed(state.rho, state.tangent)
-    trace = StroboscopicTrace(np.arange(cycles + 1), *rec,
-                              probe=cfg, field=field,
-                              init=init or InitConfig(), gamma=gamma)
-    return {"trace": trace, "point_averaged": point_average(trace, dn, K)}
+    return StroboscopicTrace(np.arange(cycles + 1), *rec, probe=cfg,
+                             field=field, init=init or InitConfig(),
+                             gamma=gamma)

@@ -254,16 +254,18 @@ def golden_section_peak(fn, grid: np.ndarray, rel_width: float = 1e-3) -> float:
 
 
 def find_transition(cfg: ProbeConfig, field_template: FieldConfig, n: int = 10,
-                    h_grid: np.ndarray | None = None) -> float:
+                    h_grid: np.ndarray | None = None,
+                    init: InitConfig | None = None) -> float:
     """Field amplitude h_a^max at which QFI(n) peaks (the DTC collapse
-    point).  The coarse grid runs as one field batch."""
+    point) from the initial state `init`.  The coarse grid runs as one field
+    batch."""
     if h_grid is None:
         h_grid = np.logspace(-5, 0, 40)
 
     def peak_qfi(h):
         fields = [FieldConfig(h_a=x, delta_f=field_template.delta_f,
                               eta=field_template.eta) for x in np.ravel(h)]
-        traces = stroboscopic_traces(cfg, fields, cycles=n)
+        traces = stroboscopic_traces(cfg, fields, init, cycles=n)
         return np.reshape([trace.qfi[n] for trace in traces], np.shape(h))
 
     return golden_section_peak(peak_qfi, h_grid)

@@ -168,12 +168,7 @@ def evaluate_group(points: list[dict]) -> list[StroboscopicTrace]:
     cycles = int(params["cycles"])
     gamma = float(params.get("gamma_per_Jz", 0.0))
     if _runs_mixed(params):
-        # the sweep consumes only the per-cycle trace, so clamp the
-        # point-average windows into the cycle budget rather than erroring
-        dn = min(int(params.get("dn", 5)), cycles)
-        K = min(int(params.get("K", 10)), cycles // dn)
-        return [noisy_fisher(probe, fld, gamma, cycles, dn, K, init)["trace"]
-                for fld in fields]
+        return [noisy_fisher(probe, fld, gamma, cycles, init) for fld in fields]
     traces = stroboscopic_traces(probe, fields, init, cycles)
     for trace in traces:
         trace.gamma = gamma

@@ -229,10 +229,10 @@ def test_c10_cfi_feasibility_scaling():
 def test_c11_dephased_qfi_still_grows():
     alphas = {}
     for L in (3, 4):
-        out = noisy_fisher(ProbeConfig(length=L, epsilon=EPS),
-                           FieldConfig(h_a=DTC_FIELD), gamma=1e-3,
-                           cycles=50, dn=5, K=10)
-        pa = out["point_averaged"]
+        trace = noisy_fisher(ProbeConfig(length=L, epsilon=EPS),
+                             FieldConfig(h_a=DTC_FIELD), gamma=1e-3,
+                             cycles=50)
+        pa = point_average(trace, dn=5, K=10)
         alphas[L] = power_fit(pa["n_mid"], pa["qfi"]).exponent
     print(f"\n[C11] point-averaged QFI exponents under dephasing: "
           f"alpha(L=3) = {alphas[3]:.4f}, alpha(L=4) = {alphas[4]:.4f} "

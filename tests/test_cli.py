@@ -133,6 +133,13 @@ def test_transition_reports_peak(tmp_path, capsys):
     assert row.split(",")[0] == "2"
 
 
+def test_transition_runs_from_the_tilted_state(tmp_path, capsys):
+    # the tilt-0 search at these settings peaks at 0.587134
+    cfg = _write(tmp_path, "t.cfg", "L = 3\nn = 10\ntheta_rad = 0.1\n")
+    assert main(["transition", "--config", cfg]) == 0
+    assert "h_a_max = 0.583816" in capsys.readouterr().out
+
+
 def test_noise_writes_trace_and_point_averages(tmp_path, capsys):
     cfg = _write(tmp_path, "n.cfg",
                  "L = 2\ngamma_per_Jz = 1e-3\nh_a_per_Jz = 1e-3\n"

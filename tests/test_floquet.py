@@ -284,8 +284,7 @@ def test_imbalance_refuses_zero_reference():
     with pytest.raises(NumericalError):
         stroboscopic_trace(cfg, FieldConfig(h_a=1e-3), init, cycles=1)
     with pytest.raises(NumericalError):
-        noisy_fisher(cfg, FieldConfig(h_a=1e-3), 1e-3, cycles=1, dn=1, K=1,
-                     init=init)
+        noisy_fisher(cfg, FieldConfig(h_a=1e-3), 1e-3, cycles=1, init=init)
 
 
 def test_imbalance_stays_in_range():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from dtc_sense.errors import ResourceLimitError
@@ -7,6 +8,7 @@ from dtc_sense.floquet import FloquetEngine
 from dtc_sense.lindblad import (
     LindbladEngine,
     MixedState,
+    _expm,
     hamming_distance_matrix,
     initial_mixed_state,
     noisy_fisher,
@@ -18,7 +20,12 @@ from dtc_sense.model import (
     build_initial_state,
     collective_index_a,
 )
-from dtc_sense.metrology import _readout, qfi_mixed, stroboscopic_trace
+from dtc_sense.metrology import (
+    _readout,
+    point_average,
+    qfi_mixed,
+    stroboscopic_trace,
+)
 
 
 def _random_density(dim, seed):
@@ -54,6 +61,22 @@ def test_hamming_matrix_small_case():
     assert np.all(D == D.T)
 
 
+def test_stacked_expm_matches_scipy_per_block():
+    # one stack of blocks whose 1-norms span 1e-5 .. 8: the scaling the
+    # stack shares is set by the largest norm, so the smallest blocks are
+    # scaled down and squared back 4 more times than on their own
+    rng = np.random.default_rng(11)
+    norms = [1e-5, 1e-3, 0.1, 0.5, 2.0, 8.0]
+    stack = []
+    for norm in norms:
+        X = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        stack.append(X * norm / np.abs(X).sum(axis=0).max())
+    got = _expm(np.array(stack).reshape(2, 3, 16, 16)).reshape(-1, 16, 16)
+    for X, E in zip(stack, got):
+        ref = scipy.linalg.expm(X)
+        assert np.max(np.abs(E - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
 # ------------------------------------------------------------ exact channel
 
 @pytest.mark.parametrize("length", [1, 2])
@@ -69,7 +92,7 @@ def test_cycle_matches_dense_oracle(gamma, length):
         engine.apply_cycle(state, n)
         ref = oracles.dense_lindblad_cycle(ref, cfg, fld, gamma, n)
         assert np.max(np.abs(state.rho - ref)) < 1e-12
-    assert state.cycle == 3 and state.tangent is None
+    assert state.tangent is None
 
 
 @pytest.mark.parametrize("length", [1, 2])
@@ -127,7 +150,6 @@ def test_trajectory_is_trace_preserving_and_positive():
         assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(state.rho)[0] > -1e-12
         assert np.allclose(state.rho, state.rho.conj().T, atol=1e-13)
-    assert state.cycle == 10
 
 
 def test_dephasing_shrinks_purity():
@@ -180,20 +202,21 @@ def test_noisy_fisher_gate_and_window_validation():
     # the gate counts density-matrix rows: 4^6 at tilt > 0, 2^11 at tilt 0
     with pytest.raises(ResourceLimitError):
         noisy_fisher(ProbeConfig(length=6), FieldConfig(h_a=1e-3), 1e-3,
-                     cycles=4, dn=2, K=2, init=InitConfig(tilt=0.1))
+                     cycles=4, init=InitConfig(tilt=0.1))
     with pytest.raises(ResourceLimitError):
         noisy_fisher(ProbeConfig(length=11), FieldConfig(h_a=1e-3), 1e-3,
-                     cycles=4, dn=2, K=2)
+                     cycles=4)
+    trace = noisy_fisher(ProbeConfig(length=2), FieldConfig(h_a=1e-3), 1e-3,
+                         cycles=4)
     with pytest.raises(ValueError):
-        noisy_fisher(ProbeConfig(length=2), FieldConfig(h_a=1e-3), 1e-3,
-                     cycles=4, dn=3, K=2)
+        point_average(trace, dn=3, K=2)
 
 
 def test_noisy_fisher_zero_noise_tracks_pure_qfi():
     cfg = ProbeConfig(length=2, epsilon=0.1)
     # h_a = 0 included: the exact derivative needs no one-sided stencil there
     for fld in (FieldConfig(h_a=1e-3), FieldConfig(h_a=0.0, delta_f=0.02)):
-        out = noisy_fisher(cfg, fld, gamma=0.0, cycles=6, dn=3, K=2)["trace"]
+        out = noisy_fisher(cfg, fld, gamma=0.0, cycles=6)
         pure = stroboscopic_trace(cfg, fld, cycles=6)
         for n in range(1, 7):
             assert out.qfi[n] == pytest.approx(pure.qfi[n], rel=1e-9)
@@ -208,20 +231,18 @@ def test_noisy_fisher_zero_noise_tracks_pure_qfi():
 def test_noisy_fisher_dephasing_suppresses_qfi():
     cfg = ProbeConfig(length=2, epsilon=0.1)
     fld = FieldConfig(h_a=1e-3)
-    quiet = noisy_fisher(cfg, fld, gamma=0.0, cycles=6, dn=3, K=2)
-    noisy = noisy_fisher(cfg, fld, gamma=0.05, cycles=6, dn=3, K=2)
-    assert noisy["trace"].qfi[6] < quiet["trace"].qfi[6]
-    assert noisy["trace"].gamma == 0.05
-    pa = noisy["point_averaged"]
+    quiet = noisy_fisher(cfg, fld, gamma=0.0, cycles=6)
+    noisy = noisy_fisher(cfg, fld, gamma=0.05, cycles=6)
+    assert noisy.qfi[6] < quiet.qfi[6]
+    assert noisy.gamma == 0.05
+    pa = point_average(noisy, dn=3, K=2)
     assert np.allclose(pa["n_mid"], [1.5, 4.5])
     assert pa["qfi"].shape == (2,)
 
 
 def test_noisy_fisher_fisher_hierarchy_holds():
     cfg = ProbeConfig(length=2, epsilon=0.1)
-    out = noisy_fisher(cfg, FieldConfig(h_a=1e-3), gamma=1e-3,
-                       cycles=5, dn=5, K=1)
-    tr = out["trace"]
+    tr = noisy_fisher(cfg, FieldConfig(h_a=1e-3), gamma=1e-3, cycles=5)
     for n in range(1, 6):
         assert tr.qfi[n] >= tr.cfi_computational[n] - 1e-6
         assert tr.cfi_computational[n] >= tr.cfi_collective[n] - 1e-8
@@ -234,14 +255,14 @@ def test_noisy_fisher_sector_equals_full_engine(length):
     cfg = ProbeConfig(length=length, epsilon=0.1)
     fld = FieldConfig(h_a=1e-2, delta_f=0.02, eta=0.1)
     gamma, cycles = 1e-2, 20
-    trace = noisy_fisher(cfg, fld, gamma, cycles, dn=5, K=4)["trace"]
+    trace = noisy_fisher(cfg, fld, gamma, cycles)
     assert trace.probe.pair_dim == 2
     got = np.column_stack([trace.imbalance, trace.qfi,
                            trace.cfi_computational, trace.cfi_collective])
     engine = LindbladEngine(cfg, fld, gamma)
     state = initial_mixed_state(cfg, gamma=gamma)
     state.tangent = np.zeros_like(state.rho)
-    imb_diag = engine.unitary.imbalance_diag
+    imb_diag = engine.imbalance_diag
     i0 = imb_diag @ np.diag(state.rho).real
     ref = np.zeros((cycles + 1, 4))
     ref[0, 0] = 1.0
