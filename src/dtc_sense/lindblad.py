@@ -41,6 +41,10 @@ diagonal factor on vec rho, rebuilt each cycle, resonant cycles ran 10-20 %
 slower at L = 6-10 (0.245 -> 0.29, 4.8 -> 5.8 and 125 -> 135 ms on 2 vCPUs),
 and cached per Theta unit it raised the peak RSS of a tilt-0 L = 10 noise
 run from 284 to 323 MB.
+
+noisy_fisher has no readout of its own: metrology.record_trace, the loop
+the pure-state traces run too, reads (diag rho, diag d rho) through
+MixedState.distribution.
 """
 from __future__ import annotations
 
@@ -49,14 +53,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floquet import FloquetEngine, apply_pair_gates
-from .metrology import StroboscopicTrace, _imbalance_norm, _readout, qfi_mixed
+from .metrology import StroboscopicTrace, qfi_mixed, record_trace
 from .model import (
     FieldConfig,
     InitConfig,
     ProbeConfig,
     build_initial_state,
     check_state_size,
-    collective_index_a,
     engine_probe,
     spin_table,
 )
@@ -76,8 +79,10 @@ class MixedState:
     gamma: float = 0.0
     tangent: np.ndarray | None = None
 
-    def trace(self) -> float:
-        return float(np.trace(self.rho).real)
+    def distribution(self) -> tuple[np.ndarray, np.ndarray]:
+        """The basis distribution diag rho and its h_a-derivative
+        diag d rho; needs the tangent."""
+        return np.diag(self.rho).real, np.diag(self.tangent).real
 
 
 def hamming_distance_matrix(cfg: ProbeConfig) -> np.ndarray:
@@ -171,7 +176,8 @@ def initial_mixed_state(cfg: ProbeConfig, init: InitConfig | None = None,
 def noisy_fisher(cfg: ProbeConfig, field: FieldConfig, gamma: float,
                  cycles: int,
                  init: InitConfig | None = None) -> StroboscopicTrace:
-    """Mixed-state QFI and CFIs at every cycle n = 0..cycles under dephasing.
+    """Mixed-state imbalance, QFI and CFIs at every cycle n = 0..cycles
+    under dephasing, recorded by metrology.record_trace.
 
     One LindbladEngine, at the pair dimension model.engine_probe picks for
     `init`, evolves rho together with its exact h_a-derivative d rho / d h_a
@@ -186,18 +192,8 @@ def noisy_fisher(cfg: ProbeConfig, field: FieldConfig, gamma: float,
     engine = LindbladEngine(cfg, field, gamma)
     state = initial_mixed_state(cfg, init, gamma)
     state.tangent = np.zeros_like(state.rho)
-    imb_diag = engine.imbalance_diag
-    coll_idx = collective_index_a(cfg)
-    i0 = _imbalance_norm(float(imb_diag @ np.diag(state.rho).real))
-    # imbalance, QFI, CFI_computational, CFI_collective per cycle
-    rec = np.zeros((4, cycles + 1))
-    rec[0, 0] = 1.0
-    for n in range(1, cycles + 1):
-        engine.apply_cycle(state, n)
-        p = np.diag(state.rho).real
-        dp = np.diag(state.tangent).real
-        rec[[0, 2, 3], n] = _readout(p, dp, imb_diag, i0, coll_idx)
-        rec[1, n] = qfi_mixed(state.rho, state.tangent)
-    return StroboscopicTrace(np.arange(cycles + 1), *rec, probe=cfg,
+    rec = record_trace(engine, state, cycles,
+                       lambda s: qfi_mixed(s.rho, s.tangent))
+    return StroboscopicTrace(np.arange(cycles + 1), *rec[:, 0], probe=cfg,
                              field=field, init=init or InitConfig(),
                              gamma=gamma)

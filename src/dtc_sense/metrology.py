@@ -5,6 +5,12 @@ h_a.  Pure-state QFI uses the tangent vector carried by the state; mixed-state
 QFI uses the spectral formula on (rho, drho).  CFI is reported for two
 measurements: the full computational basis and the coarse-grained collective
 magnetization of the probe chain.
+
+One loop, record_trace, builds every per-cycle record, for psi
+(stroboscopic_traces) and for rho (lindblad.noisy_fisher) alike: each cycle
+it reads the state's distribution() (the basis distribution and its
+h_a-derivative) into the imbalance and both CFIs, and takes the QFI from
+the function the builder passes.
 """
 from __future__ import annotations
 
@@ -102,17 +108,8 @@ def _cfi_from_probs(p: np.ndarray, dp: np.ndarray) -> float | np.ndarray:
     return np.sum(dp ** 2 / np.where(p > PROB_CUTOFF, p, np.inf), axis=-1)
 
 
-def _imbalance_norm(i0: float) -> float:
-    """The initial imbalance i0 that normalizes a trace; raises
-    NumericalError when it vanishes and the normalized trace is undefined."""
-    if abs(i0) < 1e-12:
-        raise NumericalError(
-            "initial state has zero imbalance; the normalized trace is undefined")
-    return i0
-
-
 def _readout(p: np.ndarray, dp: np.ndarray, imb_diag: np.ndarray,
-             i0: float, coll_idx: np.ndarray) -> tuple:
+             i0: float | np.ndarray, coll_idx: np.ndarray) -> tuple:
     """Imbalance, CFI_computational and CFI_collective of one cycle from the
     basis distribution p and its h_a-derivative dp, per field when p and dp
     hold one row per field.  coll_idx is collective_index_a of the probe:
@@ -133,12 +130,35 @@ def qfi_bound(cfg: ProbeConfig, n: int) -> float:
     return n ** 2 * L ** 2 * (L + 1) ** 2 / np.pi ** 2
 
 
+def record_trace(engine: FloquetEngine, state, cycles: int,
+                 qfi) -> np.ndarray:
+    """Step `state` (a PureState or a MixedState, tangent attached) through
+    `cycles` periods of `engine`, in place, and record the imbalance,
+    qfi(state), CFI_computational and CFI_collective of each of the
+    engine's B fields at every stroboscopic time n = 0..cycles: shape
+    (4, B, cycles + 1).  The imbalance is normalized by the initial state's,
+    i0; a vanishing i0 raises NumericalError before the first cycle."""
+    imb_diag = engine.imbalance_diag
+    coll_idx = collective_index_a(engine.cfg)
+    i0 = state.distribution()[0] @ imb_diag
+    if np.min(np.abs(i0)) < 1e-12:
+        raise NumericalError(
+            "initial state has zero imbalance; the normalized trace is undefined")
+    rec = np.zeros((4, len(engine.fields), cycles + 1))
+    rec[0, :, 0] = 1.0
+    for n in range(1, cycles + 1):
+        engine.apply_cycle(state, n)
+        imb, cfi_c, cfi_m = _readout(*state.distribution(), imb_diag, i0,
+                                     coll_idx)
+        rec[..., n] = np.vstack((imb, qfi(state), cfi_c, cfi_m))
+    return rec
+
+
 def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
                         init: InitConfig | None = None,
                         cycles: int = 50) -> list[StroboscopicTrace]:
     """Run the unitary engine for `cycles` periods on every field (all
-    sharing delta_f and eta), recording imbalance, QFI and both CFIs at
-    every stroboscopic time n = 0..cycles: one trace per field.
+    sharing delta_f and eta) through record_trace: one trace per field.
     The fields propagate as one batch (floquet docstring), split only where
     it would exceed model.PURE_STATE_MAX_DIM amplitudes.  The engine runs at
     the pair dimension model.engine_probe picks for `init`, so a tilt-0 run
@@ -149,24 +169,9 @@ def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
         return [trace for i in range(0, len(fields), size)
                 for trace in stroboscopic_traces(cfg, fields[i:i + size], init,
                                                  cycles)]
-    engine = FloquetEngine(cfg, fields)
-    psi0 = build_initial_state(cfg, init)
-    i0 = _imbalance_norm(psi0.imbalance_norm)
-    amps = np.tile(psi0.amplitudes, (len(fields), 1))
-    state = PureState(amps, np.zeros_like(amps), i0)
-    coll_idx = collective_index_a(cfg)
-
-    # imbalance, QFI, CFI_computational, CFI_collective per field and cycle
-    rec = np.zeros((4, len(fields), cycles + 1))
-    rec[0, :, 0] = 1.0
-    for n in range(1, cycles + 1):
-        engine.apply_cycle(state, n)
-        psi = state.amplitudes
-        p = np.abs(psi) ** 2
-        dp = 2.0 * np.real(psi.conj() * state.tangent)
-        rec[0, :, n], rec[2, :, n], rec[3, :, n] = _readout(
-            p, dp, engine.imbalance_diag, i0, coll_idx)
-        rec[1, :, n] = qfi_pure(state)
+    amps = np.tile(build_initial_state(cfg, init).amplitudes, (len(fields), 1))
+    rec = record_trace(FloquetEngine(cfg, fields),
+                       PureState(amps, np.zeros_like(amps)), cycles, qfi_pure)
     return [StroboscopicTrace(np.arange(cycles + 1), *rec[:, b],
                               probe=cfg, field=fld,
                               init=init or InitConfig(), gamma=0.0)

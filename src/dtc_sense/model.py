@@ -23,7 +23,7 @@ the b_j row is -tau_j.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,8 +42,6 @@ MIXED_STATE_MAX_DIM = 4 ** 5
 OBSERVABLE_KINDS = {
     "gradient-z-a": lambda j: (j, 0),         # sum_j j * sigma^z_{a,j}
     "gradient-z-b": lambda j: (0, j),         # sum_j j * sigma^z_{b,j}
-    "collective-z-a": lambda j: (1, 0),       # sum_j sigma^z_{a,j}
-    "collective-z-b": lambda j: (0, 1),
     "imbalance-numerator": lambda j: (1, -1),  # sum_j (sigma^z_{a,j} - sigma^z_{b,j})
 }
 
@@ -140,17 +138,17 @@ class PureState:
     `tangent` (optional, same shape) carries the derivative of the amplitudes
     with respect to the field amplitude h_a up to a phase term i a psi, as
     the Floquet engine co-propagates it (floquet docstring).
-    `imbalance_norm` is the imbalance expectation of the run's initial state,
-    used to self-normalize the imbalance trace.
     """
 
     amplitudes: np.ndarray
     tangent: np.ndarray | None = None
-    imbalance_norm: float = field(default=0.0)
 
-    def norm(self) -> float | np.ndarray:
-        """The norm of the amplitudes, per field of a batch."""
-        return np.linalg.norm(self.amplitudes, axis=-1)
+    def distribution(self) -> tuple[np.ndarray, np.ndarray]:
+        """The basis distribution |psi|^2 and its h_a-derivative
+        2 Re(psi* d psi), per field of a batch; needs the tangent, whose
+        phase term drops out."""
+        psi = self.amplitudes
+        return np.abs(psi) ** 2, 2.0 * np.real(psi.conj() * self.tangent)
 
 
 def engine_probe(cfg: ProbeConfig, init: InitConfig | None) -> ProbeConfig:
@@ -247,7 +245,4 @@ def build_initial_state(cfg: ProbeConfig, init: InitConfig | None = None) -> Pur
     for _ in range(cfg.length):
         pair = np.kron(amp_b, np.kron(amp_a, psi)).reshape(4, -1)
         psi = pair[local].reshape(-1)
-    psi = psi.astype(np.complex128)
-    imb = observable_diagonal(cfg, "imbalance-numerator")
-    i0 = float(imb @ np.abs(psi) ** 2)
-    return PureState(psi, tangent=None, imbalance_norm=i0)
+    return PureState(psi.astype(np.complex128))

@@ -169,10 +169,7 @@ def evaluate_group(points: list[dict]) -> list[StroboscopicTrace]:
     gamma = float(params.get("gamma_per_Jz", 0.0))
     if _runs_mixed(params):
         return [noisy_fisher(probe, fld, gamma, cycles, init) for fld in fields]
-    traces = stroboscopic_traces(probe, fields, init, cycles)
-    for trace in traces:
-        trace.gamma = gamma
-    return traces
+    return stroboscopic_traces(probe, fields, init, cycles)
 
 
 def evaluate_point(params: dict) -> StroboscopicTrace:

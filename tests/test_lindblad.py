@@ -190,7 +190,7 @@ def test_gate_cache_holds_the_two_latest_theta_units():
 def test_initial_mixed_state_is_projector():
     cfg = ProbeConfig(length=2)
     st = initial_mixed_state(cfg, InitConfig(tilt=0.1), gamma=0.0)
-    assert st.trace() == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(st.rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.trace(st.rho @ st.rho).real == pytest.approx(1.0, abs=1e-12)
     psi = build_initial_state(cfg, InitConfig(tilt=0.1)).amplitudes
     assert np.allclose(st.rho, np.outer(psi, psi.conj()), atol=1e-13)
@@ -212,12 +212,15 @@ def test_noisy_fisher_gate_and_window_validation():
         point_average(trace, dn=3, K=2)
 
 
-def test_noisy_fisher_zero_noise_tracks_pure_qfi():
+@pytest.mark.parametrize("tilt", [0.0, 0.1])
+def test_noisy_fisher_zero_noise_tracks_pure_qfi(tilt):
+    # tilt 0 runs both builders at d = 2, tilt 0.1 at d = 4
     cfg = ProbeConfig(length=2, epsilon=0.1)
+    init = InitConfig(tilt=tilt)
     # h_a = 0 included: the exact derivative needs no one-sided stencil there
     for fld in (FieldConfig(h_a=1e-3), FieldConfig(h_a=0.0, delta_f=0.02)):
-        out = noisy_fisher(cfg, fld, gamma=0.0, cycles=6)
-        pure = stroboscopic_trace(cfg, fld, cycles=6)
+        out = noisy_fisher(cfg, fld, gamma=0.0, cycles=6, init=init)
+        pure = stroboscopic_trace(cfg, fld, init, cycles=6)
         for n in range(1, 7):
             assert out.qfi[n] == pytest.approx(pure.qfi[n], rel=1e-9)
             assert out.cfi_computational[n] == pytest.approx(

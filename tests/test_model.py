@@ -77,7 +77,7 @@ def test_quarter_tilt_populates_everything():
     cfg = ProbeConfig(length=3)
     state = build_initial_state(cfg, InitConfig(tilt=np.pi / 4))
     assert np.all(np.abs(state.amplitudes) > 0)
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tilted_overlap_with_reference():
@@ -94,7 +94,7 @@ def test_tilted_overlap_with_reference():
 def test_initial_state_norm_and_fidelity(L, tilt):
     cfg = ProbeConfig(length=L)
     state = build_initial_state(cfg, InitConfig(tilt=tilt))
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
     ref = build_initial_state(cfg).amplitudes
     fid = abs(np.vdot(ref, state.amplitudes))
     assert fid == pytest.approx(np.cos(tilt) ** (2 * L), abs=1e-12)
@@ -126,7 +126,6 @@ def test_imbalance_numerator_on_reference_state():
     state = build_initial_state(cfg)
     value = d @ np.abs(state.amplitudes) ** 2
     assert value == pytest.approx(2 * cfg.length)
-    assert state.imbalance_norm == pytest.approx(2 * cfg.length)
 
 
 def test_unknown_observable_kind():
@@ -157,9 +156,8 @@ def test_collective_index_counts_up_a_spins(L):
     cfg = ProbeConfig(length=L)
     idx = collective_index_a(cfg)
     assert idx.min() == 0 and idx.max() == L
-    # collective observable eigenvalue is 2k - L
-    coll = observable_diagonal(cfg, "collective-z-a")
-    assert np.allclose(coll, 2 * idx - L)
+    # collective observable sum_j sigma^z_{a,j} has eigenvalue 2k - L
+    assert np.array_equal(2 * idx - L, spin_table(L)[0::2].sum(axis=0))
 
 
 # ------------------------------------------------------- pair-qubit sector
@@ -193,8 +191,7 @@ def test_sector_table_and_diagonals_are_full_space_columns(L):
     assert spins.shape == (2 * L, 2 ** L) and spins.dtype == np.int8
     assert np.array_equal(spins[1::2], -spins[0::2])
     assert np.array_equal(spins, spin_table(L)[:, cols])
-    for kind in ("gradient-z-a", "gradient-z-b", "collective-z-a",
-                 "imbalance-numerator"):
+    for kind in ("gradient-z-a", "gradient-z-b", "imbalance-numerator"):
         assert np.array_equal(observable_diagonal(sector, kind),
                               observable_diagonal(full, kind)[cols])
     assert np.array_equal(chain_interaction_diagonal(sector),
@@ -202,10 +199,12 @@ def test_sector_table_and_diagonals_are_full_space_columns(L):
     assert np.array_equal(collective_index_a(sector),
                           collective_index_a(full)[cols])
     state = build_initial_state(sector)
-    assert state.amplitudes[0] == 1.0 and state.norm() == 1.0
+    assert state.amplitudes[0] == 1.0
+    assert np.linalg.norm(state.amplitudes) == 1.0
     assert np.array_equal(state.amplitudes,
                           build_initial_state(full).amplitudes[cols])
-    assert state.imbalance_norm == 2 * L
+    imb = observable_diagonal(sector, "imbalance-numerator")
+    assert imb @ np.abs(state.amplitudes) ** 2 == 2 * L
 
 
 def test_sector_gradient_does_not_overflow_at_L16():
