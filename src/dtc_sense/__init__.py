@@ -4,7 +4,12 @@ Exact statevector and density-matrix evolution of a binary-quench spin-probe
 whose period-doubled response carries gradient-field information, plus the
 Fisher-information machinery (QFI/CFI, averages, scaling fits, transition
 search) and a reproducible sweep CLI.
+
+The public names below load their submodule on first use (PEP 562), so
+`import dtc_sense` costs only the error classes, and building an engine
+imports only `model` and `floquet`.
 """
+import importlib
 
 __version__ = "0.1.0"
 
@@ -15,49 +20,38 @@ from .errors import (
     NumericalError,
     ResourceLimitError,
 )
-from .model import (
-    FieldConfig,
-    InitConfig,
-    ProbeConfig,
-    PureState,
-    build_initial_state,
-    observable_diagonal,
-)
-from .floquet import (
-    FloquetEngine,
-    initial_state_with_tangent,
-    theta_half,
-)
-from .metrology import (
-    FitResult,
-    StroboscopicTrace,
-    find_transition,
-    point_average,
-    power_fit,
-    qfi_bound,
-    qfi_mixed,
-    qfi_pure,
-    stroboscopic_trace,
-    stroboscopic_traces,
-)
-from .lindblad import (
-    LindbladEngine,
-    MixedState,
-    initial_mixed_state,
-    noisy_fisher,
-)
-from .expcalc import MATERIALS, calibrate_unit_scale, expcalc, material_record
 
-__all__ = [
-    "__version__",
-    "BoundaryPeakWarning", "ConfigError", "DtcSenseError", "NumericalError",
-    "ResourceLimitError",
-    "FieldConfig", "InitConfig", "ProbeConfig", "PureState",
-    "build_initial_state", "observable_diagonal",
-    "FloquetEngine", "initial_state_with_tangent", "theta_half",
-    "FitResult", "StroboscopicTrace", "find_transition", "point_average",
-    "power_fit", "qfi_bound", "qfi_mixed", "qfi_pure",
-    "stroboscopic_trace", "stroboscopic_traces",
-    "LindbladEngine", "MixedState", "initial_mixed_state", "noisy_fisher",
-    "MATERIALS", "calibrate_unit_scale", "expcalc", "material_record",
-]
+#: Each lazily loaded public name and the submodule that defines it.
+_SUBMODULE_OF = {
+    name: module for module, names in (
+        ("model", ("FieldConfig", "InitConfig", "ProbeConfig", "PureState",
+                   "build_initial_state", "observable_diagonal")),
+        ("floquet", ("FloquetEngine", "initial_state_with_tangent",
+                     "theta_half")),
+        ("metrology", ("FitResult", "StroboscopicTrace", "find_transition",
+                       "point_average", "power_fit", "qfi_bound",
+                       "qfi_mixed", "qfi_pure", "stroboscopic_trace",
+                       "stroboscopic_traces")),
+        ("lindblad", ("LindbladEngine", "MixedState", "initial_mixed_state",
+                      "noisy_fisher")),
+        ("expcalc", ("MATERIALS", "calibrate_unit_scale", "expcalc",
+                     "material_record")),
+    ) for name in names
+}
+
+__all__ = ["__version__", "BoundaryPeakWarning", "ConfigError",
+           "DtcSenseError", "NumericalError", "ResourceLimitError",
+           *_SUBMODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -8,7 +8,7 @@ One drive cycle of period T = t1 + t2 factorizes into
      acting on each (a_j, b_j) pair.
 
 The engine runs at the pair dimension d of its ProbeConfig (model docstring):
-the diagonals come from the d^L spin table and each pair gate is the 4x4
+the diagonals are sums of pair and bond terms, and each pair gate is the 4x4
 exponent restricted to the d kept local states, so it is 4x4 on the full
 space and 2x2 in the one-up-per-pair sector, where it reads
 exp(-i [t2 J_ab tau^x_j + Theta_2 j (1 - eta) tau^z_j]).

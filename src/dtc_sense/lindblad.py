@@ -20,9 +20,9 @@ sector; see the model docstring):
      where M_j is the pure engine's d x d pair-gate exponent and hamming_d
      the Hamming distance over the pair's two spins.
 
-hamming counts the spin-table rows on which z and z' differ; in the sector a
-tau flip flips both spins of its pair, so sigma^z dephasing at rate Gamma
-on a_j and b_j acts there as tau^z dephasing at rate 2 Gamma.
+hamming counts the spins on which z and z' differ; in the sector a tau flip
+flips both spins of its pair, so sigma^z dephasing at rate Gamma on a_j and
+b_j acts there as tau^z dephasing at rate 2 Gamma.
 
 The derivative d rho / d h_a is co-propagated by the product rule: each
 pair's block [[S_j, 0], [dS_j/dh_a, S_j]] is exp([[A_j, 0], [Theta_unit E_j,
@@ -61,7 +61,7 @@ from .model import (
     build_initial_state,
     check_state_size,
     engine_probe,
-    spin_table,
+    pair_spins,
 )
 
 _TAYLOR_DEGREE = 16
@@ -86,12 +86,14 @@ class MixedState:
 
 
 def hamming_distance_matrix(cfg: ProbeConfig) -> np.ndarray:
-    """hamming(z XOR z') over all basis-integer pairs (small ints as float):
-    the number of spin-table rows on which z and z' differ."""
-    d = np.zeros((cfg.dim, cfg.dim))
-    for s in spin_table(cfg.length, cfg.pair_dim):
-        d += s[:, None] != s[None, :]
-    return d
+    """hamming(z XOR z') over all basis-integer pairs (small ints as float),
+    summed one pair (one base-d digit of z and of z') at a time."""
+    sa, sb = pair_spins(cfg.pair_dim)
+    H = h = (sa[:, None] != sa) + (sb[:, None] != sb) * 1.0
+    for _ in range(cfg.length - 1):
+        H = (h[:, None, :, None] + H[None, :, None, :]) \
+            .reshape(h.shape[0] * H.shape[0], -1)
+    return H
 
 
 def _expm(X: np.ndarray) -> np.ndarray:

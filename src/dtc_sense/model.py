@@ -15,14 +15,13 @@ the local dimension the engines run at:
          lies in the sector, so its runs need d^L = 2^L amplitudes, not 4^L.
 
 Bit value 0 encodes |up> (sigma^z eigenvalue +1), bit 1 encodes |down>.  Every
-observable used downstream is diagonal in this basis and is built from one
-spin table (the sigma^z value of each of the 2L spins over all d^L basis
-states), so the same code serves both d: at d = 2 the a_j row is tau_j and
-the b_j row is -tau_j.
+observable used downstream is diagonal in this basis and is built from
+pair-local pieces: the sigma^z values of a_j and b_j over the d local states
+(pair_spins), summed one base-d digit at a time (pair_sum), so the same code
+serves both d: at d = 2 sigma^z_{a,j} is tau_j and sigma^z_{b,j} is -tau_j.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -169,48 +168,47 @@ def check_state_size(cfg: ProbeConfig, mixed: bool) -> None:
             f"at pair dimension {cfg.pair_dim} needs {cfg.dim}")
 
 
-@functools.lru_cache(maxsize=None)
-def spin_table(length: int, pair_dim: int = 4) -> np.ndarray:
-    """sigma^z eigenvalues (+1 up, -1 down) of every spin over all basis
-    states: int8 array of shape (2L, d^L), row 2(j-1) for a_j and 2(j-1)+1
-    for b_j.  Built once per (length, d) and read-only."""
-    local = np.array(PAIR_STATES[pair_dim])
-    z = np.arange(pair_dim ** length)
-    table = np.empty((2 * length, z.size), dtype=np.int8)
-    for j in range(length):
-        k = local[(z // pair_dim ** j) % pair_dim]
-        table[2 * j] = 1 - 2 * (k & 1)
-        table[2 * j + 1] = 1 - 2 * (k >> 1)
-    table.flags.writeable = False
-    return table
+def pair_spins(pair_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """sigma^z eigenvalues (+1 up, -1 down) of a_j and of b_j over the d
+    local states of one pair: two int arrays of length d = pair_dim."""
+    k = np.array(PAIR_STATES[pair_dim])
+    return 1 - 2 * (k & 1), 1 - 2 * (k >> 1)
+
+
+def pair_sum(local: np.ndarray) -> np.ndarray:
+    """sum_j local[j-1, k_j] over all d^L basis integers, where k_j is the
+    base-d digit of pair j (pair 1 least significant): `local` has shape
+    (L, d), and the result its dtype."""
+    out = local[0]
+    for v in local[1:]:
+        out = (v[:, None] + out[None, :]).reshape(-1)
+    return out
 
 
 def observable_diagonal(cfg: ProbeConfig, kind: str) -> np.ndarray:
     """Diagonal weight vector d(z) of a named observable over basis integers."""
     if kind not in OBSERVABLE_KINDS:
         raise ConfigError(f"unknown observable kind {kind!r}")
-    # one weight per spin-table row (a_1, b_1, a_2, ...), as floats: the sum
-    # must not be carried in the int8 rows (sum_j j = 136 at L = 16)
-    weights = np.array([OBSERVABLE_KINDS[kind](j)
-                        for j in range(1, cfg.length + 1)], dtype=float)
-    d = np.zeros(cfg.dim)
-    for w, row in zip(weights.reshape(-1), spin_table(cfg.length, cfg.pair_dim)):
-        if w:
-            d += w * row
-    return d
+    sa, sb = pair_spins(cfg.pair_dim)
+    local = [wa * sa + wb * sb for wa, wb in
+             map(OBSERVABLE_KINDS[kind], range(1, cfg.length + 1))]
+    return pair_sum(np.array(local, dtype=float))
 
 
 def chain_interaction_diagonal(cfg: ProbeConfig) -> np.ndarray:
     """Eigenvalues of the intra-chain Hamiltonian H_a + H_b (open boundaries).
 
     H_a + H_b = -jz * sum_{mu in {a,b}} sum_{j=1}^{L-1} sigma^z_{mu,j} sigma^z_{mu,j+1},
-    diagonal in the computational basis.
+    diagonal in the computational basis: one d x d bond term per (j, j+1),
+    added on the (d,)*L view of the basis, whose last axis is pair 1.
     """
-    spins = spin_table(cfg.length, cfg.pair_dim)
-    e = np.zeros(cfg.dim)
-    for q in range(2 * cfg.length - 2):
-        e -= cfg.jz * (spins[q] * spins[q + 2])
-    return e
+    d, L = cfg.pair_dim, cfg.length
+    sa, sb = pair_spins(d)
+    bond = cfg.jz * (np.outer(sa, sa) + np.outer(sb, sb))
+    e = np.zeros((d,) * L)
+    for j in range(L - 1):
+        e -= bond.reshape((d, d) + (1,) * j)
+    return e.reshape(-1)
 
 
 def collective_index_a(cfg: ProbeConfig) -> np.ndarray:
@@ -219,7 +217,8 @@ def collective_index_a(cfg: ProbeConfig) -> np.ndarray:
     Indexes the eigenvalue m = 2*k - L of the collective observable
     sum_j sigma^z_{a,j}; used to coarse-grain probability distributions.
     """
-    return (cfg.length + spin_table(cfg.length, cfg.pair_dim)[0::2].sum(axis=0)) // 2
+    up = (1 + pair_spins(cfg.pair_dim)[0]) // 2
+    return pair_sum(np.tile(up, (cfg.length, 1)))
 
 
 def build_initial_state(cfg: ProbeConfig, init: InitConfig | None = None) -> PureState:

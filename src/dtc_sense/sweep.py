@@ -11,6 +11,7 @@ Pure-state points that differ only in h_a_per_Jz run as one field batch
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field as dataclass_field
 
@@ -67,9 +68,12 @@ def _parse_scalar(key: str, text: str):
     try:
         if key in _INT_KEYS:
             return int(text)
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse value {text!r} for key {key!r}") from exc
+    if not math.isfinite(value):  # NaN passes every range check
+        raise ConfigError(f"value {text!r} for key {key!r} is not finite")
+    return value
 
 
 def base_config() -> RunConfig:

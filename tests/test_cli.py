@@ -232,6 +232,22 @@ def test_invalid_counts_are_config_errors(tmp_path, capsys, command, text):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text", [
+    pytest.param("simulate", "h_a_per_Jz = inf\n", id="simulate-h_a-inf"),
+    pytest.param("simulate", "h_a_per_Jz = nan\n", id="simulate-h_a-nan"),
+    pytest.param("simulate", "delta_f = inf\n", id="simulate-delta_f-inf"),
+    pytest.param("noise", "gamma_per_Jz = nan\ndn = 1\nK = 2\n",
+                 id="noise-gamma-nan"),
+])
+def test_non_finite_values_are_config_errors(tmp_path, capsys, command,
+                                             text):
+    # NaN slips through every range check and used to crash the CSV writer
+    cfg = _write(tmp_path, "c.cfg", "L = 2\ncycles = 4\n" + text)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_expcalc_prints_all_presets(capsys):
     assert main(["expcalc"]) == 0
     stdout = capsys.readouterr().out

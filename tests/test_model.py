@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dtc_sense.errors import ConfigError
+from dtc_sense.lindblad import hamming_distance_matrix
 from dtc_sense.model import (
     FieldConfig,
     InitConfig,
@@ -14,7 +15,6 @@ from dtc_sense.model import (
     collective_index_a,
     engine_probe,
     observable_diagonal,
-    spin_table,
 )
 
 
@@ -51,18 +51,6 @@ def test_init_config_range():
         InitConfig(tilt=np.pi / 2)
     with pytest.raises(ConfigError):
         InitConfig(tilt=-0.01)
-
-
-def test_qubit_interleaving():
-    # row 2(j-1) is a_j and row 2(j-1)+1 is b_j; bit value 1 is spin down
-    spins = spin_table(3)
-    assert spins.shape == (6, 64) and spins.dtype == np.int8
-    for q, z in ((0, 1 << 0), (1, 1 << 1), (4, 1 << 4), (5, 1 << 5)):
-        assert spins[q, z] == -1
-        assert spins[q, 0] == 1
-        assert np.count_nonzero(spins[:, z] == -1) == 1
-    assert not spins.flags.writeable
-    assert spin_table(3) is spins
 
 
 def test_reference_state_is_single_configuration():
@@ -157,7 +145,47 @@ def test_collective_index_counts_up_a_spins(L):
     idx = collective_index_a(cfg)
     assert idx.min() == 0 and idx.max() == L
     # collective observable sum_j sigma^z_{a,j} has eigenvalue 2k - L
-    assert np.array_equal(2 * idx - L, spin_table(L)[0::2].sum(axis=0))
+    m_a = sum(oracles.embed(oracles.SZ, 2 * j, 2 * L) for j in range(L))
+    assert np.array_equal(2 * idx - L, np.diag(m_a).real)
+
+
+def _dense_diagonals(cfg):
+    ops = oracles.dense_operators(cfg)
+    return {name: np.diag(ops[name]).real
+            for name in ("h_chain", "g_a", "g_b", "imbalance_num")}
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_pair_local_diagonals_match_independent_references(L):
+    # the oracle embeds each sigma^z on qubit 2(j-1) (a_j) or 2(j-1) + 1
+    # (b_j), bit value 1 being spin down; every value is a small integer
+    cfg = ProbeConfig(length=L)
+    dense = _dense_diagonals(cfg)
+    ours = {"h_chain": chain_interaction_diagonal(cfg),
+            "g_a": observable_diagonal(cfg, "gradient-z-a"),
+            "g_b": observable_diagonal(cfg, "gradient-z-b"),
+            "imbalance_num": observable_diagonal(cfg, "imbalance-numerator")}
+    for name, diag in ours.items():
+        assert diag.dtype == np.float64
+        assert np.array_equal(diag, dense[name]), name
+    z = np.arange(cfg.dim)
+    clear_even_bits = [sum(not (k >> q) & 1 for q in range(0, 2 * L, 2))
+                       for k in z]
+    idx = collective_index_a(cfg)
+    assert idx.dtype == np.int64
+    assert np.array_equal(idx, clear_even_bits)
+    if L <= 3:
+        popcount = [[bin(k ^ k2).count("1") for k2 in z] for k in z]
+        assert np.array_equal(hamming_distance_matrix(cfg), popcount)
+
+
+def test_chain_diagonal_scales_with_jz():
+    # the oracle rounds after each of its 2(L-1) terms of +-jz, so an entry
+    # that cancels to 0 reads 2e-16 there: compare relative to the largest
+    cfg = ProbeConfig(length=4, jz=0.7)
+    dense = _dense_diagonals(cfg)["h_chain"]
+    np.testing.assert_allclose(chain_interaction_diagonal(cfg), dense,
+                               rtol=0, atol=1e-15 * np.abs(dense).max())
 
 
 # ------------------------------------------------------- pair-qubit sector
@@ -183,14 +211,10 @@ def test_engine_probe_picks_the_sector_at_tilt_zero_only():
 
 @pytest.mark.parametrize("L", [1, 2, 4])
 def test_sector_table_and_diagonals_are_full_space_columns(L):
-    # row a_j is tau_j and row b_j is -tau_j, so every diagonal (and the
-    # initial state) is the full-space one restricted to the sector
+    # sigma^z_{a,j} is tau_j and sigma^z_{b,j} is -tau_j, so every diagonal
+    # (and the initial state) is the full-space one restricted to the sector
     full, sector = ProbeConfig(length=L), ProbeConfig(length=L, pair_dim=2)
     cols = _sector_columns(L)
-    spins = spin_table(L, 2)
-    assert spins.shape == (2 * L, 2 ** L) and spins.dtype == np.int8
-    assert np.array_equal(spins[1::2], -spins[0::2])
-    assert np.array_equal(spins, spin_table(L)[:, cols])
     for kind in ("gradient-z-a", "gradient-z-b", "imbalance-numerator"):
         assert np.array_equal(observable_diagonal(sector, kind),
                               observable_diagonal(full, kind)[cols])
@@ -198,6 +222,8 @@ def test_sector_table_and_diagonals_are_full_space_columns(L):
                           chain_interaction_diagonal(full)[cols])
     assert np.array_equal(collective_index_a(sector),
                           collective_index_a(full)[cols])
+    assert np.array_equal(hamming_distance_matrix(sector),
+                          hamming_distance_matrix(full)[np.ix_(cols, cols)])
     state = build_initial_state(sector)
     assert state.amplitudes[0] == 1.0
     assert np.linalg.norm(state.amplitudes) == 1.0
@@ -208,8 +234,8 @@ def test_sector_table_and_diagonals_are_full_space_columns(L):
 
 
 def test_sector_gradient_does_not_overflow_at_L16():
-    # the spin table is int8; the gradient sum_j j tau_j reaches
-    # sum_j j = 136 > 127 at L = 16, so it must accumulate in float
+    # the gradient sum_j j tau_j reaches sum_j j = 136 > 127 at L = 16,
+    # beyond any int8 accumulator, so it must be summed in float
     cfg = engine_probe(ProbeConfig(length=16), InitConfig())
     g = observable_diagonal(cfg, "gradient-z-a")
     assert g.dtype == np.float64

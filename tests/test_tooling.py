@@ -53,6 +53,37 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
+_LAZY_PROBE = """
+import sys
+import dtc_sense
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("dtc_sense."))
+
+print(loaded())
+dtc_sense.FloquetEngine
+print(loaded())
+try:
+    dtc_sense.no_such_name
+except AttributeError:
+    print("AttributeError")
+print(set(dtc_sense.__all__) <= set(dir(dtc_sense)))
+"""
+
+
+def test_package_loads_submodules_on_first_use():
+    proc = subprocess.run([sys.executable, "-c", _LAZY_PROBE],
+                          capture_output=True, text=True, timeout=120,
+                          env=_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['dtc_sense.errors']",
+        "['dtc_sense.errors', 'dtc_sense.floquet', 'dtc_sense.model']",
+        "AttributeError",
+        "True",
+    ]
+
+
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -87,8 +118,8 @@ def test_traced_cli_runs(tmp_path, command, config, spans):
         capture_output=True, text=True, timeout=120, env=_env())
     assert proc.returncode == 0, proc.stderr
     traced = json.loads(dump.read_text())
-    # model.spin_z_signs, a call counter of traced_cli, has not existed since
-    # the cached spin table replaced it; every other traced name must resolve
+    # model.spin_z_signs, a call counter of traced_cli, names a function the
+    # package no longer has; every other traced name must resolve
     assert [name for name in traced["missing"]
             if name != "model.spin_z_signs"] == [], proc.stderr
     assert spans <= {name for name, *_ in traced["spans"]}
