@@ -34,8 +34,6 @@ from .sweep import (
     point_configs,
     run_sweep,
     trace_rows,
-    write_sidecar,
-    write_text,
     _fmt,
 )
 
@@ -142,9 +140,8 @@ def _cmd_fit(cfg: RunConfig) -> int:
     print(f"r_squared = {fit.r_squared:.8g}")
     out = cfg.get("out")
     if out:
-        write_text(out, "exponent,prefactor,r_squared\n"
-                        f"{fit.exponent:.12g},{fit.prefactor:.12g},"
-                        f"{fit.r_squared:.12g}\n")
+        emit_table([], [(fit.exponent, fit.prefactor, fit.r_squared)], out,
+                   cfg.resolved(), ("exponent", "prefactor", "r_squared"))
         print(f"wrote fit to {out}")
     return 0
 
@@ -158,7 +155,8 @@ def _cmd_transition(cfg: RunConfig) -> int:
     print(f"h_a_max = {h_max:.6g}")
     out = cfg.get("out")
     if out:
-        write_text(out, f"L,n,h_a_max\n{probe.length},{n},{h_max:.12g}\n")
+        emit_table([], [(probe.length, n, h_max)], out, cfg.resolved(),
+                   ("L", "n", "h_a_max"))
         print(f"wrote transition point to {out}")
     return 0
 
@@ -179,12 +177,10 @@ def _cmd_noise(cfg: RunConfig) -> int:
     emit_table([], rows, out, cfg.resolved())
     pa = point_average(trace, dn, K)
     pa_path = os.path.splitext(out)[0] + ".pointavg.csv"
-    lines = ["n_mid,n_cumulative,qfi,cfi_comp,cfi_coll"]
-    for i in range(len(pa["n_mid"])):
-        lines.append(",".join(_fmt(v) for v in (
-            pa["n_mid"][i], pa["n_cumulative"][i], pa["qfi"][i],
-            pa["cfi_computational"][i], pa["cfi_collective"][i])))
-    write_text(pa_path, "\n".join(lines) + "\n")
+    pa_keys = ("n_mid", "n_cumulative", "qfi", "cfi_computational",
+               "cfi_collective")
+    emit_table([], list(zip(*(pa[k] for k in pa_keys))), pa_path, None,
+               ("n_mid", "n_cumulative", "qfi", "cfi_comp", "cfi_coll"))
     print(f"wrote {len(rows)} rows to {out} and point averages to {pa_path}")
     if len(pa["n_mid"]) >= 3 and np.all(pa["qfi"] > 0):
         fit = power_fit(pa["n_mid"], pa["qfi"])
@@ -195,7 +191,7 @@ def _cmd_noise(cfg: RunConfig) -> int:
 def _cmd_expcalc(cfg: RunConfig) -> int:
     params = cfg.fixed
     unit_scale = float(params.get("unit_scale", 1.0))
-    L = int(params.get("L", 10))
+    L = int(params["L"])
     if "f_pair_hz" in params or "coherence_s" in params:
         if not ("f_pair_hz" in params and "coherence_s" in params):
             raise ConfigError("expcalc needs both f_pair_hz and coherence_s "
@@ -215,12 +211,9 @@ def _cmd_expcalc(cfg: RunConfig) -> int:
     out = cfg.get("out")
     if out:
         keys = [k for k in records[0] if k != "material"]
-        lines = [",".join(["material"] + keys)]
-        for rec in records:
-            lines.append(",".join([str(rec.get("material", "custom"))] +
-                                  [_fmt(rec[k]) for k in keys]))
-        write_text(out, "\n".join(lines) + "\n")
-        write_sidecar(out, cfg.resolved())
+        emit_table(["material"], [
+            (rec.get("material", "custom"), *(rec[k] for k in keys))
+            for rec in records], out, cfg.resolved(), keys)
         print(f"wrote {len(records)} records to {out}")
     return 0
 

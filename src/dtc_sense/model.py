@@ -67,8 +67,8 @@ class ProbeConfig:
             raise ConfigError(f"length must be a positive integer, got {self.length}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.jz <= 0:
-            raise ConfigError(f"jz must be positive, got {self.jz}")
+        if not 0.0 < self.jz < np.inf:
+            raise ConfigError(f"jz must be positive and finite, got {self.jz}")
         if self.pair_dim not in PAIR_STATES:
             raise ConfigError(f"pair_dim must be 2 or 4, got {self.pair_dim}")
 
@@ -107,12 +107,13 @@ class FieldConfig:
     eta: float = 0.0
 
     def __post_init__(self):
-        if self.h_a < 0:
-            raise ConfigError(f"h_a must be nonnegative, got {self.h_a}")
+        if not 0.0 <= self.h_a < np.inf:
+            raise ConfigError(f"h_a must be finite and >= 0, got {self.h_a}")
         if not 0.0 <= self.eta < 1.0:
             raise ConfigError(f"eta must lie in [0, 1), got {self.eta}")
-        if self.delta_f <= -1.0:
-            raise ConfigError(f"delta_f must exceed -1, got {self.delta_f}")
+        if not -1.0 < self.delta_f < np.inf:
+            raise ConfigError(
+                f"delta_f must be finite and exceed -1, got {self.delta_f}")
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,20 @@
 Configs are plain key=value text (one pair per line, '#' comments).  Keys
 carry their units: couplings and rates are in units of the chain coupling
 (h_a_per_Jz, gamma_per_Jz), angles in radians (theta_rad).  Any axis key may
-hold a comma-separated list, which turns it into a sweep axis; the Cartesian
-product of all axes is evaluated, in parallel when workers > 1, and rows are
-emitted sorted by axis values so output never depends on completion order.
-Pure-state points that differ only in h_a_per_Jz run as one field batch
-(metrology.stroboscopic_traces); dephased points run one by one.
+hold a comma-separated list, which turns it into a sweep axis; apply_dict
+alone decides axis or fixed value, for config files and recipes alike.
+
+run_sweep builds and gates every point of the Cartesian product of the axes
+once, before any work, then groups the points by every axis value but
+h_a_per_Jz: a pure group runs as one field batch
+(metrology.stroboscopic_traces), a dephased point runs alone.  Groups run in
+parallel when workers > 1, and rows are emitted sorted by axis values so
+output never depends on completion order.  emit_table writes every CSV the
+CLI produces and each run's metadata sidecar.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field as dataclass_field
@@ -81,13 +87,16 @@ def base_config() -> RunConfig:
 
 
 def apply_dict(cfg: RunConfig, fragment: dict) -> RunConfig:
-    """Merge a config fragment (lists become sweep axes) into `cfg`."""
+    """Merge a config fragment into `cfg`: a list makes its key a sweep
+    axis, a scalar a fixed value."""
     for key, value in fragment.items():
         if key == "command":
             continue
         if isinstance(value, (list, tuple)):
             if key not in AXIS_KEYS:
                 raise ConfigError(f"key {key!r} is not sweepable")
+            if not value:
+                raise ConfigError(f"empty value list for {key!r}")
             cfg.axes[key] = list(value)
             cfg.fixed.pop(key, None)
         else:
@@ -96,41 +105,36 @@ def apply_dict(cfg: RunConfig, fragment: dict) -> RunConfig:
     return cfg
 
 
-def parse_config_text(text: str, overrides: dict | None = None,
-                      base: RunConfig | None = None) -> RunConfig:
+def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
+    """Merge key = value lines into `base` (default: `base_config()`); a
+    comma-separated value is a list."""
     cfg = base if base is not None else base_config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if "," in value:
-            if key not in AXIS_KEYS:
-                raise ConfigError(f"line {lineno}: key {key!r} is not sweepable")
-            cfg.axes[key] = [_parse_scalar(key, v.strip())
-                             for v in value.split(",") if v.strip()]
-            if not cfg.axes[key]:
-                raise ConfigError(f"line {lineno}: empty value list for {key!r}")
-            cfg.fixed.pop(key, None)
-        else:
-            cfg.fixed[key] = _parse_scalar(key, value)
-            cfg.axes.pop(key, None)
-    for k, v in (overrides or {}).items():
-        cfg.fixed[k] = v
+        key, eq, value = (part.strip() for part in line.partition("="))
+        try:
+            if not eq:
+                raise ConfigError(f"expected key = value, got {raw!r}")
+            if "," in value:
+                value = [_parse_scalar(key, v.strip())
+                         for v in value.split(",") if v.strip()]
+            else:
+                value = _parse_scalar(key, value)
+            apply_dict(cfg, {key: value})
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
     return cfg
 
 
-def load_config(path: str, overrides: dict | None = None,
-                base: RunConfig | None = None) -> RunConfig:
+def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, overrides, base)
+    return parse_config_text(text, base)
 
 
 #: smallest accepted value of each count key
@@ -163,34 +167,29 @@ def point_configs(params: dict, mixed: bool | None = None
     return probe, fld, init
 
 
-def evaluate_group(points: list[dict]) -> list[StroboscopicTrace]:
-    """Sweep points that differ only in h_a_per_Jz -> one stroboscopic trace
-    each: pure points as one field batch, dephased points one by one."""
-    params = points[0]
-    probe, _, init = point_configs(params)
-    fields = [point_configs(p)[1] for p in points]
+def evaluate_group(params: dict, configs: list) -> list[StroboscopicTrace]:
+    """The `point_configs` of sweep points that differ only in h_a_per_Jz
+    (`params`: any one of them) -> one stroboscopic trace each: pure points
+    as one field batch, dephased points one by one."""
+    probe, _, init = configs[0]
+    fields = [fld for _, fld, _ in configs]
     cycles = int(params["cycles"])
-    gamma = float(params.get("gamma_per_Jz", 0.0))
     if _runs_mixed(params):
+        gamma = float(params["gamma_per_Jz"])
         return [noisy_fisher(probe, fld, gamma, cycles, init) for fld in fields]
     return stroboscopic_traces(probe, fields, init, cycles)
 
 
 def evaluate_point(params: dict) -> StroboscopicTrace:
     """One sweep point -> one stroboscopic trace (pure or dephased)."""
-    return evaluate_group([params])[0]
+    return evaluate_group(params, [point_configs(params)])[0]
 
 
 def trace_rows(trace: StroboscopicTrace, key: tuple = ()) -> list[tuple]:
     """One CSV row per cycle, in CSV_COLUMNS order after the axis values `key`."""
-    return [key + (int(trace.n[i]), trace.imbalance[i], trace.qfi[i],
-                   trace.cfi_computational[i], trace.cfi_collective[i])
-            for i in range(len(trace))]
-
-
-def _eval_for_pool(group: list[tuple[tuple, dict]]):
-    keys, params = zip(*group)
-    return keys, evaluate_group(list(params))
+    columns = (trace.n, trace.imbalance, trace.qfi, trace.cfi_computational,
+               trace.cfi_collective)
+    return [key + row for row in zip(*(c.tolist() for c in columns))]
 
 
 def run_sweep(cfg: RunConfig, workers: int | None = None
@@ -201,39 +200,29 @@ def run_sweep(cfg: RunConfig, workers: int | None = None
     followed by the per-cycle record, already in deterministic order.
     """
     axis_names = [k for k in AXIS_KEYS if k in cfg.axes]
-    points: list[tuple[tuple, dict]] = []
-
-    def expand(i: int, chosen: dict):
-        if i == len(axis_names):
-            key = tuple(chosen[k] for k in axis_names)
-            points.append((key, {**cfg.fixed, **chosen}))
-            return
-        for v in cfg.axes[axis_names[i]]:
-            expand(i + 1, {**chosen, axis_names[i]: v})
-
-    expand(0, {})
-    for _, params in points:  # gate and validate every point before any work
-        point_configs(params)
-
-    # pure points that differ only in h_a_per_Jz share one field batch;
-    # each dephased point is a group of its own
-    groups: dict[tuple, list[tuple[tuple, dict]]] = {}
-    for key, params in points:
+    # every point is built and gated before any work; pure points that
+    # differ only in h_a_per_Jz share one field batch, each dephased point
+    # is a group of its own
+    groups: dict[tuple, tuple[list, dict, list]] = {}
+    for key in itertools.product(*(cfg.axes[k] for k in axis_names)):
+        params = {**cfg.fixed, **dict(zip(axis_names, key))}
         mixed = _runs_mixed(params)
         shared = key if mixed else tuple(
             v for name, v in zip(axis_names, key) if name != "h_a_per_Jz")
-        groups.setdefault((mixed, shared), []).append((key, params))
+        keys, _, configs = groups.setdefault((mixed, shared), ([], params, []))
+        keys.append(key)
+        configs.append(point_configs(params))
+    group_keys, group_params, group_configs = zip(*groups.values())
 
     workers = workers if workers is not None else int(cfg.get("workers", 1))
-    results: dict[tuple, StroboscopicTrace] = {}
     if workers > 1 and len(groups) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for keys, traces in pool.map(_eval_for_pool, groups.values()):
-                results.update(zip(keys, traces))
+            traces = list(pool.map(evaluate_group, group_params,
+                                   group_configs))
     else:
-        for group in groups.values():
-            results.update(zip(*_eval_for_pool(group)))
+        traces = map(evaluate_group, group_params, group_configs)
+    results = dict(zip(itertools.chain(*group_keys), itertools.chain(*traces)))
 
     rows = []
     for key in sorted(results):
@@ -251,39 +240,41 @@ def _fmt(x) -> str:
 
 
 def emit_table(axis_names: list[str], rows: list[tuple], out_path: str,
-               resolved_config: dict | None = None) -> None:
-    """Write the CSV and its metadata sidecar.
+               resolved_config: dict | None = None,
+               columns: tuple = CSV_COLUMNS) -> None:
+    """Write the CSV (header: axis names, then `columns`) and, given the
+    resolved config, its metadata sidecar.
 
-    Numbers use 12 significant digits; nothing time- or host-dependent is
-    written, so identical inputs give byte-identical files.
+    Every value follows `_fmt`: 12 significant digits, integral values as
+    integers; nothing time- or host-dependent is written, so identical
+    inputs give byte-identical files.
     """
     if not rows:
         raise ConfigError("refusing to write an empty result table")
-    header = list(axis_names) + list(CSV_COLUMNS)
-    lines = [",".join(header)]
+    row_fmt = ",".join(["%.12g"] * len(rows[0]))
+    lines = [",".join([*axis_names, *columns])]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    write_text(out_path, "\n".join(lines) + "\n")
+        # %.12g is _fmt except on text, -0.0, non-finite values and integral
+        # |x| >= 1e12, which it writes as '-0', 'nan', 'inf' or with 'e+'
+        try:
+            line = row_fmt % row
+            exact = not ("e+" in line or "n" in line or "-0," in line + ",")
+        except TypeError:
+            exact = False
+        lines.append(line if exact else ",".join(map(_fmt, row)))
+    files = {out_path: lines}
     if resolved_config is not None:
-        write_sidecar(out_path, resolved_config)
-
-
-def write_text(path: str, text: str) -> None:
-    """Write an output file; an unwritable path is a configuration error."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+        files[sidecar_path(out_path)] = [f"dtc-sense {__version__}"] + [
+            f"{key} = {_fmt(resolved_config[key])}"
+            for key in sorted(resolved_config)]
+    for path, file_lines in files.items():
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(file_lines) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 def sidecar_path(out_path: str) -> str:
     base, _ = os.path.splitext(out_path)
     return base + ".meta.txt"
-
-
-def write_sidecar(out_path: str, resolved_config: dict) -> None:
-    lines = [f"dtc-sense {__version__}"]
-    for key in sorted(resolved_config):
-        lines.append(f"{key} = {_fmt(resolved_config[key])}")
-    write_text(sidecar_path(out_path), "\n".join(lines) + "\n")

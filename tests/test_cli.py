@@ -3,13 +3,25 @@ import sys
 
 import pytest
 
+from dtc_sense import __version__
 from dtc_sense.cli import main
+from dtc_sense.lindblad import noisy_fisher
+from dtc_sense.metrology import point_average
+from dtc_sense.model import FieldConfig, ProbeConfig
+from dtc_sense.sweep import _fmt
 
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _assert_sidecar(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"dtc-sense {__version__}"
+    keys = [ln.split(" = ")[0] for ln in lines[1:]]
+    assert keys == sorted(keys)
 
 
 def test_simulate_writes_trace_csv(tmp_path, capsys):
@@ -95,6 +107,16 @@ def test_fit_on_sweep_output(tmp_path, capsys):
     header, values = fit_out.read_text().splitlines()
     assert header == "exponent,prefactor,r_squared"
     assert len(values.split(",")) == 3
+    _assert_sidecar(tmp_path / "fit.meta.txt")
+
+
+def test_fit_writes_integral_values_as_integers(tmp_path, capsys):
+    table = _write(tmp_path, "t.csv",
+                   "L,qfi\n2,16\n3,54\n4,128\n5,250\n")  # qfi = 2 L^3
+    cfg = _write(tmp_path, "f.cfg", f"in = {table}\nx = L\ny = qfi\n")
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_bytes() == b"exponent,prefactor,r_squared\n3,2,1\n"
 
 
 def test_fit_requires_input_path(tmp_path, capsys):
@@ -131,6 +153,7 @@ def test_transition_reports_peak(tmp_path, capsys):
     header, row = out.read_text().splitlines()
     assert header == "L,n,h_a_max"
     assert row.split(",")[0] == "2"
+    _assert_sidecar(tmp_path / "trans.meta.txt")
 
 
 def test_transition_runs_from_the_tilted_state(tmp_path, capsys):
@@ -155,6 +178,12 @@ def test_noise_writes_trace_and_point_averages(tmp_path, capsys):
     assert lines[0] == "n_mid,n_cumulative,qfi,cfi_comp,cfi_coll"
     assert len(lines) == 4  # K = 3 windows
     assert lines[1].split(",")[0] == "1"  # n_mid = dn(i - 1/2) = 1
+    # every line follows the one number rule on point_average's values
+    pa_ref = point_average(noisy_fisher(
+        ProbeConfig(length=2), FieldConfig(h_a=1e-3), 1e-3, 6), 2, 3)
+    assert lines[1:] == [",".join(_fmt(pa_ref[k][i]) for k in (
+        "n_mid", "n_cumulative", "qfi", "cfi_computational",
+        "cfi_collective")) for i in range(3)]
 
 
 _NOISE_CFG = ("L = 1\ngamma_per_Jz = 1e-3\nh_a_per_Jz = 1e-3\n"
@@ -264,6 +293,16 @@ def test_expcalc_custom_inputs(tmp_path, capsys):
     assert lines[0].startswith("material,f_pair_hz")
     assert lines[1].startswith("custom,60,")
     assert (tmp_path / "exp.meta.txt").exists()
+
+
+def test_expcalc_recipe_table_bytes(tmp_path, capsys):
+    out = tmp_path / "exp.csv"
+    assert main(["expcalc", "--recipe", "expcalc", "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "material,f_pair_hz,coherence_s,length,unit_scale,t2_ms,period_ms,"
+        "n_max,shots_per_s,sensitivity,sensitivity_coeff_per_l2\n"
+        "Dy,60,0.1,10,1,2.65258238486,2.65258238486,37,10.1889491468,"
+        "0.000241819192235,0.0266001111458\n")
 
 
 def test_expcalc_half_specified_custom_input(tmp_path, capsys):

@@ -44,6 +44,18 @@ def test_field_config_rejects_bad_values(kwargs):
         FieldConfig(**kwargs)
 
 
+@pytest.mark.parametrize("cls,kwargs", [
+    (FieldConfig, {"h_a": np.nan}), (FieldConfig, {"h_a": np.inf}),
+    (FieldConfig, {"delta_f": np.nan}), (FieldConfig, {"delta_f": np.inf}),
+    (ProbeConfig, {"length": 2, "jz": np.nan}),
+    (ProbeConfig, {"length": 2, "jz": np.inf}),
+])
+def test_configs_reject_non_finite_values(cls, kwargs):
+    # NaN fails no single comparison and inf passes a one-sided bound
+    with pytest.raises(ConfigError):
+        cls(**kwargs)
+
+
 def test_init_config_range():
     InitConfig(tilt=0.0)
     InitConfig(tilt=np.pi / 4)

@@ -48,12 +48,6 @@ def test_parse_rejects_empty_list():
         parse_config_text("eta = ,\n")
 
 
-def test_overrides_beat_file_values():
-    cfg = parse_config_text("L = 4\ncycles = 30\n", overrides={"cycles": 7})
-    assert cfg.get("cycles") == 7
-    assert cfg.get("L") == 4
-
-
 def test_later_assignment_replaces_axis():
     cfg = parse_config_text("eta = 0.0, 0.1\neta = 0.2\n")
     assert "eta" not in cfg.axes
@@ -231,6 +225,28 @@ def test_sidecar_lists_version_and_sorted_config(tmp_path):
     assert keys == sorted(keys)
     assert "L = 2" in lines[1:]
     assert not any("time" in ln.lower() for ln in lines)
+
+
+@pytest.mark.parametrize("value,text", [
+    (0.0, "0"), (-0.0, "0"), (1.0, "1"),
+    (123456789012345.0, "123456789012345"), (1e15, "1e+15"),
+    (1e-05, "1e-05"), (3.2e-10, "3.2e-10"),
+    (10 ** 16, "10000000000000000"), ("Dy", "Dy"),
+])
+def test_emit_table_number_rule_at_its_edges(tmp_path, value, text):
+    # the value opens, splits and closes a row of ordinary numbers
+    out = tmp_path / "edge.csv"
+    emit_table([], [(value, 0.5, value, -2.25, value)], str(out),
+               columns=tuple("abcde"))
+    assert out.read_text() == f"a,b,c,d,e\n{text},0.5,{text},-2.25,{text}\n"
+    assert sweep._fmt(value) == text
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_emit_table_rejects_non_finite_values(tmp_path, value):
+    with pytest.raises((ValueError, OverflowError)):
+        emit_table([], [(1.0, value)], str(tmp_path / "x.csv"),
+                   columns=("a", "b"))
 
 
 def test_emit_table_refuses_empty_rows(tmp_path):

@@ -105,6 +105,8 @@ def test_setup_probe_runs(engine):
     ("simulate", "", {"floquet.apply_cycle", "floquet.pair_gates"}),
     ("noise", "gamma_per_Jz = 1e-3\ndn = 1\nK = 2\n",
      {"lindblad.apply_cycle", "floquet.pair_gates"}),
+    # the tracer reads emit_table's output path from its third argument
+    ("sweep", "L = 2, 3\n", {"sweep.run_sweep", "sweep.emit_table"}),
 ])
 def test_traced_cli_runs(tmp_path, command, config, spans):
     # the counter hooks run only under tracing; the Lindblad one reads
@@ -125,3 +127,5 @@ def test_traced_cli_runs(tmp_path, command, config, spans):
     assert spans <= {name for name, *_ in traced["spans"]}
     if command == "noise":
         assert traced["counters"]["lindblad.apply_cycle.gflop_computed"] > 0
+    if command == "sweep":
+        assert traced["counters"]["sweep.emit_table.bytes"] > 0
