@@ -2,16 +2,24 @@
 
 One drive cycle of period T = t1 + t2 factorizes into
 
-  1. a diagonal half-period  exp(-i [t1 * H_chain + Theta_1 * (G_a + eta G_b)])
+  1. a diagonal half-period  exp(-i [t1 * H_chain + Theta_1 * sum_j w_j])
      (intra-chain ZZ couplings plus the accumulated gradient-field phase), then
-  2. L disjoint pair gates   exp(-i [t2 * J_ab * hop_j + Theta_2 * j * (s^az_j + eta s^bz_j)])
-     acting on each (a_j, b_j) pair.
+  2. L disjoint pair gates   U_j = exp(-i [t2 * J_ab * hop_j + Theta_2 * w_j])
+     acting on each (a_j, b_j) pair,
+
+where w_j = j (s^az_j + eta s^bz_j) is pair j's field term, one (L, d) array
+from model.field_weights for both halves.  The diagonal half is two
+commuting factors: the h_a-independent chain factor exp(-i t1 H_chain),
+built once per engine, and one pair factor D_j = exp(-i Theta_1 w_j) per
+pair.  Each D_j is folded into its pair's gate, so a cycle is one multiply
+by the chain factor and then the L gates U_j D_j.
 
 The engine runs at the pair dimension d of its ProbeConfig (model docstring):
-the diagonals are sums of pair and bond terms, and each pair gate is the 4x4
-exponent restricted to the d kept local states, so it is 4x4 on the full
-space and 2x2 in the one-up-per-pair sector, where it reads
-exp(-i [t2 J_ab tau^x_j + Theta_2 j (1 - eta) tau^z_j]).
+the chain factor is a sum of bond terms, and each gate is the 4x4 one
+restricted to the d kept local states, so it is 4x4 on the full space and
+2x2 in the one-up-per-pair sector, where U_j D_j reads
+exp(-i [t2 J_ab tau^x_j + Theta_2 j (1 - eta) tau^z_j])
+exp(-i Theta_1 j (1 - eta) tau^z_j).
 
 The sinusoidal drive enters only through its per-half-period time integral
 Theta (the square-pulse/accumulated-phase approximation); there is no
@@ -20,20 +28,23 @@ sub-half-period time stepping.  Theta = h_a * Theta_unit is linear in h_a.
 Batched fields.  One engine propagates B fields that share (delta_f, eta) and
 differ in h_a; a single field is B = 1.  Their states are one complex array
 of shape (B, c, d^L): c = 2 stacks psi and its h_a-derivative d psi (the
-tangent), c = 1 holds psi alone.  The pair gates of all L pairs and B fields
-for one Theta_unit come from one batched eigh, with each gate's derivative
-from the eigendecomposition divided-difference (Daleckii-Krein) formula; a
-resonant drive has two values of Theta_unit, so its gates are built twice.
+tangent), c = 1 holds psi alone.  The gates of all L pairs and B fields for
+one cycle's (Theta_1, Theta_2) units come from one batched eigh, with each
+U's derivative from the eigendecomposition divided-difference
+(Daleckii-Krein) formula.  A resonant drive has two such unit pairs (equal
+within a cycle, of opposite sign in odd and even cycles), so its gates are
+built twice, and no later cycle computes an exponential.
 
 Fused block gate.  Each pair acts on (psi, d psi) through the 2d x 2d block
-gate [[U, 0], [dU, U]] (new d psi = dU psi + U d psi): one matmul per pair
-for all fields.  Pairs run from L down to 1, each as the most significant
-digit of the basis index: the matmul contracts the (c, top digit) axis and
-its result moves that digit to the least significant place, so after L
-pairs the digits are back in order, at one matmul and one copy per pair.
-This loop, apply_pair_gates, also runs the Lindblad engine's exchange half
-at local dimension d^2; LindbladEngine subclasses FloquetEngine and reuses
-its exponents (_exponents) and pair-block cache (lindblad docstring).
+gate [[U D, 0], [dU D + U dD, U D]] (new d psi = d(U D) psi + U D d psi):
+one matmul per pair for all fields.  Pairs run from L down to 1, each as the
+most significant digit of the basis index: the matmul contracts the (c, top
+digit) axis and its result moves that digit to the least significant place,
+so after L pairs the digits are back in order, at one matmul and one copy
+per pair.  This loop, apply_pair_gates, also runs the Lindblad engine's
+cycle at local dimension d^2; LindbladEngine subclasses FloquetEngine and
+reuses its field weights, exponents (_exponents), diagonal fold and
+pair-block cache (lindblad docstring).
 
 Horizontal gauge.  The exact d psi / d h_a gathers a phase-derivative part
 i a psi (a real, growing linearly in n: |a| = 334 at L = 6 after 50
@@ -45,7 +56,7 @@ which is then d psi / d h_a up to such a phase term.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,10 +68,17 @@ from .model import (
     PureState,
     build_initial_state,
     chain_interaction_diagonal,
+    field_weights,
     observable_diagonal,
 )
 
 _DEGENERATE_EIG = 1e-12
+
+#: The pair exchange |a down, b up><a up, b down| + h.c. on the local states
+#: model.PAIR_STATES keeps at each d: it couples full local states 1 and 2
+#: only.
+_HOP = {d: np.array([[{i, j} == {1, 2} for j in k] for i in k], dtype=float)
+        for d, k in PAIR_STATES.items()}
 
 
 def theta_half(n: int, half: int, field: FieldConfig, cfg: ProbeConfig) -> float:
@@ -84,49 +102,6 @@ def theta_half(n: int, half: int, field: FieldConfig, cfg: ProbeConfig) -> float
     return field.h_a * (np.cos(w * a) - np.cos(w * b)) / w
 
 
-def _theta_unit(n: int, half: int, field: FieldConfig, cfg: ProbeConfig) -> float:
-    """d Theta / d h_a (Theta at unit amplitude; Theta is linear in h_a)."""
-    unit = FieldConfig(h_a=1.0, delta_f=field.delta_f, eta=field.eta)
-    return theta_half(n, half, unit, cfg)
-
-
-@dataclass(frozen=True)
-class DiagonalPhase:
-    """First half-period factor exp(-i phases), one row of phases per field
-    (shape (B, d^L)); `gradient`, the diagonal of the field generator
-    G_a + eta G_b, and `dtheta_dh` are shared by the fields."""
-
-    phases: np.ndarray
-    gradient: np.ndarray
-    dtheta_dh: float
-
-
-def _pair_exponent(site: int, theta: float, eta: float, angle: float,
-                   pair_dim: int) -> np.ndarray:
-    """Hermitian exponent of the pair gate on the local states that
-    model.PAIR_STATES keeps at `pair_dim`, out of the full local basis
-    {(a up, b up), (a down, b up), (a up, b down), (a down, b down)}."""
-    M = np.zeros((4, 4))
-    M[0, 0] = site * theta * (1 + eta)
-    M[1, 1] = site * theta * (-1 + eta)
-    M[2, 2] = site * theta * (1 - eta)
-    M[3, 3] = -site * theta * (1 + eta)
-    M[1, 2] = M[2, 1] = angle
-    local = list(PAIR_STATES[pair_dim])
-    return M[local][:, local]
-
-
-def cached_pair_gates(cache: dict, unit: float, build) -> np.ndarray:
-    """build(unit), cached for the two latest Theta units: both units of a
-    resonant drive."""
-    gates = cache.get(unit)
-    if gates is None:
-        if len(cache) == 2:
-            del cache[next(iter(cache))]
-        gates = cache[unit] = build(unit)
-    return gates
-
-
 def apply_pair_gates(X: np.ndarray, gates: np.ndarray) -> np.ndarray:
     """The (B, c, D^L) stacks X, one base-D digit per pair, after the pair
     blocks `gates` (L, B, 2D, 2D) of the module docstring; c = 1 uses only
@@ -140,10 +115,11 @@ def apply_pair_gates(X: np.ndarray, gates: np.ndarray) -> np.ndarray:
 
 
 class FloquetEngine:
-    """Caches the diagonal vectors and pair gates for repeated cycle
+    """Caches the chain factor and the folded pair gates for repeated cycle
     application to one FieldConfig, or a list of them sharing (delta_f, eta)
     (module docstring).  Off resonance each cycle builds L*B fresh d x d
-    eigendecompositions, small next to the statevector work.
+    eigendecompositions and diagonal factors, small next to the statevector
+    work.
     """
 
     def __init__(self, cfg: ProbeConfig,
@@ -156,38 +132,52 @@ class FloquetEngine:
                              f"shared (delta_f, eta); got {sorted(shared)}")
         self.cfg = cfg
         self.h_a = np.array([f.h_a for f in self.fields])
-        self.e_chain = chain_interaction_diagonal(cfg)
-        g_a = observable_diagonal(cfg, "gradient-z-a")
-        g_b = observable_diagonal(cfg, "gradient-z-b")
-        self.gradient = g_a + self.fields[0].eta * g_b
+        # Theta is linear in h_a: Theta = h_a * theta_half(.., unit field, ..)
+        self._unit_field = replace(self.fields[0], h_a=1.0)
+        self.weights = field_weights(cfg, self.fields[0].eta)
+        self.chain = np.exp(-1j * cfg.t1 * chain_interaction_diagonal(cfg))
         self.imbalance_diag = observable_diagonal(cfg, "imbalance-numerator")
-        self._gate_cache: dict[float, np.ndarray] = {}
-
-    def diagonal_phase(self, n: int) -> DiagonalPhase:
-        unit = _theta_unit(n, 1, self.fields[0], self.cfg)
-        phases = (self.cfg.t1 * self.e_chain
-                  + (self.h_a * unit)[:, None] * self.gradient)
-        return DiagonalPhase(phases, self.gradient, unit)
+        # the diagonal half's field weights and t1 decay on the local states
+        # a pair block acts on (LindbladEngine lifts both)
+        self._phase_w, self._t1_decay = self.weights, 1.0
+        self._gate_cache: dict[tuple[float, float], np.ndarray] = {}
 
     def pair_gates(self, n: int) -> np.ndarray:
-        """Block gates [[U, 0], [dU/dh_a, U]] of the exchange half of cycle
-        n: shape (L, B, 2d, 2d), row j-1 for the (a_j, b_j) pair."""
-        unit = _theta_unit(n, 2, self.fields[0], self.cfg)
-        return cached_pair_gates(self._gate_cache, unit, self._build_gates)
+        """Block gates [[U D, 0], [d(U D)/dh_a, U D]] of cycle n, the
+        exchange-half gate U after the diagonal half's pair factor D: shape
+        (L, B, 2d, 2d), row j-1 for the (a_j, b_j) pair.  Cached for the two
+        latest (Theta_1, Theta_2) units: both of a resonant drive."""
+        units = (theta_half(n, 1, self._unit_field, self.cfg),
+                 theta_half(n, 2, self._unit_field, self.cfg))
+        gates = self._gate_cache.get(units)
+        if gates is None:
+            if len(self._gate_cache) == 2:
+                del self._gate_cache[next(iter(self._gate_cache))]
+            gates = self._gate_cache[units] = self._build_gates(*units)
+        return gates
+
+    def _build_gates(self, unit1: float, unit2: float) -> np.ndarray:
+        """The exchange blocks at Theta_2 = h_a * unit2 with the factors
+        D = exp(-i Theta_1 w) * t1 decay folded in (module docstring)."""
+        blocks = self._exchange_blocks(unit2)
+        dlog = -1j * unit1 * self._phase_w[:, None, :]  # dD/dh_a = dlog D
+        D = np.exp(self.h_a[:, None] * dlog) * self._t1_decay
+        k = D.shape[-1]
+        gates = blocks * np.concatenate((D, D), axis=-1)[..., None, :]
+        gates[..., k:, :k] += blocks[..., :k, :k] * (dlog * D)[..., None, :]
+        return gates
 
     def _exponents(self, unit: float) -> tuple[np.ndarray, np.ndarray]:
-        """Hermitian exponents M of the pair gates at Theta = h_a * unit and
-        their derivatives dM/dTheta: shapes (L, B, d, d) and (L, 1, d, d)."""
-        cfg, d = self.cfg, self.cfg.pair_dim
-        eta = self.fields[0].eta
-        sites = np.arange(1, cfg.length + 1)[:, None, None, None]
-        # the exponent is linear in site * Theta: M = site Theta dM + M0
-        dM = _pair_exponent(1, 1.0, eta, 0.0, d)
-        M0 = _pair_exponent(1, 0.0, eta, cfg.t2 * cfg.jab, d)
-        M = sites * (self.h_a * unit)[:, None, None] * dM + M0
-        return M, sites * dM
+        """Hermitian exponents M = Theta_2 w_j + t2 J_ab hop of the exchange
+        half at Theta_2 = h_a * unit, and their derivatives dM/dTheta_2 = w_j:
+        shapes (L, B, d, d) and (L, 1, d, d)."""
+        cfg = self.cfg
+        dM = self.weights[:, None, :, None] * np.eye(cfg.pair_dim)
+        M = (self.h_a * unit)[:, None, None] * dM \
+            + cfg.t2 * cfg.jab * _HOP[cfg.pair_dim]
+        return M, dM
 
-    def _build_gates(self, unit: float) -> np.ndarray:
+    def _exchange_blocks(self, unit: float) -> np.ndarray:
         d = self.cfg.pair_dim
         M, dM = self._exponents(unit)
         lam, V = np.linalg.eigh(M)
@@ -211,8 +201,8 @@ class FloquetEngine:
 
         `state.amplitudes` holds one field's d^L amplitudes, or one row of
         them per field of the batch; an attached tangent of the same shape
-        is co-propagated.  The diagonal half acts first, then the L pair
-        gates (disjoint supports, order-independent).
+        is co-propagated.  The chain factor acts first, then the L folded
+        pair gates (disjoint supports, order-independent).
         """
         cfg, B = self.cfg, len(self.fields)
         psi, tan = state.amplitudes, state.tangent
@@ -222,11 +212,8 @@ class FloquetEngine:
                 f"L={cfg.length}, d={cfg.pair_dim} (expect rows of {cfg.dim})")
         X = psi[..., None, :] if tan is None else np.stack((psi, tan), axis=-2)
         c = X.shape[-2]
-        diag = self.diagonal_phase(n)
-        X = np.exp(-1j * diag.phases)[:, None, :] * X.reshape(B, c, cfg.dim)
-        if tan is not None:
-            X[:, 1] += (-1j * diag.dtheta_dh) * diag.gradient * X[:, 0]
-        X = apply_pair_gates(X, self.pair_gates(n))
+        X = apply_pair_gates(self.chain * X.reshape(B, c, cfg.dim),
+                             self.pair_gates(n))
         if tan is not None:  # horizontal gauge (module docstring)
             X[:, 1] -= 1j * (X[:, 0].conj() * X[:, 1]).sum(-1).imag[:, None] \
                 * X[:, 0]

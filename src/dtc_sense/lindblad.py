@@ -8,13 +8,18 @@ chains.  In the computational basis the dephasing superoperator is
 elementwise: (sum_j sigma^z_j rho sigma^z_j) - 2L rho has matrix elements
 -2 * hamming(z XOR z') * rho_{zz'}.
 
-Every term of each half's generator is pair-local, and the terms commute, so
-each half has an exact channel built from the unitary engine's pieces, at
-the engine's pair dimension d (4 on the full space, 2 in the one-up-per-pair
-sector; see the model docstring):
+Each half's generator is a sum of commuting pair-local terms, plus, in
+the diagonal half, the h_a-independent Ising term, so each half has an
+exact channel built from the unitary engine's pieces, at the engine's pair
+dimension d (4 on the full space, 2 in the one-up-per-pair sector; see the
+model docstring):
 
-  1. diagonal half: rho_{zz'} <- exp(-i (phi_z - phi_z') - 2 Gamma t1 hamming(z, z')) rho_{zz'},
-     with phi = t1 E_chain + Theta_1 (G_a + eta G_b) the pure engine's phases;
+  1. diagonal half: rho_{zz'} <- C_{zz'} prod_j D_j(z_j, z'_j) rho_{zz'},
+     with the chain factor C_{zz'} = exp(-i t1 (E_z - E_z')) (E the Ising
+     energies) and the pair factors
+     D_j(k, k') = exp(-i Theta_1 (w_j[k] - w_j[k'])
+                      - 2 Gamma t1 hamming_d(k, k')),
+     w_j the pure engine's field weights;
   2. exchange half: L commuting d^2 x d^2 pair superoperators
      S_j = exp(A_j),  A_j = -i (M_j x 1 - 1 x M_j^T) - 2 Gamma t2 diag(hamming_d),
      where M_j is the pure engine's d x d pair-gate exponent and hamming_d
@@ -24,23 +29,23 @@ hamming counts the spins on which z and z' differ; in the sector a tau flip
 flips both spins of its pair, so sigma^z dephasing at rate Gamma on a_j and
 b_j acts there as tau^z dephasing at rate 2 Gamma.
 
-The derivative d rho / d h_a is co-propagated by the product rule: each
+The derivative d rho / d h_a is co-propagated by the product rule.  Each
 pair's block [[S_j, 0], [dS_j/dh_a, S_j]] is exp([[A_j, 0], [Theta_unit E_j,
 A_j]]) with E_j = dA_j/dTheta (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
-30, 1639 (2009)).  For the exchange half, (rho, d rho) is transposed into
-one (1, 2, d^(2L)) array with one digit (z_j, z'_j), the row-major vec of
-the pair's d x d block, per pair (pair 1 least significant).  There the
-blocks act as the unitary engine's block gates do on (psi, d psi), so
-floquet.apply_pair_gates runs them at local dimension d^2; one transpose
-restores the matrices.  There is no time stepping and no finite difference.
+30, 1639 (2009)), and D_j, diagonal on the pair's vec, is folded into it
+as in the unitary engine: [[S_j D_j, 0], [dS_j D_j + S_j dD_j, S_j D_j]].
+The chain factor needs no derivative.  So a cycle multiplies (rho, d rho)
+by C once, transposes them into one (1, 2, d^(2L)) array with one digit
+(z_j, z'_j), the row-major vec of the pair's d x d block, per pair (pair 1
+least significant), runs the L blocks through floquet.apply_pair_gates at
+local dimension d^2, as the unitary engine runs its gates on (psi, d psi),
+and transposes back.  There is no time stepping and no finite difference.
 
-LindbladEngine is a FloquetEngine: it reuses the diagonals, the exponents
-M_j and dM_j/dTheta and the pair-block cache, and exponentiates the L lifted
-blocks as one stack.  Its diagonal half stays in matrix layout: as a
-diagonal factor on vec rho, rebuilt each cycle, resonant cycles ran 10-20 %
-slower at L = 6-10 (0.245 -> 0.29, 4.8 -> 5.8 and 125 -> 135 ms on 2 vCPUs),
-and cached per Theta unit it raised the peak RSS of a tilt-0 L = 10 noise
-run from 284 to 323 MB.
+LindbladEngine is a FloquetEngine: it reuses the field weights, the
+exponents M_j and dM_j/dTheta, the fold of D_j and the block cache, and
+exponentiates the L lifted blocks as one stack.  C is the outer product of
+the unitary engine's chain factor with its conjugate, one d^L x d^L matrix
+built once per engine.
 
 noisy_fisher has no readout of its own: metrology.record_trace, the loop
 the pure-state traces run too, reads (diag rho, diag d rho) through
@@ -85,15 +90,11 @@ class MixedState:
         return np.diag(self.rho).real, np.diag(self.tangent).real
 
 
-def hamming_distance_matrix(cfg: ProbeConfig) -> np.ndarray:
-    """hamming(z XOR z') over all basis-integer pairs (small ints as float),
-    summed one pair (one base-d digit of z and of z') at a time."""
-    sa, sb = pair_spins(cfg.pair_dim)
-    H = h = (sa[:, None] != sa) + (sb[:, None] != sb) * 1.0
-    for _ in range(cfg.length - 1):
-        H = (h[:, None, :, None] + H[None, :, None, :]) \
-            .reshape(h.shape[0] * H.shape[0], -1)
-    return H
+def hamming_distance_matrix(pair_dim: int) -> np.ndarray:
+    """hamming(k XOR k') between the d local states of one pair, counted
+    over its two spins (small ints as float): shape (d, d), d = pair_dim."""
+    sa, sb = pair_spins(pair_dim)
+    return (sa[:, None] != sa) + (sb[:, None] != sb) * 1.0
 
 
 def _expm(X: np.ndarray) -> np.ndarray:
@@ -124,15 +125,19 @@ class LindbladEngine(FloquetEngine):
 
     def __init__(self, cfg: ProbeConfig, field: FieldConfig, gamma: float):
         super().__init__(cfg, field)
-        self.decay = np.exp(-2.0 * gamma * cfg.t1 * hamming_distance_matrix(cfg))
-        # a single pair: Hamming distance over its two spins
-        pair = ProbeConfig(length=1, pair_dim=cfg.pair_dim)
-        self._pair_deph = 2.0 * gamma * cfg.t2 * hamming_distance_matrix(pair)
+        self.chain = np.outer(self.chain, self.chain.conj())
+        # on the row-major vec of a pair's d x d block of rho: the field
+        # phase w_k - w_k' and the dephasing of each half
+        w = self.weights
+        ham = hamming_distance_matrix(cfg.pair_dim).reshape(-1)
+        self._phase_w = (w[:, :, None] - w[:, None, :]).reshape(cfg.length, -1)
+        self._t1_decay = np.exp(-2.0 * gamma * cfg.t1 * ham)
+        self._pair_deph = 2.0 * gamma * cfg.t2 * ham
         # axes (c, z_L..z_1, z'_L..z'_1) to (c, z_L, z'_L, .., z_1, z'_1)
         L = cfg.length
         self._interleave = [0, *np.arange(1, 2 * L + 1).reshape(2, L).T.flat]
 
-    def _build_gates(self, unit: float) -> np.ndarray:
+    def _exchange_blocks(self, unit: float) -> np.ndarray:
         """Block superoperators [[S, 0], [dS/dh_a, S]] of the exchange half
         at Theta = h_a * unit, on the row-major vec of each pair's d x d
         block of rho: shape (L, 1, 2d^2, 2d^2), row j-1 for the (a_j, b_j)
@@ -143,21 +148,15 @@ class LindbladEngine(FloquetEngine):
         def lift(X):  # X rho - rho X as a matrix on the row-major vec of rho
             return -1j * (np.kron(X, eye) - np.kron(eye, X.swapaxes(-1, -2)))
 
-        A = lift(M) - np.diag(self._pair_deph.reshape(-1))
+        A = lift(M) - np.diag(self._pair_deph)
         E = unit * lift(dM)  # the exponent is linear in Theta
         return _expm(np.block([[A, np.zeros_like(A)], [E, A]]))
 
     def apply_cycle(self, state: MixedState, n: int) -> MixedState:
         cfg, d = self.cfg, self.cfg.pair_dim
-        diag = self.diagonal_phase(n)
-        f = np.exp(-1j * diag.phases[0])
-        m = np.outer(f, f.conj()) * self.decay
-        rho = m * state.rho
-        tan = state.tangent
-        if tan is not None:
-            g = diag.gradient
-            tan = m * tan - (1j * diag.dtheta_dh) * (g[:, None] * rho - rho * g)
-        Y = rho[None] if tan is None else np.stack((rho, tan))
+        Y = np.stack((state.rho,) if state.tangent is None
+                     else (state.rho, state.tangent))
+        Y *= self.chain
         c = Y.shape[0]
         digits = (c,) + (d,) * (2 * cfg.length)
         X = Y.reshape(digits).transpose(self._interleave).reshape(1, c, -1)

@@ -39,8 +39,6 @@ MIXED_STATE_MAX_DIM = 4 ** 5
 #: Kinds accepted by :func:`observable_diagonal`, each mapping site j to the
 #: weights (on sigma^z_{a,j}, on sigma^z_{b,j}).
 OBSERVABLE_KINDS = {
-    "gradient-z-a": lambda j: (j, 0),         # sum_j j * sigma^z_{a,j}
-    "gradient-z-b": lambda j: (0, j),         # sum_j j * sigma^z_{b,j}
     "imbalance-numerator": lambda j: (1, -1),  # sum_j (sigma^z_{a,j} - sigma^z_{b,j})
 }
 
@@ -184,6 +182,15 @@ def pair_sum(local: np.ndarray) -> np.ndarray:
     for v in local[1:]:
         out = (v[:, None] + out[None, :]).reshape(-1)
     return out
+
+
+def field_weights(cfg: ProbeConfig, eta: float) -> np.ndarray:
+    """j (sigma^z_{a,j} + eta sigma^z_{b,j}) over the d local states of each
+    pair j: the field term of both half-periods, shape (L, d), row j-1 for
+    pair j.  pair_sum of it is the diagonal of the field generator
+    G_a + eta G_b."""
+    sa, sb = pair_spins(cfg.pair_dim)
+    return np.arange(1.0, cfg.length + 1)[:, None] * (sa + eta * sb)
 
 
 def observable_diagonal(cfg: ProbeConfig, kind: str) -> np.ndarray:

@@ -126,10 +126,21 @@ def test_pair_gates_unitary_and_block_diagonal(eps, h, eta, n):
 
 
 def test_diagonal_half_preserves_norm():
+    # the diagonal half is the chain factor times, folded into each pair's
+    # gate U D, the pair factor D = exp(-i Theta_1 j (s^az_j + eta s^bz_j)):
+    # phases only
     cfg = ProbeConfig(length=3)
-    diag = FloquetEngine(cfg, FieldConfig(h_a=0.2, eta=0.1)).diagonal_phase(1)
-    phase = np.exp(-1j * diag.phases)
-    assert np.allclose(np.abs(phase), 1.0, atol=1e-12)
+    fld = FieldConfig(h_a=0.2, eta=0.1)
+    engine = FloquetEngine(cfg, fld)
+    assert np.allclose(np.abs(engine.chain), 1.0, atol=1e-12)
+    exchange = engine._exchange_blocks(
+        theta_half(1, 2, FieldConfig(h_a=1.0, eta=0.1), cfg))
+    theta1 = theta_half(1, 1, fld, cfg)
+    sa, sb = np.array([1, -1, 1, -1]), np.array([1, 1, -1, -1])
+    for site, g, u in zip(range(1, 4), engine.pair_gates(1), exchange):
+        D = _first_field(u)[0].conj().T @ _first_field(g)[0]
+        assert np.allclose(D, np.diag(np.exp(-1j * theta1 * site
+                                             * (sa + 0.1 * sb))), atol=1e-12)
 
 
 # ------------------------------------------------------------- cycle algebra
@@ -156,9 +167,9 @@ def test_gate_order_is_irrelevant():
     cfg = ProbeConfig(length=4, epsilon=0.07)
     fld = FieldConfig(h_a=0.05, eta=0.1)
     engine = FloquetEngine(cfg, fld)
-    diag, gates = engine.diagonal_phase(1), engine.pair_gates(1)
+    gates = engine.pair_gates(1)  # the folded gates U D of the pairs
     psi0 = build_initial_state(cfg, InitConfig(tilt=0.1)).amplitudes
-    psi0 = np.exp(-1j * diag.phases[0]) * psi0
+    psi0 = engine.chain * psi0
     sites = range(1, cfg.length + 1)
     out_fwd = psi0.copy()
     for site, g in zip(sites, gates):

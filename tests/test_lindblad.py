@@ -4,7 +4,7 @@ import scipy.linalg
 
 import oracles
 from dtc_sense.errors import ResourceLimitError
-from dtc_sense.floquet import FloquetEngine
+from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent
 from dtc_sense.lindblad import (
     LindbladEngine,
     MixedState,
@@ -55,8 +55,7 @@ def _trajectory(cfg, fld, gamma, cycles):
 # -------------------------------------------------------------- ingredients
 
 def test_hamming_matrix_small_case():
-    cfg = ProbeConfig(length=1)
-    D = hamming_distance_matrix(cfg)
+    D = hamming_distance_matrix(4)
     assert D[0, 0] == 0 and D[0, 3] == 2 and D[1, 2] == 2 and D[0, 1] == 1
     assert np.all(D == D.T)
 
@@ -185,6 +184,35 @@ def test_gate_cache_holds_the_two_latest_theta_units():
         assert np.array_equal(cached.tangent, fresh.tangent)
     assert len(engine._gate_cache) == 2
     assert engine.pair_gates(5) is engine.pair_gates(1)
+
+
+def test_resonant_cycles_after_the_second_compute_no_exponential(monkeypatch):
+    # by cycle 2 a resonant drive has cached the blocks of both its
+    # (Theta_1, Theta_2) units, and the diagonal half is the cached chain
+    # factor times the pair factors folded into those blocks
+    cfg, fld = ProbeConfig(length=2), FieldConfig(h_a=0.1, eta=0.1)
+    pure = FloquetEngine(cfg, fld)
+    mixed = LindbladEngine(cfg, fld, 1e-3)
+    psi = initial_state_with_tangent(cfg)
+    rho = initial_mixed_state(cfg, InitConfig(tilt=0.1))
+    rho.tangent = np.zeros_like(rho.rho)
+    for n in (1, 2):
+        pure.apply_cycle(psi, n)
+        mixed.apply_cycle(rho, n)
+    calls, exp = [], np.exp
+
+    def counted_exp(*args, **kwargs):
+        calls.append(args)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted_exp)
+    for n in range(3, 9):
+        pure.apply_cycle(psi, n)
+        mixed.apply_cycle(rho, n)
+    assert calls == []
+    # the counter sees the exponentials of a fresh engine's first cycle
+    FloquetEngine(cfg, fld).apply_cycle(psi, 9)
+    assert calls
 
 
 def test_initial_mixed_state_is_projector():

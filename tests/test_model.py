@@ -14,7 +14,9 @@ from dtc_sense.model import (
     chain_interaction_diagonal,
     collective_index_a,
     engine_probe,
+    field_weights,
     observable_diagonal,
+    pair_sum,
 )
 
 
@@ -102,7 +104,7 @@ def test_initial_state_norm_and_fidelity(L, tilt):
 
 def test_gradient_observable_extremes():
     cfg = ProbeConfig(length=2)
-    d = observable_diagonal(cfg, "gradient-z-a")
+    d = pair_sum(field_weights(cfg, 0.0))
     assert d[0] == pytest.approx(3.0)          # all up: 1 + 2
     lam = cfg.length * (cfg.length + 1) / 2
     assert d.max() == pytest.approx(lam)
@@ -113,7 +115,7 @@ def test_gradient_observable_extremes():
 
 def test_gradient_extremes_attained_at_polarized_configs():
     cfg = ProbeConfig(length=3)
-    d = observable_diagonal(cfg, "gradient-z-a")
+    d = pair_sum(field_weights(cfg, 0.0))
     z_all_up_a = 0                      # every a-bit clear
     z_all_down_a = 0b010101             # every a-bit set, b-bits clear
     assert d[z_all_up_a] == d.max()
@@ -170,12 +172,14 @@ def _dense_diagonals(cfg):
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
 def test_pair_local_diagonals_match_independent_references(L):
     # the oracle embeds each sigma^z on qubit 2(j-1) (a_j) or 2(j-1) + 1
-    # (b_j), bit value 1 being spin down; every value is a small integer
+    # (b_j), bit value 1 being spin down; every value is a small integer or
+    # (the field generator at eta = 1/2) half of one
     cfg = ProbeConfig(length=L)
     dense = _dense_diagonals(cfg)
+    dense["g_a + g_b / 2"] = dense["g_a"] + 0.5 * dense["g_b"]
     ours = {"h_chain": chain_interaction_diagonal(cfg),
-            "g_a": observable_diagonal(cfg, "gradient-z-a"),
-            "g_b": observable_diagonal(cfg, "gradient-z-b"),
+            "g_a": pair_sum(field_weights(cfg, 0.0)),
+            "g_a + g_b / 2": pair_sum(field_weights(cfg, 0.5)),
             "imbalance_num": observable_diagonal(cfg, "imbalance-numerator")}
     for name, diag in ours.items():
         assert diag.dtype == np.float64
@@ -187,8 +191,14 @@ def test_pair_local_diagonals_match_independent_references(L):
     assert idx.dtype == np.int64
     assert np.array_equal(idx, clear_even_bits)
     if L <= 3:
+        # the one-pair Hamming matrix, summed over the pair digits of z and
+        # z', is the Hamming distance over all 2L spins
+        ham = hamming_distance_matrix(4)
+        digits = [[(k >> 2 * j) & 3 for j in range(L)] for k in z]
+        summed = [[sum(ham[a, b] for a, b in zip(dk, dk2)) for dk2 in digits]
+                  for dk in digits]
         popcount = [[bin(k ^ k2).count("1") for k2 in z] for k in z]
-        assert np.array_equal(hamming_distance_matrix(cfg), popcount)
+        assert np.array_equal(summed, popcount)
 
 
 def test_chain_diagonal_scales_with_jz():
@@ -227,15 +237,18 @@ def test_sector_table_and_diagonals_are_full_space_columns(L):
     # (and the initial state) is the full-space one restricted to the sector
     full, sector = ProbeConfig(length=L), ProbeConfig(length=L, pair_dim=2)
     cols = _sector_columns(L)
-    for kind in ("gradient-z-a", "gradient-z-b", "imbalance-numerator"):
-        assert np.array_equal(observable_diagonal(sector, kind),
-                              observable_diagonal(full, kind)[cols])
+    for eta in (0.0, 0.5):
+        assert np.array_equal(pair_sum(field_weights(sector, eta)),
+                              pair_sum(field_weights(full, eta))[cols])
+    kind = "imbalance-numerator"
+    assert np.array_equal(observable_diagonal(sector, kind),
+                          observable_diagonal(full, kind)[cols])
     assert np.array_equal(chain_interaction_diagonal(sector),
                           chain_interaction_diagonal(full)[cols])
     assert np.array_equal(collective_index_a(sector),
                           collective_index_a(full)[cols])
-    assert np.array_equal(hamming_distance_matrix(sector),
-                          hamming_distance_matrix(full)[np.ix_(cols, cols)])
+    assert np.array_equal(hamming_distance_matrix(2),
+                          hamming_distance_matrix(4)[np.ix_([2, 1], [2, 1])])
     state = build_initial_state(sector)
     assert state.amplitudes[0] == 1.0
     assert np.linalg.norm(state.amplitudes) == 1.0
@@ -249,7 +262,7 @@ def test_sector_gradient_does_not_overflow_at_L16():
     # the gradient sum_j j tau_j reaches sum_j j = 136 > 127 at L = 16,
     # beyond any int8 accumulator, so it must be summed in float
     cfg = engine_probe(ProbeConfig(length=16), InitConfig())
-    g = observable_diagonal(cfg, "gradient-z-a")
+    g = pair_sum(field_weights(cfg, 0.0))
     assert g.dtype == np.float64
     assert g.max() == 136.0 and g[0] == 136.0
     assert g.min() == -136.0 and g[-1] == -136.0

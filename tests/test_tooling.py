@@ -68,10 +68,18 @@ try:
 except AttributeError:
     print("AttributeError")
 print(set(dtc_sense.__all__) <= set(dir(dtc_sense)))
+cfg, field = dtc_sense.ProbeConfig(length=2), dtc_sense.FieldConfig(h_a=1e-3)
+dtc_sense.FloquetEngine(cfg, field).apply_cycle(
+    dtc_sense.initial_state_with_tangent(cfg), 1)
+dtc_sense.LindbladEngine(cfg, field, 1e-3).apply_cycle(
+    dtc_sense.initial_mixed_state(cfg), 1)
+print("scipy" in sys.modules)
 """
 
 
 def test_package_loads_submodules_on_first_use():
+    # one cycle of each engine runs without scipy, which pyproject does not
+    # declare (numpy is the only runtime dependency)
     proc = subprocess.run([sys.executable, "-c", _LAZY_PROBE],
                           capture_output=True, text=True, timeout=120,
                           env=_env())
@@ -81,6 +89,7 @@ def test_package_loads_submodules_on_first_use():
         "['dtc_sense.errors', 'dtc_sense.floquet', 'dtc_sense.model']",
         "AttributeError",
         "True",
+        "False",
     ]
 
 
