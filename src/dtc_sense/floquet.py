@@ -27,24 +27,25 @@ sub-half-period time stepping.  Theta = h_a * Theta_unit is linear in h_a.
 
 Batched fields.  One engine propagates B fields that share (delta_f, eta) and
 differ in h_a; a single field is B = 1.  Their states are one complex array
-of shape (B, c, d^L): c = 2 stacks psi and its h_a-derivative d psi (the
-tangent), c = 1 holds psi alone.  The gates of all L pairs and B fields for
-one cycle's (Theta_1, Theta_2) units come from one batched eigh, with each
-U's derivative from the eigendecomposition divided-difference
-(Daleckii-Krein) formula.  A resonant drive has two such unit pairs (equal
-within a cycle, of opposite sign in odd and even cycles), so its gates are
-built twice, and no later cycle computes an exponential.
+of shape (B, 2, d^L) that stacks psi and its h_a-derivative d psi (the
+tangent): a state must carry its tangent to be propagated.  The gates of
+all L pairs and B fields for one cycle's (Theta_1, Theta_2) units come from
+one batched eigh, with each U's derivative from the Daleckii-Krein formula
+on the eigendecomposition, written in a form exact at degenerate
+eigenvalues.  A resonant drive has two such unit pairs (equal within a
+cycle, of opposite sign in odd and even cycles), so its gates are built
+twice, and no later cycle computes an exponential.
 
 Fused block gate.  Each pair acts on (psi, d psi) through the 2d x 2d block
 gate [[U D, 0], [dU D + U dD, U D]] (new d psi = d(U D) psi + U D d psi):
 one matmul per pair for all fields.  Pairs run from L down to 1, each as the
-most significant digit of the basis index: the matmul contracts the (c, top
-digit) axis and its result moves that digit to the least significant place,
-so after L pairs the digits are back in order, at one matmul and one copy
-per pair.  This loop, apply_pair_gates, also runs the Lindblad engine's
-cycle at local dimension d^2; LindbladEngine subclasses FloquetEngine and
-reuses its field weights, exponents (_exponents), diagonal fold and
-pair-block cache (lindblad docstring).
+most significant digit of the basis index: the matmul contracts the
+(psi or d psi, top digit) axis and its result moves that digit to the least
+significant place, so after L pairs the digits are back in order, at one
+matmul and one copy per pair.  This loop, apply_pair_gates, also runs the
+Lindblad engine's cycle at local dimension d^2; LindbladEngine subclasses
+FloquetEngine and reuses its field weights, exponents (_exponents),
+diagonal fold and pair-block cache (lindblad docstring).
 
 Horizontal gauge.  The exact d psi / d h_a gathers a phase-derivative part
 i a psi (a real, growing linearly in n: |a| = 334 at L = 6 after 50
@@ -71,8 +72,6 @@ from .model import (
     field_weights,
     observable_diagonal,
 )
-
-_DEGENERATE_EIG = 1e-12
 
 #: The pair exchange |a down, b up><a up, b down| + h.c. on the local states
 #: model.PAIR_STATES keeps at each d: it couples full local states 1 and 2
@@ -103,15 +102,13 @@ def theta_half(n: int, half: int, field: FieldConfig, cfg: ProbeConfig) -> float
 
 
 def apply_pair_gates(X: np.ndarray, gates: np.ndarray) -> np.ndarray:
-    """The (B, c, D^L) stacks X, one base-D digit per pair, after the pair
-    blocks `gates` (L, B, 2D, 2D) of the module docstring; c = 1 uses only
-    their top-left D x D gate."""
-    B, c = X.shape[:2]
-    k = c * gates.shape[-1] // 2
-    for gate in gates[::-1, :, :k, :k]:
-        X = (gate @ X.reshape(B, k, -1)).reshape(B, c, k // c, -1) \
+    """The (B, 2, D^L) stacks X, one base-D digit per pair, after the pair
+    blocks `gates` (L, B, 2D, 2D) of the module docstring."""
+    B, k = len(X), gates.shape[-1]
+    for gate in gates[::-1]:
+        X = (gate @ X.reshape(B, k, -1)).reshape(B, 2, k // 2, -1) \
             .swapaxes(2, 3)
-    return X.reshape(B, c, -1)
+    return X.reshape(B, 2, -1)
 
 
 class FloquetEngine:
@@ -121,6 +118,9 @@ class FloquetEngine:
     eigendecompositions and diagonal factors, small next to the statevector
     work.
     """
+
+    #: the dephasing rate of the traces it records (metrology.record_trace)
+    gamma = 0.0
 
     def __init__(self, cfg: ProbeConfig,
                  fields: FieldConfig | list[FieldConfig]):
@@ -183,14 +183,11 @@ class FloquetEngine:
         lam, V = np.linalg.eigh(M)
         Vt = V.swapaxes(-1, -2)
         f = np.exp(-1j * lam)
-        # Frechet derivative of exp(-iM) along dM/dTheta, via
-        # divided differences of the eigenvalues; the degenerate branch is
-        # the derivative limit
-        dlam = lam[..., :, None] - lam[..., None, :]
-        deg = np.abs(dlam) < _DEGENERATE_EIG
-        phi = np.where(deg, -1j * f[..., :, None],
-                       (f[..., :, None] - f[..., None, :])
-                       / np.where(deg, 1.0, dlam))
+        # Frechet derivative of exp(-iM) along dM/dTheta: the divided
+        # differences (f_i - f_j) / (lam_i - lam_j) of the eigenvalues, in
+        # their sinc form, which is exact in the degenerate limit
+        phi = -1j * np.exp(-0.5j * (lam[..., :, None] + lam[..., None, :])) \
+            * np.sinc((lam[..., :, None] - lam[..., None, :]) / (2 * np.pi))
         gates = np.zeros(M.shape[:2] + (2 * d, 2 * d), dtype=complex)
         gates[..., :d, :d] = gates[..., d:, d:] = (V * f[..., None, :]) @ Vt
         gates[..., d:, :d] = (V @ (phi * (Vt @ dM @ V)) @ Vt) * unit
@@ -200,26 +197,27 @@ class FloquetEngine:
         """Advance `state` by cycle n (in place) and return it.
 
         `state.amplitudes` holds one field's d^L amplitudes, or one row of
-        them per field of the batch; an attached tangent of the same shape
-        is co-propagated.  The chain factor acts first, then the L folded
-        pair gates (disjoint supports, order-independent).
+        them per field of the batch, and `state.tangent` the same shape of
+        tangent, co-propagated; a state without one raises ValueError.  The
+        chain factor acts first, then the L folded pair gates (disjoint
+        supports, order-independent).
         """
         cfg, B = self.cfg, len(self.fields)
         psi, tan = state.amplitudes, state.tangent
+        if tan is None:
+            raise ValueError("state carries no tangent vector")
         if psi.shape[-1] != cfg.dim or psi.size != B * cfg.dim:
             raise ValueError(
                 f"state of shape {psi.shape} does not match {B} field(s) at "
                 f"L={cfg.length}, d={cfg.pair_dim} (expect rows of {cfg.dim})")
-        X = psi[..., None, :] if tan is None else np.stack((psi, tan), axis=-2)
-        c = X.shape[-2]
-        X = apply_pair_gates(self.chain * X.reshape(B, c, cfg.dim),
-                             self.pair_gates(n))
-        if tan is not None:  # horizontal gauge (module docstring)
-            X[:, 1] -= 1j * (X[:, 0].conj() * X[:, 1]).sum(-1).imag[:, None] \
-                * X[:, 0]
-        X = X.reshape(psi.shape[:-1] + (c, cfg.dim))
-        state.amplitudes = X[..., 0, :]
-        state.tangent = None if tan is None else X[..., 1, :]
+        X = apply_pair_gates(
+            self.chain * np.stack((psi, tan), axis=-2).reshape(B, 2, cfg.dim),
+            self.pair_gates(n))
+        # horizontal gauge (module docstring)
+        X[:, 1] -= 1j * (X[:, 0].conj() * X[:, 1]).sum(-1).imag[:, None] \
+            * X[:, 0]
+        X = X.reshape(psi.shape[:-1] + (2, cfg.dim))
+        state.amplitudes, state.tangent = X[..., 0, :], X[..., 1, :]
         return state
 
 

@@ -47,9 +47,10 @@ exponentiates the L lifted blocks as one stack.  C is the outer product of
 the unitary engine's chain factor with its conjugate, one d^L x d^L matrix
 built once per engine.
 
-noisy_fisher has no readout of its own: metrology.record_trace, the loop
-the pure-state traces run too, reads (diag rho, diag d rho) through
-MixedState.distribution.
+noisy_fisher has no readout of its own and builds no trace itself:
+metrology.record_trace, the loop the pure-state traces run too, reads
+(diag rho, diag d rho) through MixedState.distribution and returns the
+trace.
 """
 from __future__ import annotations
 
@@ -76,8 +77,8 @@ _TAYLOR_DEGREE = 16
 class MixedState:
     """Dense density matrix with its dephasing rate.
 
-    `tangent` (optional) carries d rho / d h_a, co-propagated by the Lindblad
-    engine as PureState.tangent is by the unitary one.
+    `tangent` carries d rho / d h_a, co-propagated by the Lindblad engine as
+    PureState.tangent is by the unitary one; it is required to propagate.
     """
 
     rho: np.ndarray
@@ -125,6 +126,7 @@ class LindbladEngine(FloquetEngine):
 
     def __init__(self, cfg: ProbeConfig, field: FieldConfig, gamma: float):
         super().__init__(cfg, field)
+        self.gamma = gamma
         self.chain = np.outer(self.chain, self.chain.conj())
         # on the row-major vec of a pair's d x d block of rho: the field
         # phase w_k - w_k' and the dephasing of each half
@@ -153,25 +155,25 @@ class LindbladEngine(FloquetEngine):
         return _expm(np.block([[A, np.zeros_like(A)], [E, A]]))
 
     def apply_cycle(self, state: MixedState, n: int) -> MixedState:
+        if state.tangent is None:
+            raise ValueError("state carries no tangent vector")
         cfg, d = self.cfg, self.cfg.pair_dim
-        Y = np.stack((state.rho,) if state.tangent is None
-                     else (state.rho, state.tangent))
+        Y = np.stack((state.rho, state.tangent))
         Y *= self.chain
-        c = Y.shape[0]
-        digits = (c,) + (d,) * (2 * cfg.length)
-        X = Y.reshape(digits).transpose(self._interleave).reshape(1, c, -1)
+        digits = (2,) + (d,) * (2 * cfg.length)
+        X = Y.reshape(digits).transpose(self._interleave).reshape(1, 2, -1)
         X = apply_pair_gates(X, self.pair_gates(n))
-        Y = X.reshape(digits).transpose(np.argsort(self._interleave)) \
-            .reshape(c, cfg.dim, cfg.dim)
-        state.rho = Y[0]
-        state.tangent = Y[1] if c == 2 else None
+        Y = X.reshape(digits).transpose(np.argsort(self._interleave))
+        state.rho, state.tangent = Y.reshape(2, cfg.dim, cfg.dim)
         return state
 
 
 def initial_mixed_state(cfg: ProbeConfig, init: InitConfig | None = None,
                         gamma: float = 0.0) -> MixedState:
+    """The initial state's projector with a zero d rho / d h_a attached."""
     psi = build_initial_state(cfg, init).amplitudes
-    return MixedState(np.outer(psi, psi.conj()), gamma=gamma)
+    rho = np.outer(psi, psi.conj())
+    return MixedState(rho, gamma=gamma, tangent=np.zeros_like(rho))
 
 
 def noisy_fisher(cfg: ProbeConfig, field: FieldConfig, gamma: float,
@@ -191,10 +193,5 @@ def noisy_fisher(cfg: ProbeConfig, field: FieldConfig, gamma: float,
     cfg = engine_probe(cfg, init)
     check_state_size(cfg, mixed=True)
     engine = LindbladEngine(cfg, field, gamma)
-    state = initial_mixed_state(cfg, init, gamma)
-    state.tangent = np.zeros_like(state.rho)
-    rec = record_trace(engine, state, cycles,
-                       lambda s: qfi_mixed(s.rho, s.tangent))
-    return StroboscopicTrace(np.arange(cycles + 1), *rec[:, 0], probe=cfg,
-                             field=field, init=init or InitConfig(),
-                             gamma=gamma)
+    return record_trace(engine, initial_mixed_state(cfg, init, gamma), cycles,
+                        lambda s: qfi_mixed(s.rho, s.tangent), init)[0]

@@ -6,11 +6,12 @@ QFI uses the spectral formula on (rho, drho).  CFI is reported for two
 measurements: the full computational basis and the coarse-grained collective
 magnetization of the probe chain.
 
-One loop, record_trace, builds every per-cycle record, for psi
-(stroboscopic_traces) and for rho (lindblad.noisy_fisher) alike: each cycle
-it reads the state's distribution() (the basis distribution and its
-h_a-derivative) into the imbalance and both CFIs, and takes the QFI from
-the function the builder passes.
+One loop, record_trace, builds every trace, for psi (stroboscopic_traces)
+and for rho (lindblad.noisy_fisher) alike: each cycle it reads the state's
+distribution() (the basis distribution and its h_a-derivative) into the
+imbalance and both CFIs, and takes the QFI from the function the builder
+passes; a non-finite distribution raises NumericalError.  The builders only
+set up the engine and the initial state.
 """
 from __future__ import annotations
 
@@ -130,14 +131,15 @@ def qfi_bound(cfg: ProbeConfig, n: int) -> float:
     return n ** 2 * L ** 2 * (L + 1) ** 2 / np.pi ** 2
 
 
-def record_trace(engine: FloquetEngine, state, cycles: int,
-                 qfi) -> np.ndarray:
-    """Step `state` (a PureState or a MixedState, tangent attached) through
-    `cycles` periods of `engine`, in place, and record the imbalance,
-    qfi(state), CFI_computational and CFI_collective of each of the
-    engine's B fields at every stroboscopic time n = 0..cycles: shape
-    (4, B, cycles + 1).  The imbalance is normalized by the initial state's,
-    i0; a vanishing i0 raises NumericalError before the first cycle."""
+def record_trace(engine: FloquetEngine, state, cycles: int, qfi,
+                 init: InitConfig | None = None) -> list[StroboscopicTrace]:
+    """Step `state` (a PureState or a MixedState, tangent attached), prepared
+    from `init`, through `cycles` periods of `engine`, in place, and record
+    the imbalance, qfi(state), CFI_computational and CFI_collective at every
+    stroboscopic time n = 0..cycles: one trace per field of the engine.  The
+    imbalance is normalized by the initial state's, i0; a vanishing i0
+    raises NumericalError before the first cycle, and a state that is not
+    finite after a cycle raises it before that cycle's readout."""
     imb_diag = engine.imbalance_diag
     coll_idx = collective_index_a(engine.cfg)
     i0 = state.distribution()[0] @ imb_diag
@@ -148,10 +150,15 @@ def record_trace(engine: FloquetEngine, state, cycles: int,
     rec[0, :, 0] = 1.0
     for n in range(1, cycles + 1):
         engine.apply_cycle(state, n)
-        imb, cfi_c, cfi_m = _readout(*state.distribution(), imb_diag, i0,
-                                     coll_idx)
+        p, dp = state.distribution()
+        if not (np.isfinite(p).all() and np.isfinite(dp).all()):
+            raise NumericalError(f"the state is not finite after cycle {n}")
+        imb, cfi_c, cfi_m = _readout(p, dp, imb_diag, i0, coll_idx)
         rec[..., n] = np.vstack((imb, qfi(state), cfi_c, cfi_m))
-    return rec
+    return [StroboscopicTrace(np.arange(cycles + 1), *rec[:, b],
+                              probe=engine.cfg, field=fld,
+                              init=init or InitConfig(), gamma=engine.gamma)
+            for b, fld in enumerate(engine.fields)]
 
 
 def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
@@ -170,12 +177,9 @@ def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
                 for trace in stroboscopic_traces(cfg, fields[i:i + size], init,
                                                  cycles)]
     amps = np.tile(build_initial_state(cfg, init).amplitudes, (len(fields), 1))
-    rec = record_trace(FloquetEngine(cfg, fields),
-                       PureState(amps, np.zeros_like(amps)), cycles, qfi_pure)
-    return [StroboscopicTrace(np.arange(cycles + 1), *rec[:, b],
-                              probe=cfg, field=fld,
-                              init=init or InitConfig(), gamma=0.0)
-            for b, fld in enumerate(fields)]
+    return record_trace(FloquetEngine(cfg, fields),
+                        PureState(amps, np.zeros_like(amps)), cycles, qfi_pure,
+                        init)
 
 
 def stroboscopic_trace(cfg: ProbeConfig, field: FieldConfig,

@@ -133,9 +133,9 @@ class PureState:
     """Dense statevector over the d^L basis states of the probe config, or
     one row of them per field of a batch (shape (B, d^L)).
 
-    `tangent` (optional, same shape) carries the derivative of the amplitudes
-    with respect to the field amplitude h_a up to a phase term i a psi, as
-    the Floquet engine co-propagates it (floquet docstring).
+    `tangent` (same shape, required to propagate) carries the derivative of
+    the amplitudes with respect to the field amplitude h_a up to a phase
+    term i a psi, as the Floquet engine co-propagates it (floquet docstring).
     """
 
     amplitudes: np.ndarray

@@ -241,6 +241,22 @@ def test_zero_initial_imbalance_is_a_numerical_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,extra", [
+    pytest.param("simulate", "", id="simulate"),
+    pytest.param("noise", "dn = 2\nK = 5\n", id="noise"),
+])
+def test_non_finite_state_is_a_numerical_error(tmp_path, capsys, command,
+                                               extra):
+    # at h_a = 1e20 the dephased channel's rho is NaN after cycle 1; the run
+    # stops there, before a readout, and writes nothing
+    cfg = _write(tmp_path, "c.cfg", "L = 3\ncycles = 10\ngamma_per_Jz = 1e-3\n"
+                 "h_a_per_Jz = 1e20\n" + extra)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert "not finite after cycle 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _NOISE_L2 = "L = 2\ngamma_per_Jz = 1e-3\ncycles = 20\n"
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import expm, expm_frechet
 
 import oracles
 from dtc_sense.errors import NumericalError
@@ -125,6 +126,33 @@ def test_pair_gates_unitary_and_block_diagonal(eps, h, eta, n):
         assert abs(U[3, 1]) + abs(U[3, 2]) + abs(U[3, 0]) < 1e-14
 
 
+# sigma^z of a_j and of b_j over each d's local states (model.PAIR_STATES)
+_PAIR_SPINS = {4: (np.array([1, -1, 1, -1]), np.array([1, 1, -1, -1])),
+               2: (np.array([1, -1]), np.array([-1, 1]))}
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.1])
+@pytest.mark.parametrize("d", [2, 4])
+def test_exchange_blocks_match_scipy_expm_and_frechet(d, eta):
+    # each block [[U, 0], [dU/dh_a, U]] against scipy on an exponent built
+    # by hand; at d = 4 and h_a = 0 local states 0 and 3 are degenerate
+    cfg = ProbeConfig(length=3, epsilon=0.1, pair_dim=d)
+    fields = [FieldConfig(h_a=h, eta=eta) for h in (0.0, 1e-5, 1e-2, 1.0)]
+    unit = theta_half(1, 2, FieldConfig(h_a=1.0, eta=eta), cfg)
+    blocks = FloquetEngine(cfg, fields)._exchange_blocks(unit)
+    sa, sb = _PAIR_SPINS[d]
+    # the exchange flips both spins of a pair whose spins are opposite
+    hop = ((sa[:, None] == -sa) & (sb[:, None] == -sb) & (sa != sb)) * 1.0
+    for site, pair in zip(range(1, cfg.length + 1), blocks):
+        dM = np.diag(site * (sa + eta * sb))  # dM / dTheta_2
+        for fld, block in zip(fields, pair):
+            M = fld.h_a * unit * dM + cfg.t2 * cfg.jab * hop
+            refs = (expm(-1j * M), expm_frechet(-1j * M, -1j * unit * dM,
+                                                compute_expm=False))
+            for got, ref in zip((block[:d, :d], block[d:, :d]), refs):
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_diagonal_half_preserves_norm():
     # the diagonal half is the chain factor times, folded into each pair's
     # gate U D, the pair factor D = exp(-i Theta_1 j (s^az_j + eta s^bz_j)):
@@ -148,7 +176,7 @@ def test_diagonal_half_preserves_norm():
 def test_ideal_cycle_inverts_imbalance():
     cfg = ProbeConfig(length=3, epsilon=0.0)
     engine = FloquetEngine(cfg, FieldConfig())
-    state = build_initial_state(cfg)
+    state = initial_state_with_tangent(cfg)
     i0 = engine.imbalance_diag @ np.abs(state.amplitudes) ** 2
     for n, expected in ((1, -1.0), (2, 1.0)):
         engine.apply_cycle(state, n)
@@ -158,7 +186,7 @@ def test_ideal_cycle_inverts_imbalance():
 
 
 def test_apply_cycle_rejects_wrong_dimension():
-    state = build_initial_state(ProbeConfig(length=2))
+    state = initial_state_with_tangent(ProbeConfig(length=2))
     with pytest.raises(ValueError):
         FloquetEngine(ProbeConfig(length=3), FieldConfig()).apply_cycle(state, 1)
 
@@ -179,7 +207,7 @@ def test_gate_order_is_irrelevant():
         out_rev = _apply_pair(_first_field(g)[0], out_rev, site, cfg.length)
     assert np.allclose(out_fwd, out_rev, atol=1e-12)
     # the fused pass (pair L first) gives the same state
-    state = build_initial_state(cfg, InitConfig(tilt=0.1))
+    state = initial_state_with_tangent(cfg, InitConfig(tilt=0.1))
     assert np.allclose(engine.apply_cycle(state, 1).amplitudes, out_fwd,
                        atol=1e-12)
 
@@ -188,8 +216,8 @@ def test_zero_crosstalk_matches_dedicated_path():
     cfg = ProbeConfig(length=3, epsilon=0.1)
     e1 = FloquetEngine(cfg, FieldConfig(h_a=0.02, eta=0.0))
     e2 = FloquetEngine(cfg, FieldConfig(h_a=0.02))
-    s1 = build_initial_state(cfg)
-    s2 = build_initial_state(cfg)
+    s1 = initial_state_with_tangent(cfg)
+    s2 = initial_state_with_tangent(cfg)
     for n in range(1, 6):
         e1.apply_cycle(s1, n)
         e2.apply_cycle(s2, n)
@@ -210,7 +238,7 @@ def test_engine_matches_dense_expm(L, eps, h, df, eta, tilt):
     init = InitConfig(tilt=tilt)
     dense = oracles.dense_evolve(cfg, fld, cycles=6, init=init)
     engine = FloquetEngine(cfg, fld)
-    state = build_initial_state(cfg, init)
+    state = initial_state_with_tangent(cfg, init)
     for n in range(1, 7):
         engine.apply_cycle(state, n)
         assert np.allclose(state.amplitudes, dense[n], atol=1e-12), \
@@ -268,7 +296,7 @@ def test_norm_and_magnetization_over_long_run():
     cfg = ProbeConfig(length=3, epsilon=0.1)
     fld = FieldConfig(h_a=1e-3, delta_f=0.005, eta=0.05)
     engine = FloquetEngine(cfg, fld)
-    state = build_initial_state(cfg, InitConfig(tilt=0.05))
+    state = initial_state_with_tangent(cfg, InitConfig(tilt=0.05))
     mag = oracles.total_magnetization_diagonal(cfg)
     m0 = mag @ np.abs(state.amplitudes) ** 2
     for n in range(1, 1001):
@@ -303,7 +331,7 @@ def test_imbalance_stays_in_range():
     cfg = ProbeConfig(length=4, epsilon=0.15)
     fld = FieldConfig(h_a=0.05)
     engine = FloquetEngine(cfg, fld)
-    state = build_initial_state(cfg)
+    state = initial_state_with_tangent(cfg)
     d = engine.imbalance_diag
     i0 = d @ np.abs(state.amplitudes) ** 2
     for n in range(1, 101):

@@ -85,13 +85,12 @@ def test_cycle_matches_dense_oracle(gamma, length):
     cfg = ProbeConfig(length=length, epsilon=0.1)
     fld = FieldConfig(h_a=0.3, delta_f=0.02, eta=0.1)
     engine = LindbladEngine(cfg, fld, gamma)
-    state = MixedState(_random_density(cfg.dim, seed=7))
-    ref = state.rho
+    ref = _random_density(cfg.dim, seed=7)
+    state = MixedState(ref, tangent=np.zeros_like(ref))
     for n in (1, 2, 3):
         engine.apply_cycle(state, n)
         ref = oracles.dense_lindblad_cycle(ref, cfg, fld, gamma, n)
         assert np.max(np.abs(state.rho - ref)) < 1e-12
-    assert state.tangent is None
 
 
 @pytest.mark.parametrize("length", [1, 2])
@@ -119,7 +118,7 @@ def test_pure_dephasing_closes_exponentially():
     gamma = 0.3
     engine = LindbladEngine(cfg, FieldConfig(), gamma)
     rho = _random_density(cfg.dim, seed=3)
-    state = MixedState(rho.copy())
+    state = MixedState(rho.copy(), tangent=np.zeros_like(rho))
     for n in range(1, 5):
         engine.apply_cycle(state, n)
         decay = np.exp(-2 * gamma * 2 * cfg.length * cfg.period * n)
@@ -132,7 +131,7 @@ def test_zero_noise_matches_unitary_engine():
     fld = FieldConfig(h_a=1e-3)
     traj = _trajectory(cfg, fld, 0.0, 6)
     engine = FloquetEngine(cfg, fld)
-    state = build_initial_state(cfg)
+    state = initial_state_with_tangent(cfg)
     for n in range(1, 7):
         engine.apply_cycle(state, n)
     pure_rho = np.outer(state.amplitudes, state.amplitudes.conj())
@@ -168,15 +167,12 @@ def test_gate_cache_holds_the_two_latest_theta_units():
     init = InitConfig(tilt=0.1)
     engine = LindbladEngine(cfg, FieldConfig(h_a=0.1, delta_f=0.01), gamma)
     state = initial_mixed_state(cfg, init)
-    state.tangent = np.zeros_like(state.rho)
     for n in range(1, 201):
         engine.apply_cycle(state, n)
     assert len(engine._gate_cache) <= 2
     resonant = FieldConfig(h_a=0.1)
     engine = LindbladEngine(cfg, resonant, gamma)
     cached, fresh = (initial_mixed_state(cfg, init) for _ in range(2))
-    cached.tangent = np.zeros_like(cached.rho)
-    fresh.tangent = np.zeros_like(fresh.rho)
     for n in range(1, 7):
         engine.apply_cycle(cached, n)
         LindbladEngine(cfg, resonant, gamma).apply_cycle(fresh, n)
@@ -195,7 +191,6 @@ def test_resonant_cycles_after_the_second_compute_no_exponential(monkeypatch):
     mixed = LindbladEngine(cfg, fld, 1e-3)
     psi = initial_state_with_tangent(cfg)
     rho = initial_mixed_state(cfg, InitConfig(tilt=0.1))
-    rho.tangent = np.zeros_like(rho.rho)
     for n in (1, 2):
         pure.apply_cycle(psi, n)
         mixed.apply_cycle(rho, n)
@@ -215,9 +210,19 @@ def test_resonant_cycles_after_the_second_compute_no_exponential(monkeypatch):
     assert calls
 
 
+def test_engines_refuse_a_state_without_tangent():
+    cfg, fld = ProbeConfig(length=2), FieldConfig(h_a=1e-3)
+    rho = initial_mixed_state(cfg).rho
+    with pytest.raises(ValueError, match="no tangent"):
+        FloquetEngine(cfg, fld).apply_cycle(build_initial_state(cfg), 1)
+    with pytest.raises(ValueError, match="no tangent"):
+        LindbladEngine(cfg, fld, 1e-3).apply_cycle(MixedState(rho), 1)
+
+
 def test_initial_mixed_state_is_projector():
     cfg = ProbeConfig(length=2)
     st = initial_mixed_state(cfg, InitConfig(tilt=0.1), gamma=0.0)
+    assert np.array_equal(st.tangent, np.zeros_like(st.rho))
     assert np.trace(st.rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.trace(st.rho @ st.rho).real == pytest.approx(1.0, abs=1e-12)
     psi = build_initial_state(cfg, InitConfig(tilt=0.1)).amplitudes
@@ -292,7 +297,6 @@ def test_noisy_fisher_sector_equals_full_engine(length):
                            trace.cfi_computational, trace.cfi_collective])
     engine = LindbladEngine(cfg, fld, gamma)
     state = initial_mixed_state(cfg, gamma=gamma)
-    state.tangent = np.zeros_like(state.rho)
     imb_diag = engine.imbalance_diag
     i0 = imb_diag @ np.diag(state.rho).real
     ref = np.zeros((cycles + 1, 4))
