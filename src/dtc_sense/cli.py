@@ -171,7 +171,7 @@ def _cmd_noise(cfg: RunConfig) -> int:
     if K * dn > cycles:
         raise ConfigError(f"K*dn = {K * dn} point-average windows exceed "
                           f"cycles = {cycles}")
-    trace = noisy_fisher(probe, fld, gamma, cycles, init)
+    trace = noisy_fisher(probe, [fld], gamma, cycles, init)[0]
     rows = trace_rows(trace)
     out = cfg.get("out") or "noise.csv"
     emit_table([], rows, out, cfg.resolved())

@@ -119,9 +119,6 @@ class FloquetEngine:
     work.
     """
 
-    #: the dephasing rate of the traces it records (metrology.record_trace)
-    gamma = 0.0
-
     def __init__(self, cfg: ProbeConfig,
                  fields: FieldConfig | list[FieldConfig]):
         self.fields = (fields,) if isinstance(fields, FieldConfig) \

@@ -35,22 +35,22 @@ A_j]]) with E_j = dA_j/dTheta (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
 30, 1639 (2009)), and D_j, diagonal on the pair's vec, is folded into it
 as in the unitary engine: [[S_j D_j, 0], [dS_j D_j + S_j dD_j, S_j D_j]].
 The chain factor needs no derivative.  So a cycle multiplies (rho, d rho)
-by C once, transposes them into one (1, 2, d^(2L)) array with one digit
-(z_j, z'_j), the row-major vec of the pair's d x d block, per pair (pair 1
-least significant), runs the L blocks through floquet.apply_pair_gates at
-local dimension d^2, as the unitary engine runs its gates on (psi, d psi),
-and transposes back.  There is no time stepping and no finite difference.
+of each of the B fields by C once, transposes them into one (B, 2, d^(2L))
+array with one digit (z_j, z'_j), the row-major vec of the pair's d x d
+block, per pair (pair 1 least significant), runs the L blocks through
+floquet.apply_pair_gates at local dimension d^2, as the unitary engine runs
+its gates on (psi, d psi), and transposes back.  There is no time stepping
+and no finite difference.
 
-LindbladEngine is a FloquetEngine: it reuses the field weights, the
-exponents M_j and dM_j/dTheta, the fold of D_j and the block cache, and
-exponentiates the L lifted blocks as one stack.  C is the outer product of
-the unitary engine's chain factor with its conjugate, one d^L x d^L matrix
-built once per engine.
+LindbladEngine is a FloquetEngine: it takes the same field batches, reuses
+the field weights, the exponents M_j and dM_j/dTheta, the fold of D_j and
+the block cache, and exponentiates the L*B lifted blocks as one stack.  C
+is the outer product of the unitary engine's chain factor with its
+conjugate, one d^L x d^L matrix built once per engine.
 
-noisy_fisher has no readout of its own and builds no trace itself:
-metrology.record_trace, the loop the pure-state traces run too, reads
-(diag rho, diag d rho) through MixedState.distribution and returns the
-trace.
+noisy_fisher has no readout of its own: metrology.record_trace, the loop
+the pure-state traces run too, reads (diag rho, diag d rho) of every field
+through MixedState.distribution and returns one trace per field.
 """
 from __future__ import annotations
 
@@ -61,6 +61,7 @@ import numpy as np
 from .floquet import FloquetEngine, apply_pair_gates
 from .metrology import StroboscopicTrace, qfi_mixed, record_trace
 from .model import (
+    MIXED_STATE_MAX_DIM,
     FieldConfig,
     InitConfig,
     ProbeConfig,
@@ -75,7 +76,8 @@ _TAYLOR_DEGREE = 16
 
 @dataclass
 class MixedState:
-    """Dense density matrix with its dephasing rate.
+    """Dense density matrix with its dephasing rate, or one of them per
+    field of a batch (shape (B, d^L, d^L)).
 
     `tangent` carries d rho / d h_a, co-propagated by the Lindblad engine as
     PureState.tangent is by the unitary one; it is required to propagate.
@@ -87,8 +89,9 @@ class MixedState:
 
     def distribution(self) -> tuple[np.ndarray, np.ndarray]:
         """The basis distribution diag rho and its h_a-derivative
-        diag d rho; needs the tangent."""
-        return np.diag(self.rho).real, np.diag(self.tangent).real
+        diag d rho, per field of a batch; needs the tangent."""
+        return tuple(np.diagonal(m, axis1=-2, axis2=-1).real
+                     for m in (self.rho, self.tangent))
 
 
 def hamming_distance_matrix(pair_dim: int) -> np.ndarray:
@@ -101,17 +104,17 @@ def hamming_distance_matrix(pair_dim: int) -> np.ndarray:
 def _expm(X: np.ndarray) -> np.ndarray:
     """Matrix exponential of each matrix of the stack X (..., n, n): Taylor
     polynomial of degree 16 (Horner form) on X scaled to 1-norm <= 1/2, where
-    its truncation error is below 1e-20, then squared back.  The whole stack
-    shares one scaling, set by its largest 1-norm."""
-    norm = np.abs(X).sum(axis=-2).max()
-    s = int(np.ceil(np.log2(max(norm, 0.5) / 0.5)))
+    its truncation error is below 1e-20, then squared back.  Each matrix is
+    scaled by its own 1-norm, so its result does not depend on the stack."""
+    norm = np.abs(X).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5))[..., None, None]
     X = X / 2.0 ** s
     eye = np.eye(X.shape[-1])
     E = eye.astype(X.dtype)
     for k in range(_TAYLOR_DEGREE, 0, -1):
         E = eye + (X @ E) / k
-    for _ in range(s):
-        E = E @ E
+    for i in range(int(s.max(initial=0))):
+        E = np.where(s > i, E @ E, E)
     return E
 
 
@@ -124,9 +127,9 @@ class LindbladEngine(FloquetEngine):
     # count the work of apply_cycle
     substeps = 1
 
-    def __init__(self, cfg: ProbeConfig, field: FieldConfig, gamma: float):
-        super().__init__(cfg, field)
-        self.gamma = gamma
+    def __init__(self, cfg: ProbeConfig,
+                 fields: FieldConfig | list[FieldConfig], gamma: float):
+        super().__init__(cfg, fields)
         self.chain = np.outer(self.chain, self.chain.conj())
         # on the row-major vec of a pair's d x d block of rho: the field
         # phase w_k - w_k' and the dephasing of each half
@@ -135,14 +138,15 @@ class LindbladEngine(FloquetEngine):
         self._phase_w = (w[:, :, None] - w[:, None, :]).reshape(cfg.length, -1)
         self._t1_decay = np.exp(-2.0 * gamma * cfg.t1 * ham)
         self._pair_deph = 2.0 * gamma * cfg.t2 * ham
-        # axes (c, z_L..z_1, z'_L..z'_1) to (c, z_L, z'_L, .., z_1, z'_1)
+        # axes (b, c, z_L..z_1, z'_L..z'_1) to (b, c, z_L, z'_L, .., z_1, z'_1)
         L = cfg.length
-        self._interleave = [0, *np.arange(1, 2 * L + 1).reshape(2, L).T.flat]
+        self._interleave = [0, 1,
+                            *np.arange(2, 2 * L + 2).reshape(2, L).T.flat]
 
     def _exchange_blocks(self, unit: float) -> np.ndarray:
         """Block superoperators [[S, 0], [dS/dh_a, S]] of the exchange half
         at Theta = h_a * unit, on the row-major vec of each pair's d x d
-        block of rho: shape (L, 1, 2d^2, 2d^2), row j-1 for the (a_j, b_j)
+        block of rho: shape (L, B, 2d^2, 2d^2), row j-1 for the (a_j, b_j)
         pair."""
         M, dM = self._exponents(unit)
         eye = np.eye(self.cfg.pair_dim)
@@ -151,20 +155,21 @@ class LindbladEngine(FloquetEngine):
             return -1j * (np.kron(X, eye) - np.kron(eye, X.swapaxes(-1, -2)))
 
         A = lift(M) - np.diag(self._pair_deph)
-        E = unit * lift(dM)  # the exponent is linear in Theta
+        # linear in Theta: one derivative for every field
+        E = np.broadcast_to(unit * lift(dM), A.shape)
         return _expm(np.block([[A, np.zeros_like(A)], [E, A]]))
 
     def apply_cycle(self, state: MixedState, n: int) -> MixedState:
         if state.tangent is None:
             raise ValueError("state carries no tangent vector")
-        cfg, d = self.cfg, self.cfg.pair_dim
-        Y = np.stack((state.rho, state.tangent))
+        cfg, d, B = self.cfg, self.cfg.pair_dim, len(self.fields)
+        Y = np.stack((state.rho, state.tangent), axis=-3)
         Y *= self.chain
-        digits = (2,) + (d,) * (2 * cfg.length)
-        X = Y.reshape(digits).transpose(self._interleave).reshape(1, 2, -1)
-        X = apply_pair_gates(X, self.pair_gates(n))
-        Y = X.reshape(digits).transpose(np.argsort(self._interleave))
-        state.rho, state.tangent = Y.reshape(2, cfg.dim, cfg.dim)
+        digits = (B, 2) + (d,) * (2 * cfg.length)
+        X = Y.reshape(digits).transpose(self._interleave).reshape(B, 2, -1)
+        Y = apply_pair_gates(X, self.pair_gates(n)).reshape(digits) \
+            .transpose(np.argsort(self._interleave)).reshape(Y.shape)
+        state.rho, state.tangent = Y[..., 0, :, :], Y[..., 1, :, :]
         return state
 
 
@@ -176,22 +181,28 @@ def initial_mixed_state(cfg: ProbeConfig, init: InitConfig | None = None,
     return MixedState(rho, gamma=gamma, tangent=np.zeros_like(rho))
 
 
-def noisy_fisher(cfg: ProbeConfig, field: FieldConfig, gamma: float,
+def noisy_fisher(cfg: ProbeConfig, fields: list[FieldConfig], gamma: float,
                  cycles: int,
-                 init: InitConfig | None = None) -> StroboscopicTrace:
+                 init: InitConfig | None = None) -> list[StroboscopicTrace]:
     """Mixed-state imbalance, QFI and CFIs at every cycle n = 0..cycles
-    under dephasing, recorded by metrology.record_trace.
+    under dephasing, recorded by metrology.record_trace: one trace per field
+    (all sharing delta_f and eta), as metrology.stroboscopic_traces gives.
 
     One LindbladEngine, at the pair dimension model.engine_probe picks for
-    `init`, evolves rho together with its exact h_a-derivative d rho / d h_a
-    (the tangent, co-propagated through each half's exact channel), so no
-    finite-difference twins are needed and h_a = 0 needs no special case.
-    The mixed QFI is the spectral formula on (rho, d rho), which raises
-    NumericalError on trace drift or negative eigenvalues.  A density matrix
-    beyond model.MIXED_STATE_MAX_DIM rows raises ResourceLimitError.
+    `init`, evolves each rho with its exact h_a-derivative, so h_a = 0 needs
+    no special case.  The batch is split only where it would hold more
+    entries than one MIXED_STATE_MAX_DIM-row rho.  The mixed QFI raises
+    NumericalError on trace drift or negative eigenvalues; a density matrix
+    beyond MIXED_STATE_MAX_DIM rows raises ResourceLimitError.
     """
     cfg = engine_probe(cfg, init)
     check_state_size(cfg, mixed=True)
-    engine = LindbladEngine(cfg, field, gamma)
-    return record_trace(engine, initial_mixed_state(cfg, init, gamma), cycles,
-                        lambda s: qfi_mixed(s.rho, s.tangent), init)[0]
+    size = max(1, MIXED_STATE_MAX_DIM ** 2 // cfg.dim ** 2)
+    if len(fields) > size:
+        return [trace for i in range(0, len(fields), size)
+                for trace in noisy_fisher(cfg, fields[i:i + size], gamma,
+                                          cycles, init)]
+    rho = np.tile(initial_mixed_state(cfg, init).rho, (len(fields), 1, 1))
+    return record_trace(LindbladEngine(cfg, fields, gamma),
+                        MixedState(rho, tangent=np.zeros_like(rho)), cycles,
+                        lambda s: qfi_mixed(s.rho, s.tangent))

@@ -16,7 +16,7 @@ set up the engine and the initial state.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,10 +46,6 @@ class StroboscopicTrace:
     qfi: np.ndarray
     cfi_computational: np.ndarray
     cfi_collective: np.ndarray
-    probe: ProbeConfig | None = None
-    field: FieldConfig | None = None
-    init: InitConfig | None = None
-    gamma: float = 0.0
 
     def __len__(self) -> int:
         return len(self.n)
@@ -64,7 +60,6 @@ class FitResult:
     exponent: float
     prefactor: float
     r_squared: float
-    points: tuple = dataclass_field(default=())
 
 
 def qfi_pure(state: PureState) -> float | np.ndarray:
@@ -81,24 +76,25 @@ def qfi_pure(state: PureState) -> float | np.ndarray:
     return np.maximum(value, 0.0)
 
 
-def qfi_mixed(rho: np.ndarray, drho: np.ndarray) -> float:
+def qfi_mixed(rho: np.ndarray, drho: np.ndarray) -> float | np.ndarray:
     """Spectral mixed-state QFI: 2 sum |<i|drho|j>|^2 / (lam_i + lam_j) over
-    eigenpairs of rho with lam_i + lam_j above cutoff."""
+    eigenpairs of rho with lam_i + lam_j above cutoff, per matrix of a
+    batched (B, dim, dim) pair; the checks cover every matrix."""
     pair = np.stack((rho, drho))
-    hermitian = np.isclose(pair, pair.conj().swapaxes(1, 2), atol=1e-8)
-    for name, ok in zip(("rho", "drho"), hermitian.all(axis=(1, 2))):
+    hermitian = np.isclose(pair, pair.conj().swapaxes(-1, -2), atol=1e-8)
+    for name, ok in zip(("rho", "drho"), hermitian.reshape(2, -1).all(-1)):
         if not ok:
             raise ValueError(f"{name} is not Hermitian")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-6:
-        raise NumericalError(f"rho trace deviates from 1 by {tr - 1.0:g}")
+    drift = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
+    if drift > 1e-6:
+        raise NumericalError(f"rho trace deviates from 1 by {drift:g}")
     lam, V = np.linalg.eigh(rho)
     if lam.min() < -1e-6:
         raise NumericalError(f"rho has negative eigenvalue {lam.min():g}")
-    W = V.conj().T @ drho @ V
-    denom = lam[:, None] + lam[None, :]
-    mask = denom > EIGSUM_CUTOFF
-    return float(2.0 * np.sum(np.abs(W[mask]) ** 2 / denom[mask]))
+    W = V.conj().swapaxes(-1, -2) @ drho @ V
+    denom = lam[..., :, None] + lam[..., None, :]
+    denom = np.where(denom > EIGSUM_CUTOFF, denom, np.inf)
+    return 2.0 * np.sum(np.abs(W) ** 2 / denom, axis=(-2, -1))
 
 
 def _cfi_from_probs(p: np.ndarray, dp: np.ndarray) -> float | np.ndarray:
@@ -131,10 +127,10 @@ def qfi_bound(cfg: ProbeConfig, n: int) -> float:
     return n ** 2 * L ** 2 * (L + 1) ** 2 / np.pi ** 2
 
 
-def record_trace(engine: FloquetEngine, state, cycles: int, qfi,
-                 init: InitConfig | None = None) -> list[StroboscopicTrace]:
-    """Step `state` (a PureState or a MixedState, tangent attached), prepared
-    from `init`, through `cycles` periods of `engine`, in place, and record
+def record_trace(engine: FloquetEngine, state, cycles: int,
+                 qfi) -> list[StroboscopicTrace]:
+    """Step `state` (a PureState or a MixedState, tangent attached) through
+    `cycles` periods of `engine`, in place, and record
     the imbalance, qfi(state), CFI_computational and CFI_collective at every
     stroboscopic time n = 0..cycles: one trace per field of the engine.  The
     imbalance is normalized by the initial state's, i0; a vanishing i0
@@ -155,10 +151,8 @@ def record_trace(engine: FloquetEngine, state, cycles: int, qfi,
             raise NumericalError(f"the state is not finite after cycle {n}")
         imb, cfi_c, cfi_m = _readout(p, dp, imb_diag, i0, coll_idx)
         rec[..., n] = np.vstack((imb, qfi(state), cfi_c, cfi_m))
-    return [StroboscopicTrace(np.arange(cycles + 1), *rec[:, b],
-                              probe=engine.cfg, field=fld,
-                              init=init or InitConfig(), gamma=engine.gamma)
-            for b, fld in enumerate(engine.fields)]
+    return [StroboscopicTrace(np.arange(cycles + 1), *rec[:, b])
+            for b in range(len(engine.fields))]
 
 
 def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
@@ -178,8 +172,7 @@ def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
                                                  cycles)]
     amps = np.tile(build_initial_state(cfg, init).amplitudes, (len(fields), 1))
     return record_trace(FloquetEngine(cfg, fields),
-                        PureState(amps, np.zeros_like(amps)), cycles, qfi_pure,
-                        init)
+                        PureState(amps, np.zeros_like(amps)), cycles, qfi_pure)
 
 
 def stroboscopic_trace(cfg: ProbeConfig, field: FieldConfig,
@@ -226,8 +219,7 @@ def power_fit(x, y) -> FitResult:
     resid = ly - (slope * lx + intercept)
     ss_tot = np.sum((ly - ly.mean()) ** 2)
     r2 = 1.0 - np.sum(resid ** 2) / ss_tot if ss_tot > 0 else 1.0
-    return FitResult(float(slope), float(np.exp(intercept)), float(r2),
-                     points=tuple(zip(x.tolist(), y.tolist())))
+    return FitResult(float(slope), float(np.exp(intercept)), float(r2))
 
 
 def golden_section_peak(fn, grid: np.ndarray, rel_width: float = 1e-3) -> float:

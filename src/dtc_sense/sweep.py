@@ -8,10 +8,10 @@ alone decides axis or fixed value, for config files and recipes alike.
 
 run_sweep builds and gates every point of the Cartesian product of the axes
 once, before any work, then groups the points by every axis value but
-h_a_per_Jz: a pure group runs as one field batch
-(metrology.stroboscopic_traces), a dephased point runs alone.  Groups run in
-parallel when workers > 1, and rows are emitted sorted by axis values so
-output never depends on completion order.  emit_table writes every CSV the
+h_a_per_Jz: each group runs as one field batch, pure
+(metrology.stroboscopic_traces) or dephased (lindblad.noisy_fisher).  Groups
+run in parallel when workers > 1, and rows are emitted sorted by axis values
+so output never depends on completion order.  emit_table writes every CSV the
 CLI produces and each run's metadata sidecar.
 """
 from __future__ import annotations
@@ -169,14 +169,14 @@ def point_configs(params: dict, mixed: bool | None = None
 
 def evaluate_group(params: dict, configs: list) -> list[StroboscopicTrace]:
     """The `point_configs` of sweep points that differ only in h_a_per_Jz
-    (`params`: any one of them) -> one stroboscopic trace each: pure points
-    as one field batch, dephased points one by one."""
+    (`params`: any one of them) -> one stroboscopic trace each, from one
+    field batch of the pure or the dephased trace builder."""
     probe, _, init = configs[0]
     fields = [fld for _, fld, _ in configs]
     cycles = int(params["cycles"])
     if _runs_mixed(params):
-        gamma = float(params["gamma_per_Jz"])
-        return [noisy_fisher(probe, fld, gamma, cycles, init) for fld in fields]
+        return noisy_fisher(probe, fields, float(params["gamma_per_Jz"]),
+                            cycles, init)
     return stroboscopic_traces(probe, fields, init, cycles)
 
 
@@ -200,16 +200,15 @@ def run_sweep(cfg: RunConfig, workers: int | None = None
     followed by the per-cycle record, already in deterministic order.
     """
     axis_names = [k for k in AXIS_KEYS if k in cfg.axes]
-    # every point is built and gated before any work; pure points that
-    # differ only in h_a_per_Jz share one field batch, each dephased point
-    # is a group of its own
+    # every point is built and gated before any work; points that differ
+    # only in h_a_per_Jz share one field batch (they share gamma_per_Jz and
+    # cycles, so all run pure or all dephased)
     groups: dict[tuple, tuple[list, dict, list]] = {}
     for key in itertools.product(*(cfg.axes[k] for k in axis_names)):
         params = {**cfg.fixed, **dict(zip(axis_names, key))}
-        mixed = _runs_mixed(params)
-        shared = key if mixed else tuple(
-            v for name, v in zip(axis_names, key) if name != "h_a_per_Jz")
-        keys, _, configs = groups.setdefault((mixed, shared), ([], params, []))
+        shared = tuple(v for name, v in zip(axis_names, key)
+                       if name != "h_a_per_Jz")
+        keys, _, configs = groups.setdefault(shared, ([], params, []))
         keys.append(key)
         configs.append(point_configs(params))
     group_keys, group_params, group_configs = zip(*groups.values())

@@ -230,8 +230,8 @@ def test_c11_dephased_qfi_still_grows():
     alphas = {}
     for L in (3, 4):
         trace = noisy_fisher(ProbeConfig(length=L, epsilon=EPS),
-                             FieldConfig(h_a=DTC_FIELD), gamma=1e-3,
-                             cycles=50)
+                             [FieldConfig(h_a=DTC_FIELD)], gamma=1e-3,
+                             cycles=50)[0]
         pa = point_average(trace, dn=5, K=10)
         alphas[L] = power_fit(pa["n_mid"], pa["qfi"]).exponent
     print(f"\n[C11] point-averaged QFI exponents under dephasing: "

@@ -180,7 +180,7 @@ def test_noise_writes_trace_and_point_averages(tmp_path, capsys):
     assert lines[1].split(",")[0] == "1"  # n_mid = dn(i - 1/2) = 1
     # every line follows the one number rule on point_average's values
     pa_ref = point_average(noisy_fisher(
-        ProbeConfig(length=2), FieldConfig(h_a=1e-3), 1e-3, 6), 2, 3)
+        ProbeConfig(length=2), [FieldConfig(h_a=1e-3)], 1e-3, 6)[0], 2, 3)
     assert lines[1:] == [",".join(_fmt(pa_ref[k][i]) for k in (
         "n_mid", "n_cumulative", "qfi", "cfi_computational",
         "cfi_collective")) for i in range(3)]

@@ -18,6 +18,7 @@ from dtc_sense.model import (
     ProbeConfig,
     build_initial_state,
     collective_index_a,
+    engine_probe,
 )
 from dtc_sense.recipes import RECIPES
 from dtc_sense.sweep import apply_dict, base_config
@@ -324,7 +325,7 @@ def test_imbalance_refuses_zero_reference():
     with pytest.raises(NumericalError):
         stroboscopic_trace(cfg, FieldConfig(h_a=1e-3), init, cycles=1)
     with pytest.raises(NumericalError):
-        noisy_fisher(cfg, FieldConfig(h_a=1e-3), 1e-3, cycles=1, init=init)
+        noisy_fisher(cfg, [FieldConfig(h_a=1e-3)], 1e-3, cycles=1, init=init)
 
 
 def test_imbalance_stays_in_range():
@@ -408,7 +409,7 @@ def test_sector_trace_equals_full_engine_on_every_tilt_zero_recipe():
         for L in range(1, 7):
             cfg = ProbeConfig(length=L, epsilon=eps)
             trace = stroboscopic_trace(cfg, fld, cycles=cycles)
-            assert trace.probe.pair_dim == 2
+            assert engine_probe(cfg, None).pair_dim == 2
             got = np.column_stack([trace.imbalance, trace.qfi,
                                    trace.cfi_computational,
                                    trace.cfi_collective])

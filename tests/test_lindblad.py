@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 import oracles
+from dtc_sense import lindblad
 from dtc_sense.errors import ResourceLimitError
 from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent
 from dtc_sense.lindblad import (
@@ -19,6 +20,7 @@ from dtc_sense.model import (
     ProbeConfig,
     build_initial_state,
     collective_index_a,
+    engine_probe,
 )
 from dtc_sense.metrology import (
     _readout,
@@ -61,9 +63,9 @@ def test_hamming_matrix_small_case():
 
 
 def test_stacked_expm_matches_scipy_per_block():
-    # one stack of blocks whose 1-norms span 1e-5 .. 8: the scaling the
-    # stack shares is set by the largest norm, so the smallest blocks are
-    # scaled down and squared back 4 more times than on their own
+    # one stack of blocks whose 1-norms span 1e-5 .. 8: each block is
+    # scaled and squared back by its own norm, so the small blocks keep the
+    # accuracy they have on their own
     rng = np.random.default_rng(11)
     norms = [1e-5, 1e-3, 0.1, 0.5, 2.0, 8.0]
     stack = []
@@ -234,13 +236,13 @@ def test_initial_mixed_state_is_projector():
 def test_noisy_fisher_gate_and_window_validation():
     # the gate counts density-matrix rows: 4^6 at tilt > 0, 2^11 at tilt 0
     with pytest.raises(ResourceLimitError):
-        noisy_fisher(ProbeConfig(length=6), FieldConfig(h_a=1e-3), 1e-3,
+        noisy_fisher(ProbeConfig(length=6), [FieldConfig(h_a=1e-3)], 1e-3,
                      cycles=4, init=InitConfig(tilt=0.1))
     with pytest.raises(ResourceLimitError):
-        noisy_fisher(ProbeConfig(length=11), FieldConfig(h_a=1e-3), 1e-3,
+        noisy_fisher(ProbeConfig(length=11), [FieldConfig(h_a=1e-3)], 1e-3,
                      cycles=4)
-    trace = noisy_fisher(ProbeConfig(length=2), FieldConfig(h_a=1e-3), 1e-3,
-                         cycles=4)
+    trace = noisy_fisher(ProbeConfig(length=2), [FieldConfig(h_a=1e-3)], 1e-3,
+                         cycles=4)[0]
     with pytest.raises(ValueError):
         point_average(trace, dn=3, K=2)
 
@@ -250,27 +252,34 @@ def test_noisy_fisher_zero_noise_tracks_pure_qfi(tilt):
     # tilt 0 runs both builders at d = 2, tilt 0.1 at d = 4
     cfg = ProbeConfig(length=2, epsilon=0.1)
     init = InitConfig(tilt=tilt)
-    # h_a = 0 included: the exact derivative needs no one-sided stencil there
-    for fld in (FieldConfig(h_a=1e-3), FieldConfig(h_a=0.0, delta_f=0.02)):
-        out = noisy_fisher(cfg, fld, gamma=0.0, cycles=6, init=init)
-        pure = stroboscopic_trace(cfg, fld, init, cycles=6)
-        for n in range(1, 7):
-            assert out.qfi[n] == pytest.approx(pure.qfi[n], rel=1e-9)
-            assert out.cfi_computational[n] == pytest.approx(
-                pure.cfi_computational[n], rel=1e-9)
-            assert out.cfi_collective[n] == pytest.approx(
-                pure.cfi_collective[n], rel=1e-9)
-            assert out.imbalance[n] == pytest.approx(pure.imbalance[n],
-                                                     abs=1e-12)
+    # h_a = 0 included: the exact derivative needs no one-sided stencil
+    # there; the fields of each delta_f run as one batch
+    for df in (0.0, 0.02):
+        fields = [FieldConfig(h_a=1e-3, delta_f=df),
+                  FieldConfig(h_a=0.0, delta_f=df)]
+        batch = noisy_fisher(cfg, fields, gamma=0.0, cycles=6, init=init)
+        for out, fld in zip(batch, fields):
+            _assert_tracks_pure(out, stroboscopic_trace(cfg, fld, init,
+                                                        cycles=6))
+
+
+def _assert_tracks_pure(out, pure):
+    for n in range(1, 7):
+        assert out.qfi[n] == pytest.approx(pure.qfi[n], rel=1e-9)
+        assert out.cfi_computational[n] == pytest.approx(
+            pure.cfi_computational[n], rel=1e-9)
+        assert out.cfi_collective[n] == pytest.approx(
+            pure.cfi_collective[n], rel=1e-9)
+        assert out.imbalance[n] == pytest.approx(pure.imbalance[n],
+                                                 abs=1e-12)
 
 
 def test_noisy_fisher_dephasing_suppresses_qfi():
     cfg = ProbeConfig(length=2, epsilon=0.1)
     fld = FieldConfig(h_a=1e-3)
-    quiet = noisy_fisher(cfg, fld, gamma=0.0, cycles=6)
-    noisy = noisy_fisher(cfg, fld, gamma=0.05, cycles=6)
+    quiet = noisy_fisher(cfg, [fld], gamma=0.0, cycles=6)[0]
+    noisy = noisy_fisher(cfg, [fld], gamma=0.05, cycles=6)[0]
     assert noisy.qfi[6] < quiet.qfi[6]
-    assert noisy.gamma == 0.05
     pa = point_average(noisy, dn=3, K=2)
     assert np.allclose(pa["n_mid"], [1.5, 4.5])
     assert pa["qfi"].shape == (2,)
@@ -278,10 +287,46 @@ def test_noisy_fisher_dephasing_suppresses_qfi():
 
 def test_noisy_fisher_fisher_hierarchy_holds():
     cfg = ProbeConfig(length=2, epsilon=0.1)
-    tr = noisy_fisher(cfg, FieldConfig(h_a=1e-3), gamma=1e-3, cycles=5)
+    tr = noisy_fisher(cfg, [FieldConfig(h_a=1e-3)], gamma=1e-3, cycles=5)[0]
     for n in range(1, 6):
         assert tr.qfi[n] >= tr.cfi_computational[n] - 1e-6
         assert tr.cfi_computational[n] >= tr.cfi_collective[n] - 1e-8
+
+
+def _columns(trace):
+    return np.column_stack([trace.imbalance, trace.qfi,
+                            trace.cfi_computational, trace.cfi_collective])
+
+
+@pytest.mark.parametrize("tilt", [0.0, 0.1])
+def test_noisy_fisher_batch_matches_single_runs(tilt):
+    # fields from 1e-5 to 1e6 in one batch: each trace reproduces its own
+    # one-field run to 1e-13 of each column's largest value, which needs
+    # every exchange block exponentiated at its own scaling
+    cfg, init = ProbeConfig(length=2, epsilon=0.1), InitConfig(tilt=tilt)
+    fields = [FieldConfig(h_a=h, delta_f=0.01, eta=0.1)
+              for h in (1e-5, 1e-3, 0.3, 1e4, 1e6)]
+    batch = noisy_fisher(cfg, fields, 1e-3, 20, init)
+    assert len(batch) == len(fields)
+    for trace, fld in zip(batch, fields):
+        ref = _columns(noisy_fisher(cfg, [fld], 1e-3, 20, init)[0])
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(_columns(trace) - ref) <= 1e-13 * scale), fld
+
+
+def test_noisy_fisher_batch_split_to_the_state_size_gate_matches(monkeypatch):
+    # a batch holding more entries than one MIXED_STATE_MAX_DIM-row density
+    # matrix runs in pieces
+    cfg = ProbeConfig(length=3)
+    fields = [FieldConfig(h_a=h) for h in (1e-4, 1e-3, 1e-2, 0.1, 0.5)]
+    whole = noisy_fisher(cfg, fields, 1e-3, 6)
+    monkeypatch.setattr(lindblad, "MIXED_STATE_MAX_DIM", 12)  # 2 per piece
+    pieces = noisy_fisher(cfg, fields, 1e-3, 6)
+    assert len(pieces) == len(fields)
+    for a, b in zip(whole, pieces):
+        ref = _columns(a)
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(_columns(b) - ref) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("length", [2, 3])
@@ -291,8 +336,8 @@ def test_noisy_fisher_sector_equals_full_engine(length):
     cfg = ProbeConfig(length=length, epsilon=0.1)
     fld = FieldConfig(h_a=1e-2, delta_f=0.02, eta=0.1)
     gamma, cycles = 1e-2, 20
-    trace = noisy_fisher(cfg, fld, gamma, cycles)
-    assert trace.probe.pair_dim == 2
+    trace = noisy_fisher(cfg, [fld], gamma, cycles)[0]
+    assert engine_probe(cfg, None).pair_dim == 2
     got = np.column_stack([trace.imbalance, trace.qfi,
                            trace.cfi_computational, trace.cfi_collective])
     engine = LindbladEngine(cfg, fld, gamma)

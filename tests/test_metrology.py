@@ -287,7 +287,6 @@ def test_trace_initial_row_and_shape():
     assert trace.cycles == 9
     assert trace.imbalance[0] == 1.0
     assert trace.qfi[0] == 0.0
-    assert trace.gamma == 0.0
 
 
 def test_trace_matches_dense_oracle_qfi():
@@ -332,7 +331,6 @@ def test_batch_fields_match_single_field_runs(L, df, eta):
     cfg = ProbeConfig(length=L, epsilon=0.1)
     fields = [FieldConfig(h_a=h, delta_f=df, eta=eta) for h in _BATCH_H]
     batch = stroboscopic_traces(cfg, fields, cycles=10)
-    assert [t.field for t in batch] == fields
     for trace, fld in zip(batch, fields):
         got = _columns(trace)
         ref = _columns(stroboscopic_trace(cfg, fld, cycles=10))

@@ -146,9 +146,8 @@ def test_workers_do_not_change_results():
 
 
 def test_sweep_rows_match_single_point_rows(monkeypatch):
-    # pure points that differ only in h_a_per_Jz run as one field batch;
-    # every point's rows match its own simulate rows to 1e-13 of each
-    # column's largest value
+    # pure points that differ only in h_a_per_Jz run as one field batch,
+    # and match their own single-point rows
     batches = []
     traces = sweep.stroboscopic_traces
 
@@ -162,10 +161,35 @@ def test_sweep_rows_match_single_point_rows(monkeypatch):
                      "eta": [0.0, 0.1], "theta_rad": [0.0, 0.1]})
     names, rows = run_sweep(cfg)
     assert batches == [3] * 8
+    _assert_rows_match_points(cfg, names, rows, 24)
+
+
+def test_dephased_sweep_batches_the_field_axis(monkeypatch):
+    # dephased points that differ only in h_a_per_Jz arrive as one
+    # noisy_fisher batch, and match their own single-point rows
+    batches = []
+    traces = sweep.noisy_fisher
+
+    def recording(probe, fields, *args):
+        batches.append(len(fields))
+        return traces(probe, fields, *args)
+
+    monkeypatch.setattr(sweep, "noisy_fisher", recording)
+    cfg = _tiny_cfg(cycles=8, delta_f=0.01, eta=0.1, gamma_per_Jz=1e-3)
+    apply_dict(cfg, {"L": [2, 3], "h_a_per_Jz": [1e-4, 1e-2, 0.3],
+                     "theta_rad": [0.0, 0.1]})
+    names, rows = run_sweep(cfg)
+    assert batches == [3] * 4
+    _assert_rows_match_points(cfg, names, rows, 12)
+
+
+def _assert_rows_match_points(cfg, names, rows, points):
+    # every point's rows match its own evaluate_point rows to 1e-13 of each
+    # column's largest value
     by_key = {}
     for row in rows:
         by_key.setdefault(row[:len(names)], []).append(row[len(names):])
-    assert len(by_key) == 24
+    assert len(by_key) == points
     for key, got in by_key.items():
         params = {**cfg.fixed, **dict(zip(names, key))}
         ref = np.array([r[1:] for r in trace_rows(evaluate_point(params))],

@@ -73,13 +73,18 @@ dtc_sense.FloquetEngine(cfg, field).apply_cycle(
     dtc_sense.initial_state_with_tangent(cfg), 1)
 dtc_sense.LindbladEngine(cfg, field, 1e-3).apply_cycle(
     dtc_sense.initial_mixed_state(cfg), 1)
+rho = dtc_sense.initial_mixed_state(cfg).rho[None].repeat(2, axis=0)
+dtc_sense.LindbladEngine(cfg, [field, dtc_sense.FieldConfig(h_a=1e6)],
+                         1e-3).apply_cycle(
+    dtc_sense.MixedState(rho, tangent=0 * rho), 1)
 print("scipy" in sys.modules)
 """
 
 
 def test_package_loads_submodules_on_first_use():
-    # one cycle of each engine runs without scipy, which pyproject does not
-    # declare (numpy is the only runtime dependency)
+    # one cycle of each engine, and of a two-field Lindblad batch, runs
+    # without scipy, which pyproject does not declare (numpy is the only
+    # runtime dependency)
     proc = subprocess.run([sys.executable, "-c", _LAZY_PROBE],
                           capture_output=True, text=True, timeout=120,
                           env=_env())
