@@ -61,7 +61,6 @@ import numpy as np
 from .floquet import FloquetEngine, apply_pair_gates
 from .metrology import StroboscopicTrace, qfi_mixed, record_trace
 from .model import (
-    MIXED_STATE_MAX_DIM,
     FieldConfig,
     InitConfig,
     ProbeConfig,
@@ -190,18 +189,13 @@ def noisy_fisher(cfg: ProbeConfig, fields: list[FieldConfig], gamma: float,
 
     One LindbladEngine, at the pair dimension model.engine_probe picks for
     `init`, evolves each rho with its exact h_a-derivative, so h_a = 0 needs
-    no special case.  The batch is split only where it would hold more
-    entries than one MIXED_STATE_MAX_DIM-row rho.  The mixed QFI raises
-    NumericalError on trace drift or negative eigenvalues; a density matrix
-    beyond MIXED_STATE_MAX_DIM rows raises ResourceLimitError.
+    no special case.  It runs exactly the batch given (model.field_batches
+    sizes the ones callers form).  The mixed QFI raises NumericalError on
+    trace drift or negative eigenvalues; a density matrix beyond
+    model.MIXED_STATE_MAX_DIM rows raises ResourceLimitError.
     """
     cfg = engine_probe(cfg, init)
     check_state_size(cfg, mixed=True)
-    size = max(1, MIXED_STATE_MAX_DIM ** 2 // cfg.dim ** 2)
-    if len(fields) > size:
-        return [trace for i in range(0, len(fields), size)
-                for trace in noisy_fisher(cfg, fields[i:i + size], gamma,
-                                          cycles, init)]
     rho = np.tile(initial_mixed_state(cfg, init).rho, (len(fields), 1, 1))
     return record_trace(LindbladEngine(cfg, fields, gamma),
                         MixedState(rho, tangent=np.zeros_like(rho)), cycles,

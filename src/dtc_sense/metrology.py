@@ -16,14 +16,13 @@ set up the engine and the initial state.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BoundaryPeakWarning, NumericalError
 from .floquet import FloquetEngine
 from .model import (
-    PURE_STATE_MAX_DIM,
     FieldConfig,
     InitConfig,
     ProbeConfig,
@@ -31,6 +30,7 @@ from .model import (
     build_initial_state,
     collective_index_a,
     engine_probe,
+    field_batches,
 )
 
 PROB_CUTOFF = 1e-14       # probabilities below this are dropped from CFI sums
@@ -122,7 +122,8 @@ def _readout(p: np.ndarray, dp: np.ndarray, imb_diag: np.ndarray,
 
 
 def qfi_bound(cfg: ProbeConfig, n: int) -> float:
-    """Analytic resonant-QFI ceiling n^2 L^2 (L+1)^2 / pi^2."""
+    """n^2 L^2 (L+1)^2 / pi^2, the QFI of the ideal reference pair: a scale,
+    not a ceiling (tilted traces exceed it; README, "Fisher ceilings")."""
     L = cfg.length
     return n ** 2 * L ** 2 * (L + 1) ** 2 / np.pi ** 2
 
@@ -160,16 +161,10 @@ def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
                         cycles: int = 50) -> list[StroboscopicTrace]:
     """Run the unitary engine for `cycles` periods on every field (all
     sharing delta_f and eta) through record_trace: one trace per field.
-    The fields propagate as one batch (floquet docstring), split only where
-    it would exceed model.PURE_STATE_MAX_DIM amplitudes.  The engine runs at
-    the pair dimension model.engine_probe picks for `init`, so a tilt-0 run
-    holds 2^L amplitudes per field."""
+    The fields propagate as exactly the batch given (floquet docstring;
+    model.field_batches sizes the ones callers form), at the pair dimension
+    model.engine_probe picks for `init`: 2^L amplitudes per field at tilt 0."""
     cfg = engine_probe(cfg, init)
-    size = max(1, PURE_STATE_MAX_DIM // cfg.dim)
-    if len(fields) > size:
-        return [trace for i in range(0, len(fields), size)
-                for trace in stroboscopic_traces(cfg, fields[i:i + size], init,
-                                                 cycles)]
     amps = np.tile(build_initial_state(cfg, init).amplitudes, (len(fields), 1))
     return record_trace(FloquetEngine(cfg, fields),
                         PureState(amps, np.zeros_like(amps)), cycles, qfi_pure)
@@ -258,15 +253,16 @@ def find_transition(cfg: ProbeConfig, field_template: FieldConfig, n: int = 10,
                     h_grid: np.ndarray | None = None,
                     init: InitConfig | None = None) -> float:
     """Field amplitude h_a^max at which QFI(n) peaks (the DTC collapse
-    point) from the initial state `init`.  The coarse grid runs as one field
-    batch."""
+    point) from the initial state `init`.  The coarse grid runs as field
+    batches cut by model.field_batches."""
     if h_grid is None:
         h_grid = np.logspace(-5, 0, 40)
 
     def peak_qfi(h):
-        fields = [FieldConfig(h_a=x, delta_f=field_template.delta_f,
-                              eta=field_template.eta) for x in np.ravel(h)]
-        traces = stroboscopic_traces(cfg, fields, init, cycles=n)
-        return np.reshape([trace.qfi[n] for trace in traces], np.shape(h))
+        fields = [replace(field_template, h_a=x) for x in np.ravel(h)]
+        pieces = field_batches(engine_probe(cfg, init), len(fields), False)
+        qfi = [trace.qfi[n] for s in pieces
+               for trace in stroboscopic_traces(cfg, fields[s], init, n)]
+        return np.reshape(qfi, np.shape(h))
 
     return golden_section_peak(peak_qfi, h_grid)

@@ -167,6 +167,15 @@ def check_state_size(cfg: ProbeConfig, mixed: bool) -> None:
             f"at pair dimension {cfg.pair_dim} needs {cfg.dim}")
 
 
+def field_batches(cfg: ProbeConfig, count: int, mixed: bool) -> list[slice]:
+    """`count` fields at `cfg` (an engine_probe result) cut into engine
+    batches of at least one field and at most as many states as fill
+    PURE_STATE_MAX_DIM amplitudes, or one MIXED_STATE_MAX_DIM-row rho."""
+    limit, p = (MIXED_STATE_MAX_DIM, 2) if mixed else (PURE_STATE_MAX_DIM, 1)
+    size = max(1, limit ** p // cfg.dim ** p)
+    return [slice(i, i + size) for i in range(0, count, size)]
+
+
 def pair_spins(pair_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """sigma^z eigenvalues (+1 up, -1 down) of a_j and of b_j over the d
     local states of one pair: two int arrays of length d = pair_dim."""

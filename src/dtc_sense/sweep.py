@@ -8,11 +8,12 @@ alone decides axis or fixed value, for config files and recipes alike.
 
 run_sweep builds and gates every point of the Cartesian product of the axes
 once, before any work, then groups the points by every axis value but
-h_a_per_Jz: each group runs as one field batch, pure
-(metrology.stroboscopic_traces) or dephased (lindblad.noisy_fisher).  Groups
-run in parallel when workers > 1, and rows are emitted sorted by axis values
-so output never depends on completion order.  emit_table writes every CSV the
-CLI produces and each run's metadata sidecar.
+h_a_per_Jz and cuts each group into the field batches model.field_batches
+admits.  Each piece is one call of the pure (metrology.stroboscopic_traces)
+or dephased (lindblad.noisy_fisher) builder; with workers > 1 a process pool
+of at most one worker per piece runs them.  Rows are emitted sorted by axis
+values so output never depends on completion order.  emit_table writes every
+CSV the CLI produces and each run's metadata sidecar.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .model import (
     ProbeConfig,
     check_state_size,
     engine_probe,
+    field_batches,
 )
 
 #: sweepable keys, in canonical column order
@@ -50,9 +52,7 @@ class RunConfig:
     axes: dict = dataclass_field(default_factory=dict)  # key -> list of values
 
     def get(self, key, default=None):
-        if key in self.fixed:
-            return self.fixed[key]
-        return default
+        return self.fixed.get(key, default)
 
     def resolved(self) -> dict:
         out = dict(self.fixed)
@@ -138,7 +138,7 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
 
 
 #: smallest accepted value of each count key
-_MIN_COUNTS = {"cycles": 0, "n": 1, "dn": 1, "K": 1, "grid_points": 1}
+_MIN_COUNTS = dict(cycles=0, n=1, dn=1, K=1, grid_points=1, workers=1)
 
 
 def _runs_mixed(params: dict) -> bool:
@@ -152,8 +152,8 @@ def point_configs(params: dict, mixed: bool | None = None
     """Build one parameter point's probe (at the pair dimension its engine
     runs), field and initial-state configs, and gate the state that engine
     will hold: a density matrix when `mixed`, else a state vector (None: as
-    a sweep point runs).  A count (cycles, n, dn, K, grid_points) below its
-    minimum is a ConfigError."""
+    a sweep point runs).  A count (cycles, n, dn, K, grid_points, workers)
+    below its minimum is a ConfigError."""
     for key, low in _MIN_COUNTS.items():
         if key in params and int(params[key]) < low:
             raise ConfigError(f"{key} must be >= {low}, got {params[key]}")
@@ -170,7 +170,7 @@ def point_configs(params: dict, mixed: bool | None = None
 def evaluate_group(params: dict, configs: list) -> list[StroboscopicTrace]:
     """The `point_configs` of sweep points that differ only in h_a_per_Jz
     (`params`: any one of them) -> one stroboscopic trace each, from one
-    field batch of the pure or the dephased trace builder."""
+    call of the pure or the dephased trace builder on all their fields."""
     probe, _, init = configs[0]
     fields = [fld for _, fld, _ in configs]
     cycles = int(params["cycles"])
@@ -192,8 +192,7 @@ def trace_rows(trace: StroboscopicTrace, key: tuple = ()) -> list[tuple]:
     return [key + row for row in zip(*(c.tolist() for c in columns))]
 
 
-def run_sweep(cfg: RunConfig, workers: int | None = None
-              ) -> tuple[list[str], list[tuple]]:
+def run_sweep(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
     """Evaluate the Cartesian product of the sweep axes.
 
     Returns (axis column names, rows); each row is the axis-value tuple
@@ -201,7 +200,7 @@ def run_sweep(cfg: RunConfig, workers: int | None = None
     """
     axis_names = [k for k in AXIS_KEYS if k in cfg.axes]
     # every point is built and gated before any work; points that differ
-    # only in h_a_per_Jz share one field batch (they share gamma_per_Jz and
+    # only in h_a_per_Jz share field batches (they share gamma_per_Jz and
     # cycles, so all run pure or all dephased)
     groups: dict[tuple, tuple[list, dict, list]] = {}
     for key in itertools.product(*(cfg.axes[k] for k in axis_names)):
@@ -211,22 +210,23 @@ def run_sweep(cfg: RunConfig, workers: int | None = None
         keys, _, configs = groups.setdefault(shared, ([], params, []))
         keys.append(key)
         configs.append(point_configs(params))
-    group_keys, group_params, group_configs = zip(*groups.values())
+    tasks = [(keys[s], params, configs[s])
+             for keys, params, configs in groups.values()
+             for s in field_batches(configs[0][0], len(configs),
+                                    _runs_mixed(params))]
+    task_keys, task_params, task_configs = zip(*tasks)
 
-    workers = workers if workers is not None else int(cfg.get("workers", 1))
-    if workers > 1 and len(groups) > 1:
+    workers = min(int(cfg.get("workers", 1)), len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(evaluate_group, group_params,
-                                   group_configs))
+            traces = list(pool.map(evaluate_group, task_params, task_configs))
     else:
-        traces = map(evaluate_group, group_params, group_configs)
-    results = dict(zip(itertools.chain(*group_keys), itertools.chain(*traces)))
+        traces = map(evaluate_group, task_params, task_configs)
+    results = dict(zip(itertools.chain(*task_keys), itertools.chain(*traces)))
 
-    rows = []
-    for key in sorted(results):
-        rows += trace_rows(results[key], key)
-    return axis_names, rows
+    return axis_names, [row for key in sorted(results)
+                        for row in trace_rows(results[key], key)]
 
 
 def _fmt(x) -> str:

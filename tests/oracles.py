@@ -187,7 +187,7 @@ def pair_swap_permutation(cfg: ProbeConfig) -> np.ndarray:
 
 def qfi_bound_variance(cfg: ProbeConfig, n: int,
                        init: InitConfig | None = None) -> float:
-    """Variance form of the bound, 4 n^2 Var(G_a) / pi^2, evaluated on the
+    """Variance form of metrology.qfi_bound, 4 n^2 Var(G_a) / pi^2, on the
     equal superposition of the initial state and its pair-swapped partner
     (the subharmonic reference pair), from the dense operators.  For the
     tilt=0 state this equals metrology.qfi_bound exactly."""
@@ -198,6 +198,29 @@ def qfi_bound_variance(cfg: ProbeConfig, n: int,
     p = np.abs(ref) ** 2
     var = float(g ** 2 @ p - (g @ p) ** 2)
     return 4.0 * n ** 2 * var / np.pi ** 2
+
+
+def pang_jordan_bound(cfg: ProbeConfig, field: FieldConfig, n,
+                      tilt: float = 0.0):
+    """Ceiling on the QFI after n cycles (Boixo et al., PRL 98, 090401
+    (2007); Pang & Jordan, Nat. Commun. 8, 14695 (2017)):
+    (spread(G) * integral_0^{nT} |f(t)| dt)^2, where d H / d h_a = f(t) G,
+    f(t) = sin(pi (1 + delta_f) t / T) and G = sum_j j (sz_{a,j} + eta
+    sz_{b,j}).  spread(G), its largest minus its smallest eigenvalue over
+    the states the run reaches, is (1 - eta) L (L+1) in the one-up-per-pair
+    sector (tilt 0) and (1 + eta) L (L+1) on the full space.  A field phase
+    applied as a square pulse of the half's integral only lowers the
+    integral, and dephasing only mixes such runs (the QFI is convex), so
+    the ceiling holds for both engines.  The integral of |f| is taken in
+    closed form between its zeros: m whole half-waves of area 2/w each,
+    plus the part of the next one.  `n` may be an array."""
+    L = cfg.length
+    spread = (1.0 - field.eta if tilt == 0.0 else 1.0 + field.eta) * L * (L + 1)
+    w = np.pi * (1.0 + field.delta_f) / cfg.period
+    phase = w * cfg.period * np.asarray(n, dtype=float)
+    m = np.floor(phase / np.pi)
+    integral = (2.0 * m + 1.0 - np.cos(phase - m * np.pi)) / w
+    return (spread * integral) ** 2
 
 
 def time_average(trace: StroboscopicTrace, N: int) -> dict[str, float]:

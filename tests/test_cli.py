@@ -263,6 +263,7 @@ _NOISE_L2 = "L = 2\ngamma_per_Jz = 1e-3\ncycles = 20\n"
 @pytest.mark.parametrize("command,text", [
     pytest.param("simulate", "L = 2\ncycles = -1\n", id="simulate-cycles"),
     pytest.param("sweep", "L = 2, 3\ncycles = -1\n", id="sweep-cycles"),
+    pytest.param("sweep", "L = 2, 3\nworkers = 0\n", id="sweep-workers"),
     pytest.param("transition", "L = 2\nn = -1\n", id="transition-n"),
     pytest.param("transition", "L = 2\ngrid_points = 0\n",
                  id="transition-grid_points"),

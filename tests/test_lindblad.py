@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from dtc_sense import lindblad
+from dtc_sense import model, sweep
 from dtc_sense.errors import ResourceLimitError
 from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent
 from dtc_sense.lindblad import (
@@ -315,18 +315,30 @@ def test_noisy_fisher_batch_matches_single_runs(tilt):
 
 
 def test_noisy_fisher_batch_split_to_the_state_size_gate_matches(monkeypatch):
-    # a batch holding more entries than one MIXED_STATE_MAX_DIM-row density
-    # matrix runs in pieces
-    cfg = ProbeConfig(length=3)
-    fields = [FieldConfig(h_a=h) for h in (1e-4, 1e-3, 1e-2, 0.1, 0.5)]
-    whole = noisy_fisher(cfg, fields, 1e-3, 6)
-    monkeypatch.setattr(lindblad, "MIXED_STATE_MAX_DIM", 12)  # 2 per piece
-    pieces = noisy_fisher(cfg, fields, 1e-3, 6)
-    assert len(pieces) == len(fields)
-    for a, b in zip(whole, pieces):
-        ref = _columns(a)
-        scale = np.abs(ref).max(axis=0)
-        assert np.all(np.abs(_columns(b) - ref) <= 1e-13 * scale)
+    # a dephased sweep cuts its field group by model.field_batches: with a
+    # budget of one 12-row density matrix (2 sector fields at L = 3) the
+    # five fields reach noisy_fisher as pieces of 2, 2 and 1, and their rows
+    # match the unsplit run's
+    batches = []
+
+    def recording(cfg, fields, *args):
+        batches.append(len(fields))
+        return noisy_fisher(cfg, fields, *args)
+
+    monkeypatch.setattr(sweep, "noisy_fisher", recording)
+    cfg = sweep.apply_dict(sweep.base_config(), {
+        "L": 3, "cycles": 6, "gamma_per_Jz": 1e-3,
+        "h_a_per_Jz": [1e-4, 1e-3, 1e-2, 0.1, 0.5]})
+    names, whole = sweep.run_sweep(cfg)
+    assert batches == [5]
+    batches.clear()
+    monkeypatch.setattr(model, "MIXED_STATE_MAX_DIM", 12)
+    split_names, pieces = sweep.run_sweep(cfg)
+    assert split_names == names and batches == [2, 2, 1]
+    ref, got = np.array(whole), np.array(pieces)
+    assert np.array_equal(ref[:, :2], got[:, :2])  # h_a_per_Jz and n
+    scale = np.abs(ref[:, 2:]).max(axis=0)
+    assert np.all(np.abs(got[:, 2:] - ref[:, 2:]) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("length", [2, 3])

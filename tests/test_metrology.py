@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dtc_sense import metrology
+from dtc_sense import metrology, model
 from dtc_sense.errors import BoundaryPeakWarning, NumericalError
 from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent
+from dtc_sense.lindblad import noisy_fisher
 from dtc_sense.metrology import (
     StroboscopicTrace,
     _cfi_from_probs,
@@ -23,6 +24,7 @@ from dtc_sense.metrology import (
 )
 from dtc_sense.model import (
     FieldConfig,
+    InitConfig,
     ProbeConfig,
     PureState,
     build_initial_state,
@@ -176,6 +178,52 @@ def test_trace_qfi_respects_variance_bound():
     trace = stroboscopic_trace(cfg, FieldConfig(h_a=1e-5), cycles=12)
     for n in range(1, 13):
         assert trace.qfi[n] <= qfi_bound(cfg, n) * (1 + 1e-10)
+
+
+def test_pang_jordan_bound_at_resonance():
+    # at delta_f = 0 the integral of |sin| over n periods is 2n/pi, so the
+    # ceiling is 4 (1 -+ eta)^2 qfi_bound; off resonance it follows the
+    # closed form between the zeros of the drive
+    cfg = ProbeConfig(length=3)
+    for tilt, factor in ((0.0, 0.8), (0.1, 1.2)):
+        bound = oracles.pang_jordan_bound(cfg, FieldConfig(eta=0.2), 7, tilt)
+        assert bound == pytest.approx(4 * factor ** 2 * qfi_bound(cfg, 7),
+                                      rel=1e-14)
+    # delta_f = 1 over one period: two whole half-waves of area 1/pi each
+    bound = oracles.pang_jordan_bound(cfg, FieldConfig(delta_f=1.0), 1)
+    assert bound == pytest.approx((12 * 2 / np.pi) ** 2, rel=1e-14)
+
+
+@st.composite
+def _bound_cases(draw, max_length):
+    # (probe, field, init) over L, epsilon, eta, delta_f, tilt and h_a; the
+    # tilt stays below pi/4, where the initial imbalance vanishes
+    cfg = ProbeConfig(length=draw(st.integers(1, max_length)),
+                      epsilon=draw(st.floats(0.0, 0.9)))
+    fld = FieldConfig(h_a=10.0 ** draw(st.floats(-5.0, 1.0)),
+                      delta_f=draw(st.floats(-0.5, 0.5)),
+                      eta=draw(st.floats(0.0, 0.9)))
+    tilt = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.7)))
+    return cfg, fld, InitConfig(tilt=tilt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_bound_cases(max_length=4))
+def test_pure_qfi_respects_pang_jordan_bound(case):
+    cfg, fld, init = case
+    qfi = stroboscopic_trace(cfg, fld, init, cycles=20).qfi
+    bound = oracles.pang_jordan_bound(cfg, fld, np.arange(21), init.tilt)
+    assert np.all(qfi <= bound * (1 + 1e-10))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_bound_cases(max_length=3), gamma=st.floats(1e-4, 0.1))
+def test_dephased_qfi_respects_pang_jordan_bound(case, gamma):
+    # dephasing mixes runs that each obey the ceiling, and the QFI is convex
+    cfg, fld, init = case
+    qfi = noisy_fisher(cfg, [fld], gamma, 20, init)[0].qfi
+    bound = oracles.pang_jordan_bound(cfg, fld, np.arange(21), init.tilt)
+    assert np.all(qfi <= bound * (1 + 1e-10))
 
 
 # ----------------------------------------------------------------- windows
@@ -339,17 +387,24 @@ def test_batch_fields_match_single_field_runs(L, df, eta):
 
 
 def test_batch_split_to_the_state_size_gate_matches(monkeypatch):
-    # a batch larger than PURE_STATE_MAX_DIM amplitudes runs in pieces
-    cfg = ProbeConfig(length=3)
-    fields = [FieldConfig(h_a=h) for h in (1e-4, 1e-3, 1e-2, 0.1, 0.5)]
-    whole = stroboscopic_traces(cfg, fields, cycles=6)
-    monkeypatch.setattr(metrology, "PURE_STATE_MAX_DIM", 16)  # 2 per piece
-    pieces = stroboscopic_traces(cfg, fields, cycles=6)
-    assert len(pieces) == len(fields)
-    for a, b in zip(whole, pieces):
-        ref = _columns(a)
-        scale = np.abs(ref).max(axis=0)
-        assert np.all(np.abs(_columns(b) - ref) <= 1e-13 * scale)
+    # find_transition cuts its coarse grid by model.field_batches: with a
+    # budget of 16 amplitudes (2 sector fields at L = 3) the five-point grid
+    # runs as pieces of 2, 2 and 1 and finds the unsplit run's peak
+    batches = []
+
+    def recording(cfg, fields, *args):
+        batches.append(len(fields))
+        return stroboscopic_traces(cfg, fields, *args)
+
+    monkeypatch.setattr(metrology, "stroboscopic_traces", recording)
+    cfg, grid = ProbeConfig(length=3), np.logspace(-2, 0.5, 5)
+    whole = find_transition(cfg, FieldConfig(), 6, grid)
+    assert batches[0] == 5 and set(batches[1:]) == {1}
+    batches.clear()
+    monkeypatch.setattr(model, "PURE_STATE_MAX_DIM", 16)
+    pieces = find_transition(cfg, FieldConfig(), 6, grid)
+    assert batches[:3] == [2, 2, 1] and set(batches[3:]) == {1}
+    assert abs(pieces - whole) <= 1e-13 * whole
 
 
 def test_batch_requires_shared_offset_and_crosstalk():

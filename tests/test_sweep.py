@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dtc_sense import sweep
+from dtc_sense import model, sweep
 from dtc_sense.errors import ConfigError, ResourceLimitError
 from dtc_sense.sweep import (
     CSV_COLUMNS,
@@ -137,12 +137,58 @@ def test_axis_expansion_and_ordering():
 def test_workers_do_not_change_results():
     cfg = _tiny_cfg(h_a_per_Jz=1e-3)
     apply_dict(cfg, {"L": [2, 3]})
-    serial = run_sweep(cfg, workers=1)
-    parallel = run_sweep(cfg, workers=2)
+    serial = run_sweep(cfg)
+    parallel = run_sweep(apply_dict(cfg, {"workers": 2}))
     assert serial[0] == parallel[0]
     assert len(serial[1]) == len(parallel[1])
     for a, b in zip(serial[1], parallel[1]):
         assert a == b
+
+
+def test_workers_run_the_pieces_of_a_split_group(monkeypatch):
+    # one group of five fields, cut into pieces of two by the state budget:
+    # a two-worker pool runs the pieces and gives the serial rows exactly
+    monkeypatch.setattr(model, "PURE_STATE_MAX_DIM", 16)  # 2 per piece at L=3
+    cfg = _tiny_cfg(L=3, cycles=6)
+    apply_dict(cfg, {"h_a_per_Jz": [1e-4, 1e-3, 1e-2, 0.1, 0.5]})
+    serial = run_sweep(cfg)
+    assert run_sweep(apply_dict(cfg, {"workers": 2})) == serial
+
+
+@pytest.mark.parametrize("workers,fields,created,tasks", [
+    (64, 3, [2], [[2, 1]]),   # never more workers than tasks
+    (2, 5, [2], [[2, 2, 1]]),
+    (2, 2, [], []),           # one task runs serially, with no pool
+    (1, 5, [], []),
+])
+def test_pool_gets_one_task_per_piece(monkeypatch, workers, fields, created,
+                                      tasks):
+    import concurrent.futures
+    seen_workers, seen_tasks = [], []
+
+    class InlinePool:
+        # stands in for ProcessPoolExecutor: records max_workers and the
+        # fields of each task, and runs the tasks in this process
+        def __init__(self, max_workers):
+            seen_workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            args = list(zip(*iterables))
+            seen_tasks.append([len(configs) for _, configs in args])
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(model, "PURE_STATE_MAX_DIM", 16)  # 2 per piece at L=3
+    cfg = _tiny_cfg(L=3, cycles=2, workers=workers)
+    apply_dict(cfg, {"h_a_per_Jz": list(np.logspace(-4, -1, fields))})
+    run_sweep(cfg)
+    assert (seen_workers, seen_tasks) == (created, tasks)
 
 
 def test_sweep_rows_match_single_point_rows(monkeypatch):
