@@ -1,12 +1,12 @@
-"""Command-line interface.
+"""dtc-sense: Floquet two-chain probe simulator and Fisher-information toolkit.
 
-    dtc-sense <subcommand> [--config FILE] [--recipe NAME] [--out PATH]
-                           [--workers N]
-
-Subcommands: simulate (one trace), sweep (Cartesian parameter sweep), fit
+Commands: simulate (one trace), sweep (Cartesian parameter sweep), fit
 (power-law fit on a results CSV), transition (field amplitude of the QFI
 peak), noise (dephased point-averaged Fisher run), expcalc (experimental
-units arithmetic).  Precedence: recipe defaults < config file < flags.
+units arithmetic).  Precedence: key defaults < recipe < config file <
+flags.  An unknown key, a count below its minimum, a recipe of another
+command and axes outside sweep are configuration errors; the printed
+configuration and sidecar hold only the keys the command reads (sweep.KEYS).
 
 Exit codes: 0 success, 2 configuration error, 3 resource-gate rejection,
 4 numerical-contract failure.
@@ -40,37 +40,34 @@ from .sweep import (
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dtc-sense",
-        description="Floquet two-chain probe simulator and Fisher-information "
-                    "toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("simulate", "run a single stroboscopic trace"),
-        ("sweep", "evaluate a Cartesian parameter sweep"),
-        ("fit", "power-law fit of a column in a results CSV"),
-        ("transition", "locate the field amplitude where the QFI peaks"),
-        ("noise", "dephased run with point-averaged Fisher output"),
-        ("expcalc", "experimental timing and sensitivity arithmetic"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--recipe", choices=sorted(RECIPES),
-                       help="named parameter preset")
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--workers", type=int, help="parallel worker count")
+        prog="dtc-sense", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="key=value config file")
+    parser.add_argument("--recipe", choices=sorted(RECIPES),
+                        help="named parameter preset of the same command")
+    parser.add_argument("--out", help="output CSV path")
+    parser.add_argument("--workers", type=int, help="parallel worker count")
     return parser
 
 
 def _resolve_config(args) -> RunConfig:
-    cfg = base_config()
+    cfg = base_config(args.command)
     if args.recipe:
+        if (owner := RECIPES[args.recipe]["command"]) != args.command:
+            raise ConfigError(f"recipe {args.recipe!r} runs under {owner}, "
+                              f"not {args.command}")
         apply_dict(cfg, recipe_config(args.recipe))
     if args.config:
         load_config(args.config, base=cfg)
-    if args.out:
-        cfg.fixed["out"] = args.out
-    if args.workers is not None:
-        cfg.fixed["workers"] = args.workers
+    apply_dict(cfg, {key: value for key, value in vars(args).items()
+                     if key in ("out", "workers") and value is not None})
+    if cfg.axes and args.command != "sweep":
+        raise ConfigError(
+            f"{args.command} runs a single point; use the sweep subcommand "
+            f"for axes {sorted(cfg.axes)}")
+    if not cfg.axes and args.command == "sweep":
+        raise ConfigError("sweep needs at least one comma-separated axis")
     return cfg
 
 
@@ -80,23 +77,10 @@ def _print_resolved(cfg: RunConfig) -> None:
         print(f"{key} = {value}")
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    if cfg.axes:
-        raise ConfigError(
-            f"simulate runs a single point; use the sweep subcommand for "
-            f"axes {sorted(cfg.axes)}")
-    rows = trace_rows(evaluate_point(cfg.fixed))
-    out = cfg.get("out") or "simulate.csv"
-    emit_table([], rows, out, cfg.resolved())
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
-
-
-def _cmd_sweep(cfg: RunConfig) -> int:
-    if not cfg.axes:
-        raise ConfigError("sweep needs at least one comma-separated axis")
-    axis_names, rows = run_sweep(cfg)
-    out = cfg.get("out") or "sweep.csv"
+def _cmd_table(cfg: RunConfig) -> int:
+    axis_names, rows = run_sweep(cfg) if cfg.axes else \
+        ([], trace_rows(evaluate_point(cfg.fixed)))
+    out = cfg.get("out") or f"{cfg.command}.csv"
     emit_table(axis_names, rows, out, cfg.resolved())
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -116,8 +100,7 @@ def _cmd_fit(cfg: RunConfig) -> int:
     path = cfg.get("in")
     if not path:
         raise ConfigError("fit needs `in = <results.csv>` in the config")
-    x_col = cfg.get("x", "L")
-    y_col = cfg.get("y", "qfi")
+    x_col, y_col = cfg.get("x"), cfg.get("y")
     data = _read_csv_columns(path)
     names = data.dtype.names
     for col in (x_col, y_col):
@@ -148,9 +131,11 @@ def _cmd_fit(cfg: RunConfig) -> int:
 
 def _cmd_transition(cfg: RunConfig) -> int:
     params = cfg.fixed
-    probe, fld, init = point_configs(params, mixed=False)
+    # h_a is the search variable: find_transition sets it from the grid
+    probe, fld, init = point_configs({**params, "h_a_per_Jz": 0.0},
+                                     mixed=False)
     n = int(params.get("n", 10))
-    grid = np.logspace(-5, 0, int(params.get("grid_points", 40)))
+    grid = np.logspace(-5, 0, int(params["grid_points"]))
     h_max = find_transition(probe, fld, n, grid, init)
     print(f"h_a_max = {h_max:.6g}")
     out = cfg.get("out")
@@ -163,8 +148,6 @@ def _cmd_transition(cfg: RunConfig) -> int:
 
 def _cmd_noise(cfg: RunConfig) -> int:
     params = cfg.fixed
-    if cfg.axes:
-        raise ConfigError("noise runs a single parameter point")
     probe, fld, init = point_configs(params, mixed=True)
     gamma = float(params["gamma_per_Jz"])
     cycles, dn, K = int(params["cycles"]), int(params["dn"]), int(params["K"])
@@ -190,37 +173,35 @@ def _cmd_noise(cfg: RunConfig) -> int:
 
 def _cmd_expcalc(cfg: RunConfig) -> int:
     params = cfg.fixed
-    unit_scale = float(params.get("unit_scale", 1.0))
-    L = int(params["L"])
+    L, unit_scale = int(params["L"]), float(params["unit_scale"])
     if "f_pair_hz" in params or "coherence_s" in params:
-        if not ("f_pair_hz" in params and "coherence_s" in params):
-            raise ConfigError("expcalc needs both f_pair_hz and coherence_s "
-                              "(or a material preset)")
-        records = [expcalc(float(params["f_pair_hz"]),
-                           float(params["coherence_s"]), L, unit_scale)]
+        if not ("f_pair_hz" in params and "coherence_s" in params) \
+                or "material" in params:
+            raise ConfigError("expcalc needs both f_pair_hz and coherence_s, "
+                              "or a material preset instead")
+        records = {"custom": expcalc(float(params["f_pair_hz"]),
+                                     float(params["coherence_s"]), L,
+                                     unit_scale)}
     else:
         names = [params["material"]] if "material" in params \
             else sorted(MATERIALS)
-        records = [material_record(name, L, unit_scale) for name in names]
-        for name, rec in zip(names, records):
-            rec["material"] = name
-    for rec in records:
-        label = rec.get("material", "custom")
-        print(f"[{label}] " + "  ".join(
-            f"{k}={_fmt(v)}" for k, v in rec.items() if k != "material"))
+        records = {name: material_record(name, L, unit_scale)
+                   for name in names}
+    for name, rec in records.items():
+        print(f"[{name}] "
+              + "  ".join(f"{k}={_fmt(v)}" for k, v in rec.items()))
     out = cfg.get("out")
-    if out:
-        keys = [k for k in records[0] if k != "material"]
-        emit_table(["material"], [
-            (rec.get("material", "custom"), *(rec[k] for k in keys))
-            for rec in records], out, cfg.resolved(), keys)
+    if out:  # every record has the columns of rec, the last one
+        emit_table(["material"], [(name, *rec.values())
+                                  for name, rec in records.items()],
+                   out, cfg.resolved(), list(rec))
         print(f"wrote {len(records)} records to {out}")
     return 0
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
+    "simulate": _cmd_table,
+    "sweep": _cmd_table,
     "fit": _cmd_fit,
     "transition": _cmd_transition,
     "noise": _cmd_noise,

@@ -133,7 +133,7 @@ class FloquetEngine:
         self._unit_field = replace(self.fields[0], h_a=1.0)
         self.weights = field_weights(cfg, self.fields[0].eta)
         self.chain = np.exp(-1j * cfg.t1 * chain_interaction_diagonal(cfg))
-        self.imbalance_diag = observable_diagonal(cfg, "imbalance-numerator")
+        self.imbalance_diag = observable_diagonal(cfg)
         # the diagonal half's field weights and t1 decay on the local states
         # a pair block acts on (LindbladEngine lifts both)
         self._phase_w, self._t1_decay = self.weights, 1.0

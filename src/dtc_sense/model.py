@@ -36,13 +36,6 @@ PAIR_STATES = {4: (0, 1, 2, 3), 2: (2, 1)}
 PURE_STATE_MAX_DIM = 4 ** 8
 MIXED_STATE_MAX_DIM = 4 ** 5
 
-#: Kinds accepted by :func:`observable_diagonal`, each mapping site j to the
-#: weights (on sigma^z_{a,j}, on sigma^z_{b,j}).
-OBSERVABLE_KINDS = {
-    "imbalance-numerator": lambda j: (1, -1),  # sum_j (sigma^z_{a,j} - sigma^z_{b,j})
-}
-
-
 @dataclass(frozen=True)
 class ProbeConfig:
     """Static model parameters of the binary-quench probe.
@@ -202,14 +195,11 @@ def field_weights(cfg: ProbeConfig, eta: float) -> np.ndarray:
     return np.arange(1.0, cfg.length + 1)[:, None] * (sa + eta * sb)
 
 
-def observable_diagonal(cfg: ProbeConfig, kind: str) -> np.ndarray:
-    """Diagonal weight vector d(z) of a named observable over basis integers."""
-    if kind not in OBSERVABLE_KINDS:
-        raise ConfigError(f"unknown observable kind {kind!r}")
+def observable_diagonal(cfg: ProbeConfig) -> np.ndarray:
+    """Diagonal of the imbalance numerator sum_j (sigma^z_{a,j} -
+    sigma^z_{b,j}) over basis integers."""
     sa, sb = pair_spins(cfg.pair_dim)
-    local = [wa * sa + wb * sb for wa, wb in
-             map(OBSERVABLE_KINDS[kind], range(1, cfg.length + 1))]
-    return pair_sum(np.array(local, dtype=float))
+    return pair_sum(np.tile(sa - sb, (cfg.length, 1)).astype(float))
 
 
 def chain_interaction_diagonal(cfg: ProbeConfig) -> np.ndarray:

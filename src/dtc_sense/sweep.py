@@ -2,9 +2,10 @@
 
 Configs are plain key=value text (one pair per line, '#' comments).  Keys
 carry their units: couplings and rates are in units of the chain coupling
-(h_a_per_Jz, gamma_per_Jz), angles in radians (theta_rad).  Any axis key may
-hold a comma-separated list, which turns it into a sweep axis; apply_dict
-alone decides axis or fixed value, for config files and recipes alike.
+(h_a_per_Jz, gamma_per_Jz), angles in radians (theta_rad).  Any axis key of
+KEYS may hold a comma-separated list, which turns it into a sweep axis;
+apply_dict alone checks each key against KEYS and decides axis or fixed
+value, for config files, recipes and flags alike.
 
 run_sweep builds and gates every point of the Cartesian product of the axes
 once, before any work, then groups the points by every axis value but
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field as dataclass_field
 
 from . import __version__
@@ -35,21 +37,50 @@ from .model import (
     field_batches,
 )
 
-#: sweepable keys, in canonical column order
-AXIS_KEYS = ("L", "epsilon", "h_a_per_Jz", "delta_f", "eta", "theta_rad",
-             "gamma_per_Jz")
-_INT_KEYS = {"L", "cycles", "workers", "dn", "K", "n", "grid_points"}
-_STR_KEYS = {"out", "in", "x", "y", "recipe", "material"}
+#: A row of KEYS; a default or minimum of None means there is none.
+Key = namedtuple("Key", "parse default minimum axis commands")
+
+_TRACE = ("simulate", "sweep", "noise")  # run stroboscopic traces
+_PROBE = _TRACE + ("transition",)         # build a probe
+#: every key a config may set; axis keys in canonical column order.  `n`
+#: has no default here: `transition` uses 10, `fit` the table's largest n.
+KEYS = {
+    #                  parser default minimum axis   read by
+    "L":           Key(int,   4,      None,   True,  _PROBE + ("expcalc",)),
+    "epsilon":     Key(float, 0.1,    None,   True,  _PROBE),
+    "h_a_per_Jz":  Key(float, 0.0,    None,   True,  _TRACE),
+    "delta_f":     Key(float, 0.0,    None,   True,  _PROBE),
+    "eta":         Key(float, 0.0,    None,   True,  _PROBE),
+    "theta_rad":   Key(float, 0.0,    None,   True,  _PROBE),
+    "gamma_per_Jz": Key(float, 0.0,   None,   True,  _TRACE),
+    "cycles":      Key(int,   50,     0,      False, _TRACE),
+    "workers":     Key(int,   1,      1,      False, ("sweep",)),
+    "dn":          Key(int,   5,      1,      False, ("noise",)),
+    "K":           Key(int,   10,     1,      False, ("noise",)),
+    "n":           Key(int,   None,   1,      False, ("fit", "transition")),
+    "grid_points": Key(int,   40,     1,      False, ("transition",)),
+    "in":          Key(str,   None,   None,   False, ("fit",)),
+    "x":           Key(str,   "L",    None,   False, ("fit",)),
+    "y":           Key(str,   "qfi",  None,   False, ("fit",)),
+    "material":    Key(str,   None,   None,   False, ("expcalc",)),
+    "f_pair_hz":   Key(float, None,   None,   False, ("expcalc",)),
+    "coherence_s": Key(float, None,   None,   False, ("expcalc",)),
+    "unit_scale":  Key(float, 1.0,    None,   False, ("expcalc",)),
+    "out":         Key(str,   None,   None,   False,
+                       _PROBE + ("fit", "expcalc")),
+}
+AXIS_KEYS = tuple(k for k, spec in KEYS.items() if spec.axis)
 
 CSV_COLUMNS = ("n", "imbalance", "qfi", "cfi_comp", "cfi_coll")
 
 
 @dataclass
 class RunConfig:
-    """Resolved run parameters: fixed values plus the sweep axes."""
+    """Resolved run parameters (fixed values, sweep axes) of `command`."""
 
     fixed: dict = dataclass_field(default_factory=dict)
     axes: dict = dataclass_field(default_factory=dict)  # key -> list of values
+    command: str | None = None
 
     def get(self, key, default=None):
         return self.fixed.get(key, default)
@@ -61,42 +92,45 @@ class RunConfig:
         return out
 
 
-_DEFAULTS = {
-    "L": 4, "epsilon": 0.1, "h_a_per_Jz": 0.0, "delta_f": 0.0, "eta": 0.0,
-    "theta_rad": 0.0, "gamma_per_Jz": 0.0, "cycles": 50, "workers": 1,
-    "dn": 5, "K": 10,
-}
-
-
 def _parse_scalar(key: str, text: str):
-    if key in _STR_KEYS:
-        return text
+    parse = KEYS[key].parse if key in KEYS else str  # apply_dict rejects key
     try:
-        if key in _INT_KEYS:
-            return int(text)
-        value = float(text)
+        value = parse(text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse value {text!r} for key {key!r}") from exc
-    if not math.isfinite(value):  # NaN passes every range check
+    if parse is float and not math.isfinite(value):  # NaN passes range checks
         raise ConfigError(f"value {text!r} for key {key!r} is not finite")
     return value
 
 
-def base_config() -> RunConfig:
-    return RunConfig(fixed=dict(_DEFAULTS))
+def base_config(command: str | None = None) -> RunConfig:
+    """The defaults of the keys `command` reads (of every key, given None)."""
+    return apply_dict(RunConfig(command=command), {
+        k: spec.default for k, spec in KEYS.items() if spec.default is not None})
 
 
 def apply_dict(cfg: RunConfig, fragment: dict) -> RunConfig:
     """Merge a config fragment into `cfg`: a list makes its key a sweep
-    axis, a scalar a fixed value."""
+    axis, a scalar a fixed value.  Unknown keys, lists on keys that do not
+    sweep and counts below their minimum are ConfigErrors; a key cfg's
+    command does not read is dropped, a recipe's `command` entry skipped."""
     for key, value in fragment.items():
         if key == "command":
             continue
-        if isinstance(value, (list, tuple)):
-            if key not in AXIS_KEYS:
-                raise ConfigError(f"key {key!r} is not sweepable")
-            if not value:
-                raise ConfigError(f"empty value list for {key!r}")
+        if key not in KEYS:
+            raise ConfigError(f"unknown key {key!r}; known keys: "
+                              f"{', '.join(sorted(KEYS))}")
+        spec, is_list = KEYS[key], isinstance(value, (list, tuple))
+        if is_list and not spec.axis:
+            raise ConfigError(f"key {key!r} is not sweepable")
+        if is_list and not value:
+            raise ConfigError(f"empty value list for {key!r}")
+        for v in value if is_list else [value]:
+            if spec.minimum is not None and v < spec.minimum:
+                raise ConfigError(f"{key} must be >= {spec.minimum}, got {v}")
+        if cfg.command not in (None, *spec.commands):
+            continue
+        if is_list:
             cfg.axes[key] = list(value)
             cfg.fixed.pop(key, None)
         else:
@@ -137,13 +171,9 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     return parse_config_text(text, base)
 
 
-#: smallest accepted value of each count key
-_MIN_COUNTS = dict(cycles=0, n=1, dn=1, K=1, grid_points=1, workers=1)
-
-
 def _runs_mixed(params: dict) -> bool:
     """Whether a sweep point runs the density-matrix path."""
-    return (float(params.get("gamma_per_Jz", 0.0)) > 0.0
+    return (float(params["gamma_per_Jz"]) > 0.0
             and int(params["cycles"]) > 0)
 
 
@@ -152,11 +182,7 @@ def point_configs(params: dict, mixed: bool | None = None
     """Build one parameter point's probe (at the pair dimension its engine
     runs), field and initial-state configs, and gate the state that engine
     will hold: a density matrix when `mixed`, else a state vector (None: as
-    a sweep point runs).  A count (cycles, n, dn, K, grid_points, workers)
-    below its minimum is a ConfigError."""
-    for key, low in _MIN_COUNTS.items():
-        if key in params and int(params[key]) < low:
-            raise ConfigError(f"{key} must be >= {low}, got {params[key]}")
+    a sweep point runs)."""
     init = InitConfig(tilt=float(params["theta_rad"]))
     probe = engine_probe(ProbeConfig(length=int(params["L"]),
                                      epsilon=float(params["epsilon"])), init)
@@ -216,7 +242,7 @@ def run_sweep(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
                                     _runs_mixed(params))]
     task_keys, task_params, task_configs = zip(*tasks)
 
-    workers = min(int(cfg.get("workers", 1)), len(tasks))
+    workers = min(int(cfg.get("workers")), len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -8,7 +8,7 @@ from dtc_sense.cli import main
 from dtc_sense.lindblad import noisy_fisher
 from dtc_sense.metrology import point_average
 from dtc_sense.model import FieldConfig, ProbeConfig
-from dtc_sense.sweep import _fmt
+from dtc_sense.sweep import KEYS, _fmt
 
 
 def _write(tmp_path, name, text):
@@ -42,6 +42,17 @@ def test_simulate_rejects_axes(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", "L = 2, 3\ncycles = 2\n")
     rc = main(["simulate", "--config", cfg])
     assert rc == 2
+    assert "sweep subcommand" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,text", [
+    ("transition", "L = 2, 3\n"),
+    ("noise", "gamma_per_Jz = 1e-3, 2e-3\n"),
+    ("expcalc", "L = 2, 3\n"),
+])
+def test_single_point_commands_reject_axes(tmp_path, capsys, command, text):
+    cfg = _write(tmp_path, "run.cfg", text)
+    assert main([command, "--config", cfg]) == 2
     assert "sweep subcommand" in capsys.readouterr().err
 
 
@@ -278,6 +289,74 @@ def test_invalid_counts_are_config_errors(tmp_path, capsys, command, text):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "transition", "expcalc"])
+def test_workers_flag_below_minimum_is_a_config_error(tmp_path, capsys,
+                                                      command):
+    # checked as the flag merges, also where the command never reads it
+    assert main([command, "--workers", "0"]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,key", [
+    ("L = 2\ncylces = 2\n", "cylces"),
+    ("recipe = fig1-imbalance\n", "recipe"),
+])
+def test_unknown_key_is_a_config_error(tmp_path, capsys, text, key):
+    cfg = _write(tmp_path, "c.cfg", text)
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# per command: a config that runs, and the keys it read but leaves unset
+_SIDECAR_RUNS = {
+    "simulate": ("L = 2\ncycles = 2\n", set()),
+    "sweep": ("L = 2, 3\ncycles = 2\n", set()),
+    "fit": ("in = {table}\nn = 2\n", set()),
+    "transition": ("L = 1\nn = 2\ngrid_points = 5\n", set()),
+    "noise": (_NOISE_CFG, set()),
+    "expcalc": ("f_pair_hz = 60\ncoherence_s = 0.1\n", {"material"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SIDECAR_RUNS))
+def test_sidecar_holds_the_keys_the_command_reads(tmp_path, capsys,
+                                                  command):
+    # every run also sets keys other commands read (workers, x, dn,
+    # grid_points); the sidecar and the printed configuration leave those
+    # out and hold every key of the command's own, defaults included
+    table = _write(tmp_path, "t.csv", "L,n,qfi\n2,2,16\n3,2,54\n4,2,128\n")
+    text, unset = _SIDECAR_RUNS[command]
+    cfg = _write(tmp_path, "c.cfg", text.format(table=table)
+                 + "x = L\ndn = 1\ngrid_points = 3\n")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--workers", "1"]) == 0
+    expected = sorted(k for k, spec in KEYS.items()
+                      if command in spec.commands and k not in unset)
+    _assert_sidecar(tmp_path / "out.meta.txt")
+    sidecar = (tmp_path / "out.meta.txt").read_text().splitlines()[1:]
+    assert [ln.split(" = ")[0] for ln in sidecar] == expected
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "# resolved configuration"
+    assert [ln.split(" = ")[0] for ln in printed[1:1 + len(expected)]] \
+        == expected
+
+
+@pytest.mark.parametrize("command,recipe,owner", [
+    ("simulate", "expcalc", "expcalc"),
+    ("noise", "fig1-imbalance", "simulate"),
+])
+def test_recipe_of_another_command_is_a_config_error(tmp_path, capsys,
+                                                     command, recipe, owner):
+    out = tmp_path / "o.csv"
+    assert main([command, "--recipe", recipe, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{recipe!r}" in err and owner in err and command in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,text", [
     pytest.param("simulate", "h_a_per_Jz = inf\n", id="simulate-h_a-inf"),
     pytest.param("simulate", "h_a_per_Jz = nan\n", id="simulate-h_a-nan"),
@@ -325,6 +404,15 @@ def test_expcalc_recipe_table_bytes(tmp_path, capsys):
 def test_expcalc_half_specified_custom_input(tmp_path, capsys):
     cfg = _write(tmp_path, "e.cfg", "f_pair_hz = 60\n")
     assert main(["expcalc", "--config", cfg]) == 2
+
+
+def test_expcalc_material_with_custom_inputs(tmp_path, capsys):
+    # the custom inputs would shape the table and the material would not,
+    # yet the sidecar would record both
+    cfg = _write(tmp_path, "e.cfg",
+                 "material = Er\nf_pair_hz = 60\ncoherence_s = 0.1\n")
+    assert main(["expcalc", "--config", cfg]) == 2
+    assert "material preset instead" in capsys.readouterr().err
 
 
 def test_expcalc_unknown_material(tmp_path, capsys):

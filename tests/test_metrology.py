@@ -107,7 +107,7 @@ def _pure_readout(state, cfg):
     psi = state.amplitudes
     p = np.abs(psi) ** 2
     dp = 2.0 * np.real(np.conj(psi) * state.tangent)
-    return _readout(p, dp, observable_diagonal(cfg, "imbalance-numerator"),
+    return _readout(p, dp, observable_diagonal(cfg),
                     1.0, collective_index_a(cfg))
 
 
@@ -433,7 +433,7 @@ def test_batch_numerical_checks_cover_every_field():
     dp = np.zeros_like(p)
     cfg = ProbeConfig(length=2)
     with pytest.raises(NumericalError):
-        _readout(p, dp, observable_diagonal(cfg, "imbalance-numerator"), 1.0,
+        _readout(p, dp, observable_diagonal(cfg), 1.0,
                  collective_index_a(cfg))
     with pytest.raises(NumericalError):
         _cfi_from_probs(p, dp)
@@ -446,7 +446,7 @@ def test_batched_readout_matches_row_by_row():
     tan = np.stack([-1j * (A @ p) for p, A in rows])
     p = np.abs(psi) ** 2
     dp = 2.0 * np.real(psi.conj() * tan)
-    imb_diag = observable_diagonal(cfg, "imbalance-numerator")
+    imb_diag = observable_diagonal(cfg)
     coll = collective_index_a(cfg)
     batched = _readout(p, dp, imb_diag, 1.0, coll)
     qfi = qfi_pure(PureState(psi, tangent=tan))

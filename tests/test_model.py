@@ -124,15 +124,10 @@ def test_gradient_extremes_attained_at_polarized_configs():
 
 def test_imbalance_numerator_on_reference_state():
     cfg = ProbeConfig(length=3)
-    d = observable_diagonal(cfg, "imbalance-numerator")
+    d = observable_diagonal(cfg)
     state = build_initial_state(cfg)
     value = d @ np.abs(state.amplitudes) ** 2
     assert value == pytest.approx(2 * cfg.length)
-
-
-def test_unknown_observable_kind():
-    with pytest.raises(ConfigError):
-        observable_diagonal(ProbeConfig(length=2), "gradient-x")
 
 
 def test_chain_interaction_diagonal_small_case():
@@ -180,7 +175,7 @@ def test_pair_local_diagonals_match_independent_references(L):
     ours = {"h_chain": chain_interaction_diagonal(cfg),
             "g_a": pair_sum(field_weights(cfg, 0.0)),
             "g_a + g_b / 2": pair_sum(field_weights(cfg, 0.5)),
-            "imbalance_num": observable_diagonal(cfg, "imbalance-numerator")}
+            "imbalance_num": observable_diagonal(cfg)}
     for name, diag in ours.items():
         assert diag.dtype == np.float64
         assert np.array_equal(diag, dense[name]), name
@@ -240,9 +235,8 @@ def test_sector_table_and_diagonals_are_full_space_columns(L):
     for eta in (0.0, 0.5):
         assert np.array_equal(pair_sum(field_weights(sector, eta)),
                               pair_sum(field_weights(full, eta))[cols])
-    kind = "imbalance-numerator"
-    assert np.array_equal(observable_diagonal(sector, kind),
-                          observable_diagonal(full, kind)[cols])
+    assert np.array_equal(observable_diagonal(sector),
+                          observable_diagonal(full)[cols])
     assert np.array_equal(chain_interaction_diagonal(sector),
                           chain_interaction_diagonal(full)[cols])
     assert np.array_equal(collective_index_a(sector),
@@ -254,7 +248,7 @@ def test_sector_table_and_diagonals_are_full_space_columns(L):
     assert np.linalg.norm(state.amplitudes) == 1.0
     assert np.array_equal(state.amplitudes,
                           build_initial_state(full).amplitudes[cols])
-    imb = observable_diagonal(sector, "imbalance-numerator")
+    imb = observable_diagonal(sector)
     assert imb @ np.abs(state.amplitudes) ** 2 == 2 * L
 
 

@@ -18,16 +18,19 @@ from pathlib import Path
 import pytest
 
 import dtc_sense
+from dtc_sense.cli import _build_parser, _resolve_config
+from dtc_sense.recipes import RECIPES
 
 ROOT = Path(__file__).resolve().parents[1]
 _POINT = {"L": 2, "epsilon": 0.1, "h_a_per_Jz": 1e-3, "delta_f": 0.0,
           "eta": 0.0, "theta_rad": 0.0, "gamma_per_Jz": 1e-3}
 
 
-def _traced_cli():
+def _perfbench(name):
+    # registered before it runs: dataclasses look their module up there
     spec = importlib.util.spec_from_file_location(
-        "traced_cli", ROOT / "perfbench" / "traced_cli.py")
-    module = importlib.util.module_from_spec(spec)
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
@@ -35,7 +38,7 @@ def _traced_cli():
 def test_every_traced_name_resolves():
     # the rule traced_cli._patch applies: a "Class.method" must be defined
     # on the class itself, a plain name on the module
-    traced = _traced_cli()
+    traced = _perfbench("traced_cli")
     missing = []
     for module_name, attr, *_ in traced.SPANS:
         module = importlib.import_module(f"dtc_sense.{module_name}")
@@ -143,3 +146,35 @@ def test_traced_cli_runs(tmp_path, command, config, spans):
         assert traced["counters"]["lindblad.apply_cycle.gflop_computed"] > 0
     if command == "sweep":
         assert traced["counters"]["sweep.emit_table.bytes"] > 0
+
+
+def _resolve(argv):
+    return _resolve_config(_build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_every_recipe_resolves_under_its_command(name):
+    _resolve([RECIPES[name]["command"], "--recipe", name])
+
+
+def test_every_benchmark_input_resolves(tmp_path):
+    # every workload input perfbench/run.py feeds the CLI, and its oracle
+    # companion point, passes the key checks (an unknown key, a count below
+    # its minimum, a recipe of another command all exit 2) and resolves to
+    # the fixed values and axes the workload states
+    workloads = _perfbench("workloads")
+    config, out = tmp_path / "run.cfg", str(tmp_path / "out.csv")
+    for name in workloads.WORKLOADS:
+        for seed in range(21):
+            inputs = workloads.make_inputs(name, seed)
+            config.write_text(inputs.config_text)
+            cfg = _resolve(inputs.argv(str(config), out))
+            assert cfg.axes == inputs.axes, (name, seed)
+            assert {k: cfg.fixed[k] for k in inputs.params
+                    if k not in inputs.axes} == \
+                {k: v for k, v in inputs.params.items()
+                 if k not in inputs.axes}, (name, seed)
+            point = workloads.companion_point(inputs)
+            if point is not None:
+                config.write_text(workloads.config_text(point))
+                _resolve(["simulate", "--config", str(config), "--out", out])
