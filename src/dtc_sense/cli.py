@@ -2,11 +2,12 @@
 
 Commands: simulate (one trace), sweep (Cartesian parameter sweep), fit
 (power-law fit on a results CSV), transition (field amplitude of the QFI
-peak), noise (dephased point-averaged Fisher run), expcalc (experimental
-units arithmetic).  Precedence: key defaults < recipe < config file <
-flags.  An unknown key, a count below its minimum, a recipe of another
-command and axes outside sweep are configuration errors; the printed
-configuration and sidecar hold only the keys the command reads (sweep.KEYS).
+peak), noise (simulate's trace plus its point averages), expcalc
+(experimental units arithmetic).  Precedence: key defaults < recipe <
+config file < flags.  An unknown key, a count below its minimum, a
+repeated axis value, a recipe of another command and axes outside sweep
+are configuration errors; the printed configuration and sidecar hold only
+the keys the command reads (sweep.KEYS).
 
 Exit codes: 0 success, 2 configuration error, 3 resource-gate rejection,
 4 numerical-contract failure.
@@ -21,7 +22,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .expcalc import MATERIALS, expcalc, material_record
-from .lindblad import noisy_fisher
 from .metrology import find_transition, point_average, power_fit
 from .recipes import RECIPES, recipe_config
 from .sweep import (
@@ -74,7 +74,7 @@ def _resolve_config(args) -> RunConfig:
 def _print_resolved(cfg: RunConfig) -> None:
     print("# resolved configuration")
     for key, value in sorted(cfg.resolved().items()):
-        print(f"{key} = {value}")
+        print(f"{key} = {_fmt(value)}")
 
 
 def _cmd_table(cfg: RunConfig) -> int:
@@ -131,9 +131,7 @@ def _cmd_fit(cfg: RunConfig) -> int:
 
 def _cmd_transition(cfg: RunConfig) -> int:
     params = cfg.fixed
-    # h_a is the search variable: find_transition sets it from the grid
-    probe, fld, init = point_configs({**params, "h_a_per_Jz": 0.0},
-                                     mixed=False)
+    probe, fld, init = point_configs(params)
     n = int(params.get("n", 10))
     grid = np.logspace(-5, 0, int(params["grid_points"]))
     h_max = find_transition(probe, fld, n, grid, init)
@@ -148,13 +146,11 @@ def _cmd_transition(cfg: RunConfig) -> int:
 
 def _cmd_noise(cfg: RunConfig) -> int:
     params = cfg.fixed
-    probe, fld, init = point_configs(params, mixed=True)
-    gamma = float(params["gamma_per_Jz"])
     cycles, dn, K = int(params["cycles"]), int(params["dn"]), int(params["K"])
     if K * dn > cycles:
         raise ConfigError(f"K*dn = {K * dn} point-average windows exceed "
                           f"cycles = {cycles}")
-    trace = noisy_fisher(probe, [fld], gamma, cycles, init)[0]
+    trace = evaluate_point(params)
     rows = trace_rows(trace)
     out = cfg.get("out") or "noise.csv"
     emit_table([], rows, out, cfg.resolved())

@@ -28,6 +28,7 @@ from .model import (
     ProbeConfig,
     PureState,
     build_initial_state,
+    check_state_size,
     collective_index_a,
     engine_probe,
     field_batches,
@@ -161,10 +162,11 @@ def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
                         cycles: int = 50) -> list[StroboscopicTrace]:
     """Run the unitary engine for `cycles` periods on every field (all
     sharing delta_f and eta) through record_trace: one trace per field.
-    The fields propagate as exactly the batch given (floquet docstring;
-    model.field_batches sizes the ones callers form), at the pair dimension
-    model.engine_probe picks for `init`: 2^L amplitudes per field at tilt 0."""
+    The fields propagate as exactly the batch given (model.field_batches
+    sizes the ones callers form), at the pair dimension model.engine_probe
+    picks for `init` (2^L amplitudes per field at tilt 0), gated as pure."""
     cfg = engine_probe(cfg, init)
+    check_state_size(cfg, mixed=False)
     amps = np.tile(build_initial_state(cfg, init).amplitudes, (len(fields), 1))
     return record_trace(FloquetEngine(cfg, fields),
                         PureState(amps, np.zeros_like(amps)), cycles, qfi_pure)

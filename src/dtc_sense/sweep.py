@@ -11,10 +11,10 @@ run_sweep builds and gates every point of the Cartesian product of the axes
 once, before any work, then groups the points by every axis value but
 h_a_per_Jz and cuts each group into the field batches model.field_batches
 admits.  Each piece is one call of the pure (metrology.stroboscopic_traces)
-or dephased (lindblad.noisy_fisher) builder; with workers > 1 a process pool
-of at most one worker per piece runs them.  Rows are emitted sorted by axis
-values so output never depends on completion order.  emit_table writes every
-CSV the CLI produces and each run's metadata sidecar.
+or dephased (lindblad.noisy_fisher) builder, as _runs_mixed picks for any
+command's points; with workers > 1 a pool of at most one process per piece
+runs them.  Rows are emitted sorted by axis values so output never depends
+on completion order.  emit_table writes every CSV and metadata sidecar.
 """
 from __future__ import annotations
 
@@ -70,6 +70,7 @@ KEYS = {
                        _PROBE + ("fit", "expcalc")),
 }
 AXIS_KEYS = tuple(k for k, spec in KEYS.items() if spec.axis)
+_DEFAULTS = {k: s.default for k, s in KEYS.items() if s.default is not None}
 
 CSV_COLUMNS = ("n", "imbalance", "qfi", "cfi_comp", "cfi_coll")
 
@@ -105,18 +106,15 @@ def _parse_scalar(key: str, text: str):
 
 def base_config(command: str | None = None) -> RunConfig:
     """The defaults of the keys `command` reads (of every key, given None)."""
-    return apply_dict(RunConfig(command=command), {
-        k: spec.default for k, spec in KEYS.items() if spec.default is not None})
+    return apply_dict(RunConfig(command=command), _DEFAULTS)
 
 
 def apply_dict(cfg: RunConfig, fragment: dict) -> RunConfig:
     """Merge a config fragment into `cfg`: a list makes its key a sweep
     axis, a scalar a fixed value.  Unknown keys, lists on keys that do not
-    sweep and counts below their minimum are ConfigErrors; a key cfg's
-    command does not read is dropped, a recipe's `command` entry skipped."""
+    sweep, lists with a repeated value and counts below their minimum are
+    ConfigErrors; a key cfg's command does not read is dropped."""
     for key, value in fragment.items():
-        if key == "command":
-            continue
         if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}; known keys: "
                               f"{', '.join(sorted(KEYS))}")
@@ -125,6 +123,8 @@ def apply_dict(cfg: RunConfig, fragment: dict) -> RunConfig:
             raise ConfigError(f"key {key!r} is not sweepable")
         if is_list and not value:
             raise ConfigError(f"empty value list for {key!r}")
+        if is_list and len(set(value)) < len(value):
+            raise ConfigError(f"repeated value in the list for {key!r}")
         for v in value if is_list else [value]:
             if spec.minimum is not None and v < spec.minimum:
                 raise ConfigError(f"{key} must be >= {spec.minimum}, got {v}")
@@ -172,24 +172,25 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
 
 
 def _runs_mixed(params: dict) -> bool:
-    """Whether a sweep point runs the density-matrix path."""
+    """Whether a point runs the density-matrix engine (else the unitary)."""
     return (float(params["gamma_per_Jz"]) > 0.0
             and int(params["cycles"]) > 0)
 
 
-def point_configs(params: dict, mixed: bool | None = None
+def point_configs(params: dict
                   ) -> tuple[ProbeConfig, FieldConfig, InitConfig]:
-    """Build one parameter point's probe (at the pair dimension its engine
-    runs), field and initial-state configs, and gate the state that engine
-    will hold: a density matrix when `mixed`, else a state vector (None: as
-    a sweep point runs)."""
+    """Build one point's probe (at the pair dimension its engine runs),
+    field and initial-state configs, and gate the state that engine holds:
+    a density matrix if _runs_mixed, else a state vector.  A key absent from
+    `params` counts as its KEYS default (so `transition` gates as pure)."""
+    params = {**_DEFAULTS, **params}
     init = InitConfig(tilt=float(params["theta_rad"]))
     probe = engine_probe(ProbeConfig(length=int(params["L"]),
                                      epsilon=float(params["epsilon"])), init)
     fld = FieldConfig(h_a=float(params["h_a_per_Jz"]),
                       delta_f=float(params["delta_f"]),
                       eta=float(params["eta"]))
-    check_state_size(probe, _runs_mixed(params) if mixed is None else mixed)
+    check_state_size(probe, _runs_mixed(params))
     return probe, fld, init
 
 

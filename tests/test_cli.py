@@ -83,8 +83,8 @@ def test_resource_gate_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,text", [
     ("simulate", "L = 17\ncycles = 1\n"),
-    # noise runs the density-matrix path at any gamma
-    ("noise", "L = 6\ngamma_per_Jz = 0\ntheta_rad = 0.1\n"
+    # noise at gamma = 0 runs, and is gated as, the pure engine
+    ("noise", "L = 9\ngamma_per_Jz = 0\ntheta_rad = 0.1\n"
               "cycles = 2\ndn = 1\nK = 1\n"),
 ])
 def test_gate_rejections_exit_3(tmp_path, capsys, command, text):
@@ -300,6 +300,7 @@ def test_workers_flag_below_minimum_is_a_config_error(tmp_path, capsys,
 @pytest.mark.parametrize("text,key", [
     ("L = 2\ncylces = 2\n", "cylces"),
     ("recipe = fig1-imbalance\n", "recipe"),
+    ("command = sweep\n", "command"),
 ])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, text, key):
     cfg = _write(tmp_path, "c.cfg", text)
@@ -340,8 +341,31 @@ def test_sidecar_holds_the_keys_the_command_reads(tmp_path, capsys,
     assert [ln.split(" = ")[0] for ln in sidecar] == expected
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == "# resolved configuration"
-    assert [ln.split(" = ")[0] for ln in printed[1:1 + len(expected)]] \
-        == expected
+    assert printed[1:1 + len(expected)] == sidecar
+
+
+@pytest.mark.parametrize("text", ["L = 2, 2\n", "h_a_per_Jz = 1e-3, 0.001\n"])
+def test_repeated_axis_value_is_a_config_error(tmp_path, capsys, text):
+    # run_sweep keys its results by axis values: a repeat would run twice
+    # and be written once
+    cfg = _write(tmp_path, "c.cfg", text + "cycles = 2\n")
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "repeated value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", ["0", "1e-3"])
+def test_noise_trace_is_the_simulate_trace(tmp_path, capsys, gamma):
+    # noise runs the engine simulate runs at the same point, pure at
+    # gamma = 0 and dephased above it
+    cfg = _write(tmp_path, "c.cfg", "L = 3\ncycles = 10\nh_a_per_Jz = 1e-5\n"
+                 f"gamma_per_Jz = {gamma}\ndn = 2\nK = 5\n")
+    for command in ("noise", "simulate"):
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / f"{command}.csv")]) == 0
+    assert (tmp_path / "noise.csv").read_bytes() \
+        == (tmp_path / "simulate.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command,recipe,owner", [

@@ -20,7 +20,7 @@ from dtc_sense.model import (
     collective_index_a,
     engine_probe,
 )
-from dtc_sense.recipes import RECIPES
+from dtc_sense.recipes import RECIPES, recipe_config
 from dtc_sense.sweep import apply_dict, base_config
 
 
@@ -368,10 +368,10 @@ def _tilt_zero_recipe_points():
     """(epsilon, h_a, delta_f, eta) -> cycles of every tilt-0 point of the
     pure-state recipes."""
     points = {}
-    for recipe in RECIPES.values():
+    for name, recipe in RECIPES.items():
         if recipe["command"] not in ("simulate", "sweep"):
             continue
-        cfg = apply_dict(base_config(), recipe)
+        cfg = apply_dict(base_config(), recipe_config(name))
         for values in itertools.product(*cfg.axes.values()):
             p = {**cfg.fixed, **dict(zip(cfg.axes, values))}
             if p["theta_rad"] == 0.0:

@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 
 import oracles
 from dtc_sense import metrology, model
-from dtc_sense.errors import BoundaryPeakWarning, NumericalError
+from dtc_sense.errors import (
+    BoundaryPeakWarning,
+    NumericalError,
+    ResourceLimitError,
+)
 from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent
 from dtc_sense.lindblad import noisy_fisher
 from dtc_sense.metrology import (
@@ -405,6 +409,12 @@ def test_batch_split_to_the_state_size_gate_matches(monkeypatch):
     pieces = find_transition(cfg, FieldConfig(), 6, grid)
     assert batches[:3] == [2, 2, 1] and set(batches[3:]) == {1}
     assert abs(pieces - whole) <= 1e-13 * whole
+
+
+def test_pure_builder_gates_the_state_vector():
+    # 2^17 amplitudes from tilt 0 exceed the 4^8 pure-state budget
+    with pytest.raises(ResourceLimitError):
+        stroboscopic_traces(ProbeConfig(length=17), [FieldConfig()], cycles=1)
 
 
 def test_batch_requires_shared_offset_and_crosstalk():

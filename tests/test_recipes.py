@@ -30,10 +30,8 @@ def test_recipes_respect_resource_gates():
         if RECIPES[name]["command"] in {"expcalc", "fit"}:
             continue
         cfg = apply_dict(base_config(), recipe_config(name))
-        mixed = True if RECIPES[name]["command"] == "noise" else None
         for values in itertools.product(*cfg.axes.values()):
-            point_configs({**cfg.fixed, **dict(zip(cfg.axes, values))},
-                          mixed)
+            point_configs({**cfg.fixed, **dict(zip(cfg.axes, values))})
 
 
 def test_sweep_recipes_have_axes_and_simulate_recipes_do_not():

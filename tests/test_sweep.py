@@ -55,7 +55,7 @@ def test_later_assignment_replaces_axis():
 
 
 def test_apply_dict_mirrors_text_semantics():
-    cfg = apply_dict(base_config(), {"L": [3, 4], "cycles": 5, "command": "sweep"})
+    cfg = apply_dict(base_config(), {"L": [3, 4], "cycles": 5})
     assert cfg.axes["L"] == [3, 4]
     assert cfg.get("cycles") == 5
     with pytest.raises(ConfigError):
@@ -100,13 +100,15 @@ def test_lindblad_size_gate():
 
 
 def test_gate_follows_the_engine_that_runs():
-    # noise always runs the density-matrix path, even at gamma = 0; a sweep
-    # point at gamma = 0 (or with no cycles) runs the pure one
+    # L = 6 tilted is beyond the density-matrix gate only: a point at
+    # gamma = 0, with no cycles, or without either key (as transition
+    # gives it) runs the pure engine
     with pytest.raises(ResourceLimitError):
-        point_configs(_point(L=6, gamma_per_Jz=0.0, theta_rad=0.1),
-                      mixed=True)
+        point_configs(_point(L=6, gamma_per_Jz=1e-3, theta_rad=0.1))
     point_configs(_point(L=6, gamma_per_Jz=0.0, theta_rad=0.1))
     point_configs(_point(L=6, gamma_per_Jz=1e-3, theta_rad=0.1, cycles=0))
+    point_configs({**base_config("transition").fixed, "L": 6,
+                   "theta_rad": 0.1})
 
 
 # ------------------------------------------------------------- evaluation
