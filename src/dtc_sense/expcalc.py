@@ -6,10 +6,10 @@ period equals t2 (the timing-limited convention), the cycle budget is how many
 periods fit into the coherence window, and the shot rate is what's left.
 
 The per-root-Hz sensitivity follows from the Cramer-Rao limit with the
-resonant-QFI ceiling n_max^2 L^2 (L+1)^2 / pi^2; `unit_scale` converts from
-the probe's dimensionless coupling units to the caller's field-gradient
-units and defaults to 1 (one-point calibration against a known reference is
-the intended usage; see calibrate_unit_scale).
+resonant-QFI reference scale (not a ceiling) n_max^2 L^2 (L+1)^2 / pi^2;
+`unit_scale` converts from the probe's dimensionless coupling units to the
+caller's field-gradient units and defaults to 1 (one-point calibration
+against a known reference is the intended usage; see calibrate_unit_scale).
 """
 from __future__ import annotations
 
@@ -34,6 +34,9 @@ def expcalc(f_pair_hz: float, coherence_s: float, length: int,
     t2_s = 1.0 / (2.0 * np.pi * f_pair_hz)
     period_s = t2_s
     n_max = int(np.floor(coherence_s / period_s))
+    if n_max < 1:
+        raise ConfigError(f"coherence_s = {coherence_s:g} s is shorter than "
+                          f"one drive period ({period_s * 1e3:.6g} ms)")
     shots_per_s = 1.0 / (n_max * period_s)
     L = length
     # exact bound-limited sensitivity, and the large-L form whose coefficient

@@ -85,7 +85,7 @@ def theta_half(n: int, half: int, field: FieldConfig, cfg: ProbeConfig) -> float
 
     Theta = h_a * integral of sin(pi (1+delta_f) tau / T) over
     [(n-1)T, (n-1/2)T] (half 1) or [(n-1/2)T, nT] (half 2).  At delta_f = 0
-    both halves give (-1)^{n+1} h_a / (pi jz).
+    both halves give (-1)^{n+1} h_a / pi.
     """
     if half not in (1, 2):
         raise ValueError(f"half must be 1 or 2, got {half}")

@@ -64,8 +64,8 @@ from .model import (
     FieldConfig,
     InitConfig,
     ProbeConfig,
+    batch_size,
     build_initial_state,
-    check_state_size,
     engine_probe,
     pair_spins,
 )
@@ -189,13 +189,13 @@ def noisy_fisher(cfg: ProbeConfig, fields: list[FieldConfig], gamma: float,
 
     One LindbladEngine, at the pair dimension model.engine_probe picks for
     `init`, evolves each rho with its exact h_a-derivative, so h_a = 0 needs
-    no special case.  It runs exactly the batch given (model.field_batches
+    no special case.  It runs exactly the batch given (model.batch_size
     sizes the ones callers form).  The mixed QFI raises NumericalError on
     trace drift or negative eigenvalues; a density matrix beyond
     model.MIXED_STATE_MAX_DIM rows raises ResourceLimitError.
     """
     cfg = engine_probe(cfg, init)
-    check_state_size(cfg, mixed=True)
+    batch_size(cfg, mixed=True)
     rho = np.tile(initial_mixed_state(cfg, init).rho, (len(fields), 1, 1))
     return record_trace(LindbladEngine(cfg, fields, gamma),
                         MixedState(rho, tangent=np.zeros_like(rho)), cycles,

@@ -27,11 +27,10 @@ from .model import (
     InitConfig,
     ProbeConfig,
     PureState,
+    batch_size,
     build_initial_state,
-    check_state_size,
     collective_index_a,
     engine_probe,
-    field_batches,
 )
 
 PROB_CUTOFF = 1e-14       # probabilities below this are dropped from CFI sums
@@ -162,11 +161,11 @@ def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
                         cycles: int = 50) -> list[StroboscopicTrace]:
     """Run the unitary engine for `cycles` periods on every field (all
     sharing delta_f and eta) through record_trace: one trace per field.
-    The fields propagate as exactly the batch given (model.field_batches
+    The fields propagate as exactly the batch given (model.batch_size
     sizes the ones callers form), at the pair dimension model.engine_probe
     picks for `init` (2^L amplitudes per field at tilt 0), gated as pure."""
     cfg = engine_probe(cfg, init)
-    check_state_size(cfg, mixed=False)
+    batch_size(cfg, mixed=False)
     amps = np.tile(build_initial_state(cfg, init).amplitudes, (len(fields), 1))
     return record_trace(FloquetEngine(cfg, fields),
                         PureState(amps, np.zeros_like(amps)), cycles, qfi_pure)
@@ -204,7 +203,9 @@ def point_average(trace: StroboscopicTrace, dn: int, K: int) -> dict[str, np.nda
 
 
 def power_fit(x, y) -> FitResult:
-    """Least-squares straight line on (ln x, ln y); exponent = slope."""
+    """Least-squares straight line on (ln x, ln y); exponent = slope.  A
+    fit that is not finite (a prefactor beyond float range) raises
+    NumericalError."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 3:
@@ -216,7 +217,11 @@ def power_fit(x, y) -> FitResult:
     resid = ly - (slope * lx + intercept)
     ss_tot = np.sum((ly - ly.mean()) ** 2)
     r2 = 1.0 - np.sum(resid ** 2) / ss_tot if ss_tot > 0 else 1.0
-    return FitResult(float(slope), float(np.exp(intercept)), float(r2))
+    with np.errstate(over="ignore"):
+        fit = FitResult(float(slope), float(np.exp(intercept)), float(r2))
+    if not np.isfinite([fit.exponent, fit.prefactor, fit.r_squared]).all():
+        raise NumericalError(f"power-law fit is not finite: {fit}")
+    return fit
 
 
 def golden_section_peak(fn, grid: np.ndarray, rel_width: float = 1e-3) -> float:
@@ -255,16 +260,17 @@ def find_transition(cfg: ProbeConfig, field_template: FieldConfig, n: int = 10,
                     h_grid: np.ndarray | None = None,
                     init: InitConfig | None = None) -> float:
     """Field amplitude h_a^max at which QFI(n) peaks (the DTC collapse
-    point) from the initial state `init`.  The coarse grid runs as field
-    batches cut by model.field_batches."""
+    point) from the initial state `init`.  The coarse grid runs in engine
+    batches of model.batch_size fields."""
     if h_grid is None:
         h_grid = np.logspace(-5, 0, 40)
 
     def peak_qfi(h):
         fields = [replace(field_template, h_a=x) for x in np.ravel(h)]
-        pieces = field_batches(engine_probe(cfg, init), len(fields), False)
-        qfi = [trace.qfi[n] for s in pieces
-               for trace in stroboscopic_traces(cfg, fields[s], init, n)]
+        size = batch_size(engine_probe(cfg, init), mixed=False)
+        qfi = [trace.qfi[n] for i in range(0, len(fields), size)
+               for trace in stroboscopic_traces(cfg, fields[i:i + size],
+                                                init, n)]
         return np.reshape(qfi, np.shape(h))
 
     return golden_section_peak(peak_qfi, h_grid)

@@ -40,9 +40,10 @@ MIXED_STATE_MAX_DIM = 4 ** 5
 class ProbeConfig:
     """Static model parameters of the binary-quench probe.
 
-    The inter-chain exchange coupling and the two half-period durations are
-    derived quantities: ``jab = pi * jz * (1 - epsilon)`` and
-    ``t1 = t2 = 1/(2 jz)``, so that a perfect quench (epsilon = 0) performs a
+    Energies are in units of the intra-chain coupling Jz and times in units
+    of 1/Jz.  The inter-chain exchange coupling and the two half-period
+    durations are derived quantities: ``jab = pi * (1 - epsilon)`` and
+    ``t1 = t2 = 1/2``, so that a perfect quench (epsilon = 0) performs a
     full pair exchange each cycle.  ``pair_dim`` is the local dimension d of
     the simulated pair space (module docstring); the trace builders set it
     with :func:`engine_probe`.
@@ -50,34 +51,21 @@ class ProbeConfig:
 
     length: int
     epsilon: float = 0.1
-    jz: float = 1.0
     pair_dim: int = 4
+    t1 = t2 = 0.5   # half-period durations (class constants, not fields)
+    period = 1.0
 
     def __post_init__(self):
         if self.length < 1 or self.length != int(self.length):
             raise ConfigError(f"length must be a positive integer, got {self.length}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if not 0.0 < self.jz < np.inf:
-            raise ConfigError(f"jz must be positive and finite, got {self.jz}")
         if self.pair_dim not in PAIR_STATES:
             raise ConfigError(f"pair_dim must be 2 or 4, got {self.pair_dim}")
 
     @property
     def jab(self) -> float:
-        return np.pi * self.jz * (1.0 - self.epsilon)
-
-    @property
-    def t1(self) -> float:
-        return 1.0 / (2.0 * self.jz)
-
-    @property
-    def t2(self) -> float:
-        return 1.0 / (2.0 * self.jz)
-
-    @property
-    def period(self) -> float:
-        return self.t1 + self.t2
+        return np.pi * (1.0 - self.epsilon)
 
     @property
     def dim(self) -> int:
@@ -149,24 +137,18 @@ def engine_probe(cfg: ProbeConfig, init: InitConfig | None) -> ProbeConfig:
     return replace(cfg, pair_dim=2 if tilt == 0.0 else 4)
 
 
-def check_state_size(cfg: ProbeConfig, mixed: bool) -> None:
-    """Resource gate: a state vector of at most PURE_STATE_MAX_DIM amplitudes,
-    or a density matrix of at most MIXED_STATE_MAX_DIM rows."""
-    limit = MIXED_STATE_MAX_DIM if mixed else PURE_STATE_MAX_DIM
+def batch_size(cfg: ProbeConfig, mixed: bool) -> int:
+    """Resource gate and batch size at `cfg` (an engine_probe result): how
+    many states one engine batch holds, as many as fill PURE_STATE_MAX_DIM
+    amplitudes, or one MIXED_STATE_MAX_DIM-row density matrix if `mixed`.
+    ResourceLimitError if one state alone exceeds its limit."""
+    limit, p = (MIXED_STATE_MAX_DIM, 2) if mixed else (PURE_STATE_MAX_DIM, 1)
     if cfg.dim > limit:
         kind = "density-matrix" if mixed else "pure-state"
         raise ResourceLimitError(
             f"{kind} runs are gated to {limit} basis states; L={cfg.length} "
             f"at pair dimension {cfg.pair_dim} needs {cfg.dim}")
-
-
-def field_batches(cfg: ProbeConfig, count: int, mixed: bool) -> list[slice]:
-    """`count` fields at `cfg` (an engine_probe result) cut into engine
-    batches of at least one field and at most as many states as fill
-    PURE_STATE_MAX_DIM amplitudes, or one MIXED_STATE_MAX_DIM-row rho."""
-    limit, p = (MIXED_STATE_MAX_DIM, 2) if mixed else (PURE_STATE_MAX_DIM, 1)
-    size = max(1, limit ** p // cfg.dim ** p)
-    return [slice(i, i + size) for i in range(0, count, size)]
+    return limit ** p // cfg.dim ** p
 
 
 def pair_spins(pair_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,13 +187,13 @@ def observable_diagonal(cfg: ProbeConfig) -> np.ndarray:
 def chain_interaction_diagonal(cfg: ProbeConfig) -> np.ndarray:
     """Eigenvalues of the intra-chain Hamiltonian H_a + H_b (open boundaries).
 
-    H_a + H_b = -jz * sum_{mu in {a,b}} sum_{j=1}^{L-1} sigma^z_{mu,j} sigma^z_{mu,j+1},
+    H_a + H_b = -sum_{mu in {a,b}} sum_{j=1}^{L-1} sigma^z_{mu,j} sigma^z_{mu,j+1},
     diagonal in the computational basis: one d x d bond term per (j, j+1),
     added on the (d,)*L view of the basis, whose last axis is pair 1.
     """
     d, L = cfg.pair_dim, cfg.length
     sa, sb = pair_spins(d)
-    bond = cfg.jz * (np.outer(sa, sa) + np.outer(sb, sb))
+    bond = np.outer(sa, sa) + np.outer(sb, sb)
     e = np.zeros((d,) * L)
     for j in range(L - 1):
         e -= bond.reshape((d, d) + (1,) * j)

@@ -9,8 +9,8 @@ value, for config files, recipes and flags alike.
 
 run_sweep builds and gates every point of the Cartesian product of the axes
 once, before any work, then groups the points by every axis value but
-h_a_per_Jz and cuts each group into the field batches model.field_batches
-admits.  Each piece is one call of the pure (metrology.stroboscopic_traces)
+h_a_per_Jz and cuts each group into engine batches of model.batch_size
+fields.  Each piece is one call of the pure (metrology.stroboscopic_traces)
 or dephased (lindblad.noisy_fisher) builder, as _runs_mixed picks for any
 command's points; with workers > 1 a pool of at most one process per piece
 runs them.  Rows are emitted sorted by axis values so output never depends
@@ -32,9 +32,8 @@ from .model import (
     FieldConfig,
     InitConfig,
     ProbeConfig,
-    check_state_size,
+    batch_size,
     engine_probe,
-    field_batches,
 )
 
 #: A row of KEYS; a default or minimum of None means there is none.
@@ -52,7 +51,7 @@ KEYS = {
     "delta_f":     Key(float, 0.0,    None,   True,  _PROBE),
     "eta":         Key(float, 0.0,    None,   True,  _PROBE),
     "theta_rad":   Key(float, 0.0,    None,   True,  _PROBE),
-    "gamma_per_Jz": Key(float, 0.0,   None,   True,  _TRACE),
+    "gamma_per_Jz": Key(float, 0.0,   0,      True,  _TRACE),
     "cycles":      Key(int,   50,     0,      False, _TRACE),
     "workers":     Key(int,   1,      1,      False, ("sweep",)),
     "dn":          Key(int,   5,      1,      False, ("noise",)),
@@ -112,8 +111,9 @@ def base_config(command: str | None = None) -> RunConfig:
 def apply_dict(cfg: RunConfig, fragment: dict) -> RunConfig:
     """Merge a config fragment into `cfg`: a list makes its key a sweep
     axis, a scalar a fixed value.  Unknown keys, lists on keys that do not
-    sweep, lists with a repeated value and counts below their minimum are
-    ConfigErrors; a key cfg's command does not read is dropped."""
+    sweep, lists with a repeated value and values below their minimum (the
+    counts', and gamma_per_Jz's 0) are ConfigErrors; a key cfg's command
+    does not read is dropped."""
     for key, value in fragment.items():
         if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}; known keys: "
@@ -190,7 +190,7 @@ def point_configs(params: dict
     fld = FieldConfig(h_a=float(params["h_a_per_Jz"]),
                       delta_f=float(params["delta_f"]),
                       eta=float(params["eta"]))
-    check_state_size(probe, _runs_mixed(params))
+    batch_size(probe, _runs_mixed(params))
     return probe, fld, init
 
 
@@ -237,10 +237,11 @@ def run_sweep(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
         keys, _, configs = groups.setdefault(shared, ([], params, []))
         keys.append(key)
         configs.append(point_configs(params))
-    tasks = [(keys[s], params, configs[s])
-             for keys, params, configs in groups.values()
-             for s in field_batches(configs[0][0], len(configs),
-                                    _runs_mixed(params))]
+    tasks = []
+    for keys, params, configs in groups.values():
+        size = batch_size(configs[0][0], _runs_mixed(params))
+        tasks += [(keys[i:i + size], params, configs[i:i + size])
+                  for i in range(0, len(configs), size)]
     task_keys, task_params, task_configs = zip(*tasks)
 
     workers = min(int(cfg.get("workers")), len(tasks))

@@ -37,7 +37,7 @@ def dense_operators(cfg: ProbeConfig) -> dict[str, np.ndarray]:
         for chain in (0, 1):  # a-qubits even bits, b-qubits odd bits
             q1 = 2 * (j - 1) + chain
             q2 = 2 * j + chain
-            h_chain -= cfg.jz * embed(SZ, q1, nq) @ embed(SZ, q2, nq)
+            h_chain -= embed(SZ, q1, nq) @ embed(SZ, q2, nq)
     h_exchange = np.zeros((dim, dim), dtype=complex)
     for j in range(1, L + 1):
         qa, qb = 2 * (j - 1), 2 * (j - 1) + 1

@@ -155,6 +155,21 @@ def test_fit_too_few_points(tmp_path, capsys):
     assert "at least 3 rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", [False, True])
+def test_fit_beyond_float_range_is_a_numerical_error(tmp_path, capsys, out):
+    # y = x * 1e600: the exponent is 1 but the prefactor overflows to inf
+    table = _write(tmp_path, "t.csv", "x,y\n1e-300,1e300\n2e-300,2e300\n"
+                   "4e-300,4e300\n")
+    cfg = _write(tmp_path, "f.cfg", f"in = {table}\nx = x\ny = y\n")
+    fit_out = tmp_path / "fit.csv"
+    argv = ["fit", "--config", cfg] + (["--out", str(fit_out)] if out else [])
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert "power-law fit is not finite" in captured.err
+    assert "Traceback" not in captured.err and "prefactor =" not in captured.out
+    assert not fit_out.exists()
+
+
 def test_transition_reports_peak(tmp_path, capsys):
     cfg = _write(tmp_path, "t.cfg", "L = 2\nn = 4\ngrid_points = 10\n")
     out = tmp_path / "trans.csv"
@@ -281,6 +296,9 @@ _NOISE_L2 = "L = 2\ngamma_per_Jz = 1e-3\ncycles = 20\n"
     pytest.param("noise", _NOISE_L2 + "dn = 5\nK = 10\n",
                  id="noise-windows-exceed-cycles"),
     pytest.param("noise", _NOISE_L2 + "dn = 0\n", id="noise-dn"),
+    pytest.param("simulate", "L = 2\ngamma_per_Jz = -1\n",
+                 id="simulate-gamma"),
+    pytest.param("noise", "L = 2\ngamma_per_Jz = -1\n", id="noise-gamma"),
 ])
 def test_invalid_counts_are_config_errors(tmp_path, capsys, command, text):
     cfg = _write(tmp_path, "c.cfg", text)

@@ -57,6 +57,9 @@ def test_input_validation():
         expcalc(60.0, 0.1, 0)
     with pytest.raises(ConfigError):
         material_record("Tb")
+    # 1 ms is shorter than one 2.65 ms period at 60 Hz: no cycle fits
+    with pytest.raises(ConfigError, match="coherence_s.*2.65258 ms"):
+        expcalc(60.0, 0.001, 4)
 
 
 def test_presets_present():

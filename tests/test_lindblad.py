@@ -315,7 +315,7 @@ def test_noisy_fisher_batch_matches_single_runs(tilt):
 
 
 def test_noisy_fisher_batch_split_to_the_state_size_gate_matches(monkeypatch):
-    # a dephased sweep cuts its field group by model.field_batches: with a
+    # a dephased sweep cuts its field group by model.batch_size: with a
     # budget of one 12-row density matrix (2 sector fields at L = 3) the
     # five fields reach noisy_fisher as pieces of 2, 2 and 1, and their rows
     # match the unsplit run's

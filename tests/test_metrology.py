@@ -299,6 +299,9 @@ def test_power_fit_validation():
         power_fit([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         power_fit([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
+    # every input is finite and positive, but the prefactor 1e600 is not
+    with pytest.raises(NumericalError, match="not finite"):
+        power_fit([1e-300, 2e-300, 4e-300], [1e300, 2e300, 4e300])
 
 
 # ----------------------------------------------------------- peak location
@@ -391,7 +394,7 @@ def test_batch_fields_match_single_field_runs(L, df, eta):
 
 
 def test_batch_split_to_the_state_size_gate_matches(monkeypatch):
-    # find_transition cuts its coarse grid by model.field_batches: with a
+    # find_transition cuts its coarse grid by model.batch_size: with a
     # budget of 16 amplitudes (2 sector fields at L = 3) the five-point grid
     # runs as pieces of 2, 2 and 1 and finds the unsplit run's peak
     batches = []

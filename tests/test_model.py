@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dtc_sense.errors import ConfigError
+from dtc_sense import model
+from dtc_sense.errors import ConfigError, ResourceLimitError
 from dtc_sense.lindblad import hamming_distance_matrix
 from dtc_sense.model import (
     FieldConfig,
     InitConfig,
     ProbeConfig,
+    batch_size,
     build_initial_state,
     chain_interaction_diagonal,
     collective_index_a,
@@ -21,7 +23,7 @@ from dtc_sense.model import (
 
 
 def test_probe_config_derived_quantities():
-    cfg = ProbeConfig(length=4, epsilon=0.1, jz=1.0)
+    cfg = ProbeConfig(length=4, epsilon=0.1)
     assert cfg.jab == pytest.approx(np.pi * 0.9)
     assert cfg.t1 == cfg.t2 == 0.5
     assert cfg.period == 1.0
@@ -31,7 +33,7 @@ def test_probe_config_derived_quantities():
 @pytest.mark.parametrize("kwargs", [
     {"length": 0}, {"length": -2},
     {"length": 3, "epsilon": 1.0}, {"length": 3, "epsilon": -0.1},
-    {"length": 3, "jz": 0.0},
+    {"length": 2.5},
 ])
 def test_probe_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
@@ -49,8 +51,8 @@ def test_field_config_rejects_bad_values(kwargs):
 @pytest.mark.parametrize("cls,kwargs", [
     (FieldConfig, {"h_a": np.nan}), (FieldConfig, {"h_a": np.inf}),
     (FieldConfig, {"delta_f": np.nan}), (FieldConfig, {"delta_f": np.inf}),
-    (ProbeConfig, {"length": 2, "jz": np.nan}),
-    (ProbeConfig, {"length": 2, "jz": np.inf}),
+    (ProbeConfig, {"length": 2, "epsilon": np.nan}),
+    (ProbeConfig, {"length": 2, "epsilon": np.inf}),
 ])
 def test_configs_reject_non_finite_values(cls, kwargs):
     # NaN fails no single comparison and inf passes a one-sided bound
@@ -131,7 +133,7 @@ def test_imbalance_numerator_on_reference_state():
 
 
 def test_chain_interaction_diagonal_small_case():
-    # L=2: -jz (sa1 sa2 + sb1 sb2); at z=0 all spins up -> -2
+    # L=2: -(sa1 sa2 + sb1 sb2); at z=0 all spins up -> -2
     cfg = ProbeConfig(length=2)
     e = chain_interaction_diagonal(cfg)
     assert e[0] == pytest.approx(-2.0)
@@ -196,15 +198,6 @@ def test_pair_local_diagonals_match_independent_references(L):
         assert np.array_equal(summed, popcount)
 
 
-def test_chain_diagonal_scales_with_jz():
-    # the oracle rounds after each of its 2(L-1) terms of +-jz, so an entry
-    # that cancels to 0 reads 2e-16 there: compare relative to the largest
-    cfg = ProbeConfig(length=4, jz=0.7)
-    dense = _dense_diagonals(cfg)["h_chain"]
-    np.testing.assert_allclose(chain_interaction_diagonal(cfg), dense,
-                               rtol=0, atol=1e-15 * np.abs(dense).max())
-
-
 # ------------------------------------------------------- pair-qubit sector
 
 def _sector_columns(L):
@@ -260,3 +253,29 @@ def test_sector_gradient_does_not_overflow_at_L16():
     assert g.dtype == np.float64
     assert g.max() == 136.0 and g[0] == 136.0
     assert g.min() == -136.0 and g[-1] == -136.0
+
+
+# ----------------------------------------------------------- resource gate
+
+def test_batch_size_at_the_gate_edges():
+    # 4^8 amplitudes admit L = 16 in the sector (d = 2) and L = 8 tilted
+    # (d = 4); 4^5 density-matrix rows admit L = 10 and L = 5.  An admitted
+    # state is a batch of limit^p // dim^p of them (p = 2 for rho), one at
+    # the edge, and a refused one raises with today's message
+    for mixed, limit, p, edges, top in (
+            (False, model.PURE_STATE_MAX_DIM, 1, {2: 16, 4: 8}, 16),
+            (True, model.MIXED_STATE_MAX_DIM, 2, {2: 10, 4: 5}, 10)):
+        for d, last in edges.items():
+            assert batch_size(ProbeConfig(last, pair_dim=d), mixed) == 1
+            for L in range(1, max(top, last + 1) + 1):
+                cfg = ProbeConfig(L, pair_dim=d)
+                if L <= last:
+                    assert batch_size(cfg, mixed) == \
+                        max(1, limit ** p // cfg.dim ** p)
+                    continue
+                kind = "density-matrix" if mixed else "pure-state"
+                with pytest.raises(ResourceLimitError,
+                                   match=f"^{kind} runs are gated to {limit} "
+                                         f"basis states; L={L} at pair "
+                                         f"dimension {d} needs {d ** L}$"):
+                    batch_size(cfg, mixed)
