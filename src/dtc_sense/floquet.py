@@ -26,9 +26,10 @@ Theta (the square-pulse/accumulated-phase approximation); there is no
 sub-half-period time stepping.  Theta = h_a * Theta_unit is linear in h_a.
 
 Batched fields.  One engine propagates B fields that share (delta_f, eta) and
-differ in h_a; a single field is B = 1.  Their states are one complex array
-of shape (B, 2, d^L) that stacks psi and its h_a-derivative d psi (the
-tangent): a state must carry its tangent to be propagated.  The gates of
+differ in h_a; a single field is B = 1.  Their state is one model.PureState,
+whose one complex array x of shape (B, 2, d^L) stacks psi and its
+h_a-derivative d psi (the tangent); each cycle takes x through the chain
+factor and the gates and stores the result as the new x.  The gates of
 all L pairs and B fields for one cycle's (Theta_1, Theta_2) units come from
 one batched eigh, with each U's derivative from the Daleckii-Krein formula
 on the eigendecomposition, written in a form exact at degenerate
@@ -190,37 +191,30 @@ class FloquetEngine:
         gates[..., d:, :d] = (V @ (phi * (Vt @ dM @ V)) @ Vt) * unit
         return gates
 
-    def apply_cycle(self, state: PureState, n: int) -> PureState:
-        """Advance `state` by cycle n (in place) and return it.
+    def _chain_step(self, state) -> np.ndarray:
+        """state.x times the chain factor, after checking that it is the
+        (B, 2, ...) stack of this engine's B fields: the first step of
+        either engine's cycle."""
+        shape = (len(self.fields), 2) + self.chain.shape
+        if state.x.shape != shape:
+            raise ValueError(f"state of shape {state.x.shape} does not match "
+                             f"{shape[0]} field(s) at L={self.cfg.length}, "
+                             f"d={self.cfg.pair_dim} (expect {shape})")
+        return self.chain * state.x
 
-        `state.amplitudes` holds one field's d^L amplitudes, or one row of
-        them per field of the batch, and `state.tangent` the same shape of
-        tangent, co-propagated; a state without one raises ValueError.  The
-        chain factor acts first, then the L folded pair gates (disjoint
-        supports, order-independent).
-        """
-        cfg, B = self.cfg, len(self.fields)
-        psi, tan = state.amplitudes, state.tangent
-        if tan is None:
-            raise ValueError("state carries no tangent vector")
-        if psi.shape[-1] != cfg.dim or psi.size != B * cfg.dim:
-            raise ValueError(
-                f"state of shape {psi.shape} does not match {B} field(s) at "
-                f"L={cfg.length}, d={cfg.pair_dim} (expect rows of {cfg.dim})")
-        X = apply_pair_gates(
-            self.chain * np.stack((psi, tan), axis=-2).reshape(B, 2, cfg.dim),
-            self.pair_gates(n))
-        # horizontal gauge (module docstring)
+    def apply_cycle(self, state: PureState, n: int) -> PureState:
+        """Advance `state` by cycle n (in place) and return it: the chain
+        factor acts first, then the L folded pair gates (disjoint supports,
+        order-independent), then the horizontal gauge."""
+        X = apply_pair_gates(self._chain_step(state), self.pair_gates(n))
         X[:, 1] -= 1j * (X[:, 0].conj() * X[:, 1]).sum(-1).imag[:, None] \
             * X[:, 0]
-        X = X.reshape(psi.shape[:-1] + (2, cfg.dim))
-        state.amplitudes, state.tangent = X[..., 0, :], X[..., 1, :]
+        state.x = X
         return state
 
 
 def initial_state_with_tangent(cfg: ProbeConfig,
                                init: InitConfig | None = None) -> PureState:
-    """The initial state with a zero h_a-tangent attached."""
-    state = build_initial_state(cfg, init)
-    state.tangent = np.zeros_like(state.amplitudes)
-    return state
+    """The initial state with a zero h_a-tangent: the B = 1 stack."""
+    psi = build_initial_state(cfg, init)
+    return PureState(np.stack((psi, np.zeros_like(psi)))[None])

@@ -34,13 +34,14 @@ pair's block [[S_j, 0], [dS_j/dh_a, S_j]] is exp([[A_j, 0], [Theta_unit E_j,
 A_j]]) with E_j = dA_j/dTheta (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
 30, 1639 (2009)), and D_j, diagonal on the pair's vec, is folded into it
 as in the unitary engine: [[S_j D_j, 0], [dS_j D_j + S_j dD_j, S_j D_j]].
-The chain factor needs no derivative.  So a cycle multiplies (rho, d rho)
-of each of the B fields by C once, transposes them into one (B, 2, d^(2L))
-array with one digit (z_j, z'_j), the row-major vec of the pair's d x d
-block, per pair (pair 1 least significant), runs the L blocks through
-floquet.apply_pair_gates at local dimension d^2, as the unitary engine runs
-its gates on (psi, d psi), and transposes back.  There is no time stepping
-and no finite difference.
+The chain factor needs no derivative.  The state of B fields is one
+MixedState, whose one array x of shape (B, 2, d^L, d^L) stacks each rho and
+its d rho.  So a cycle multiplies x by C once, transposes it into the
+(B, 2, d^(2L)) layout with one digit (z_j, z'_j), the row-major vec of the
+pair's d x d block, per pair (pair 1 least significant), runs the L blocks
+through floquet.apply_pair_gates at local dimension d^2, as the unitary
+engine runs its gates on (psi, d psi), and transposes back.  There is no
+time stepping and no finite difference.
 
 LindbladEngine is a FloquetEngine: it takes the same field batches, reuses
 the field weights, the exponents M_j and dM_j/dTheta, the fold of D_j and
@@ -75,22 +76,20 @@ _TAYLOR_DEGREE = 16
 
 @dataclass
 class MixedState:
-    """Dense density matrix with its dephasing rate, or one of them per
-    field of a batch (shape (B, d^L, d^L)).
+    """The (B, 2, d^L, d^L) stack of B fields' density matrices rho and
+    their h_a-derivatives d rho (the tangent), the array the Lindblad
+    engine runs, with the dephasing rate."""
 
-    `tangent` carries d rho / d h_a, co-propagated by the Lindblad engine as
-    PureState.tangent is by the unitary one; it is required to propagate.
-    """
-
-    rho: np.ndarray
+    x: np.ndarray
     gamma: float = 0.0
-    tangent: np.ndarray | None = None
+    rho = property(lambda self: self.x[:, 0])
+    tangent = property(lambda self: self.x[:, 1])
 
     def distribution(self) -> tuple[np.ndarray, np.ndarray]:
         """The basis distribution diag rho and its h_a-derivative
-        diag d rho, per field of a batch; needs the tangent."""
-        return tuple(np.diagonal(m, axis1=-2, axis2=-1).real
-                     for m in (self.rho, self.tangent))
+        diag d rho, one row per field."""
+        diag = np.diagonal(self.x, axis1=-2, axis2=-1).real
+        return diag[:, 0], diag[:, 1]
 
 
 def hamming_distance_matrix(pair_dim: int) -> np.ndarray:
@@ -159,25 +158,23 @@ class LindbladEngine(FloquetEngine):
         return _expm(np.block([[A, np.zeros_like(A)], [E, A]]))
 
     def apply_cycle(self, state: MixedState, n: int) -> MixedState:
-        if state.tangent is None:
-            raise ValueError("state carries no tangent vector")
-        cfg, d, B = self.cfg, self.cfg.pair_dim, len(self.fields)
-        Y = np.stack((state.rho, state.tangent), axis=-3)
-        Y *= self.chain
-        digits = (B, 2) + (d,) * (2 * cfg.length)
-        X = Y.reshape(digits).transpose(self._interleave).reshape(B, 2, -1)
-        Y = apply_pair_gates(X, self.pair_gates(n)).reshape(digits) \
+        """Advance `state` by cycle n (in place; module docstring)."""
+        Y = self._chain_step(state)
+        digits = Y.shape[:2] + (self.cfg.pair_dim,) * (2 * self.cfg.length)
+        X = Y.reshape(digits).transpose(self._interleave) \
+            .reshape(Y.shape[:2] + (-1,))
+        state.x = apply_pair_gates(X, self.pair_gates(n)).reshape(digits) \
             .transpose(np.argsort(self._interleave)).reshape(Y.shape)
-        state.rho, state.tangent = Y[..., 0, :, :], Y[..., 1, :, :]
         return state
 
 
 def initial_mixed_state(cfg: ProbeConfig, init: InitConfig | None = None,
                         gamma: float = 0.0) -> MixedState:
-    """The initial state's projector with a zero d rho / d h_a attached."""
-    psi = build_initial_state(cfg, init).amplitudes
+    """The initial state's projector with a zero d rho / d h_a: the B = 1
+    stack."""
+    psi = build_initial_state(cfg, init)
     rho = np.outer(psi, psi.conj())
-    return MixedState(rho, gamma=gamma, tangent=np.zeros_like(rho))
+    return MixedState(np.stack((rho, np.zeros_like(rho)))[None], gamma)
 
 
 def noisy_fisher(cfg: ProbeConfig, fields: list[FieldConfig], gamma: float,
@@ -196,7 +193,7 @@ def noisy_fisher(cfg: ProbeConfig, fields: list[FieldConfig], gamma: float,
     """
     cfg = engine_probe(cfg, init)
     batch_size(cfg, mixed=True)
-    rho = np.tile(initial_mixed_state(cfg, init).rho, (len(fields), 1, 1))
-    return record_trace(LindbladEngine(cfg, fields, gamma),
-                        MixedState(rho, tangent=np.zeros_like(rho)), cycles,
+    state = initial_mixed_state(cfg, init, gamma)
+    state.x = np.repeat(state.x, len(fields), axis=0)
+    return record_trace(LindbladEngine(cfg, fields, gamma), state, cycles,
                         lambda s: qfi_mixed(s.rho, s.tangent))

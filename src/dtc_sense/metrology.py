@@ -21,14 +21,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BoundaryPeakWarning, NumericalError
-from .floquet import FloquetEngine
+from .floquet import FloquetEngine, initial_state_with_tangent
 from .model import (
     FieldConfig,
     InitConfig,
     ProbeConfig,
     PureState,
     batch_size,
-    build_initial_state,
     collective_index_a,
     engine_probe,
 )
@@ -62,12 +61,9 @@ class FitResult:
     r_squared: float
 
 
-def qfi_pure(state: PureState) -> float | np.ndarray:
-    """4( <d psi|d psi> - |<psi|d psi>|^2 ) from the attached tangent vector,
-    per field of a batched state; any field's value below -1e-10 raises
-    NumericalError."""
-    if state.tangent is None:
-        raise ValueError("state carries no tangent vector")
+def qfi_pure(state: PureState) -> np.ndarray:
+    """4( <d psi|d psi> - |<psi|d psi>|^2 ) from the state's tangent, one
+    value per field; any field's value below -1e-10 raises NumericalError."""
     psi, tan = state.amplitudes, state.tangent
     value = 4.0 * ((tan.real ** 2 + tan.imag ** 2).sum(axis=-1)
                    - np.abs((psi.conj() * tan).sum(axis=-1)) ** 2)
@@ -80,10 +76,8 @@ def qfi_mixed(rho: np.ndarray, drho: np.ndarray) -> float | np.ndarray:
     """Spectral mixed-state QFI: 2 sum |<i|drho|j>|^2 / (lam_i + lam_j) over
     eigenpairs of rho with lam_i + lam_j above cutoff, per matrix of a
     batched (B, dim, dim) pair; the checks cover every matrix."""
-    pair = np.stack((rho, drho))
-    hermitian = np.isclose(pair, pair.conj().swapaxes(-1, -2), atol=1e-8)
-    for name, ok in zip(("rho", "drho"), hermitian.reshape(2, -1).all(-1)):
-        if not ok:
+    for name, m in (("rho", rho), ("drho", drho)):
+        if not np.allclose(m, m.conj().swapaxes(-1, -2), atol=1e-8):
             raise ValueError(f"{name} is not Hermitian")
     drift = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
     if drift > 1e-6:
@@ -130,8 +124,8 @@ def qfi_bound(cfg: ProbeConfig, n: int) -> float:
 
 def record_trace(engine: FloquetEngine, state, cycles: int,
                  qfi) -> list[StroboscopicTrace]:
-    """Step `state` (a PureState or a MixedState, tangent attached) through
-    `cycles` periods of `engine`, in place, and record
+    """Step `state` (the PureState or MixedState stack of the engine's
+    fields) through `cycles` periods of `engine`, in place, and record
     the imbalance, qfi(state), CFI_computational and CFI_collective at every
     stroboscopic time n = 0..cycles: one trace per field of the engine.  The
     imbalance is normalized by the initial state's, i0; a vanishing i0
@@ -166,9 +160,9 @@ def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
     picks for `init` (2^L amplitudes per field at tilt 0), gated as pure."""
     cfg = engine_probe(cfg, init)
     batch_size(cfg, mixed=False)
-    amps = np.tile(build_initial_state(cfg, init).amplitudes, (len(fields), 1))
-    return record_trace(FloquetEngine(cfg, fields),
-                        PureState(amps, np.zeros_like(amps)), cycles, qfi_pure)
+    state = initial_state_with_tangent(cfg, init)
+    state.x = np.repeat(state.x, len(fields), axis=0)
+    return record_trace(FloquetEngine(cfg, fields), state, cycles, qfi_pure)
 
 
 def stroboscopic_trace(cfg: ProbeConfig, field: FieldConfig,

@@ -56,7 +56,8 @@ class ProbeConfig:
     period = 1.0
 
     def __post_init__(self):
-        if self.length < 1 or self.length != int(self.length):
+        if not isinstance(self.length, (int, np.integer)) \
+                or isinstance(self.length, bool) or self.length < 1:
             raise ConfigError(f"length must be a positive integer, got {self.length}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in [0, 1), got {self.epsilon}")
@@ -111,23 +112,25 @@ class InitConfig:
 
 @dataclass
 class PureState:
-    """Dense statevector over the d^L basis states of the probe config, or
-    one row of them per field of a batch (shape (B, d^L)).
+    """The (B, 2, d^L) stack of B fields' statevectors over the d^L basis
+    states of the probe config and their tangents, the array the Floquet
+    engine runs (floquet docstring).
 
-    `tangent` (same shape, required to propagate) carries the derivative of
-    the amplitudes with respect to the field amplitude h_a up to a phase
-    term i a psi, as the Floquet engine co-propagates it (floquet docstring).
+    The tangent x[:, 1] carries the derivative of the amplitudes x[:, 0]
+    with respect to the field amplitude h_a up to a phase term i a psi, as
+    the Floquet engine co-propagates it.
     """
 
-    amplitudes: np.ndarray
-    tangent: np.ndarray | None = None
+    x: np.ndarray
+    amplitudes = property(lambda self: self.x[:, 0])
+    tangent = property(lambda self: self.x[:, 1])
 
     def distribution(self) -> tuple[np.ndarray, np.ndarray]:
         """The basis distribution |psi|^2 and its h_a-derivative
-        2 Re(psi* d psi), per field of a batch; needs the tangent, whose
-        phase term drops out."""
-        psi = self.amplitudes
-        return np.abs(psi) ** 2, 2.0 * np.real(psi.conj() * self.tangent)
+        2 Re(psi* d psi), one row per field; the tangent's phase term drops
+        out."""
+        psi, tan = self.amplitudes, self.tangent
+        return np.abs(psi) ** 2, 2.0 * np.real(psi.conj() * tan)
 
 
 def engine_probe(cfg: ProbeConfig, init: InitConfig | None) -> ProbeConfig:
@@ -210,9 +213,10 @@ def collective_index_a(cfg: ProbeConfig) -> np.ndarray:
     return pair_sum(np.tile(up, (cfg.length, 1)))
 
 
-def build_initial_state(cfg: ProbeConfig, init: InitConfig | None = None) -> PureState:
-    """Product state with every a-site rotated toward down and every b-site
-    toward up by the same angle `tilt`:
+def build_initial_state(cfg: ProbeConfig,
+                        init: InitConfig | None = None) -> np.ndarray:
+    """The d^L amplitudes of the product state with every a-site rotated
+    toward down and every b-site toward up by the same angle `tilt`:
 
         (cos t |up> + sin t |down>)_a  x  (-sin t |up> + cos t |down>)_b
 
@@ -233,4 +237,4 @@ def build_initial_state(cfg: ProbeConfig, init: InitConfig | None = None) -> Pur
     for _ in range(cfg.length):
         pair = np.kron(amp_b, np.kron(amp_a, psi)).reshape(4, -1)
         psi = pair[local].reshape(-1)
-    return PureState(psi.astype(np.complex128))
+    return psi.astype(np.complex128)

@@ -6,6 +6,9 @@ against an implementation that shares none of its code paths.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+from types import MappingProxyType
+
 import numpy as np
 from scipy.linalg import expm, expm_frechet
 
@@ -29,7 +32,15 @@ def embed(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     return out
 
 
-def dense_operators(cfg: ProbeConfig) -> dict[str, np.ndarray]:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16)
+def dense_operators(cfg: ProbeConfig) -> MappingProxyType:
+    """The dense chain, exchange, field and imbalance operators of `cfg`,
+    read-only and cached (16 configs; an L = 5 operator is 16 MB)."""
     L, nq = cfg.length, 2 * cfg.length
     dim = 1 << nq
     h_chain = np.zeros((dim, dim), dtype=complex)
@@ -48,8 +59,9 @@ def dense_operators(cfg: ProbeConfig) -> dict[str, np.ndarray]:
     imbalance_num = sum(embed(SZ, 2 * (j - 1), nq)
                         - embed(SZ, 2 * (j - 1) + 1, nq)
                         for j in range(1, L + 1))
-    return {"h_chain": h_chain, "h_exchange": h_exchange, "g_a": g_a,
-            "g_b": g_b, "imbalance_num": imbalance_num}
+    ops = {"h_chain": h_chain, "h_exchange": h_exchange, "g_a": g_a,
+           "g_b": g_b, "imbalance_num": imbalance_num}
+    return MappingProxyType({k: _read_only(op) for k, op in ops.items()})
 
 
 def dense_initial_state(cfg: ProbeConfig, init: InitConfig | None = None) -> np.ndarray:
@@ -63,13 +75,20 @@ def dense_initial_state(cfg: ProbeConfig, init: InitConfig | None = None) -> np.
 
 
 def dense_cycle_unitary(cfg: ProbeConfig, field: FieldConfig, n: int) -> np.ndarray:
+    return _cycle_unitary(cfg, field.eta, theta_half(n, 1, field, cfg),
+                          theta_half(n, 2, field, cfg))
+
+
+@lru_cache(maxsize=16)
+def _cycle_unitary(cfg: ProbeConfig, eta: float, th1: float,
+                   th2: float) -> np.ndarray:
+    """The cycle unitary at half-period phases (th1, th2), read-only and
+    cached: a resonant drive has only two such pairs per field."""
     ops = dense_operators(cfg)
-    g = ops["g_a"] + field.eta * ops["g_b"]
-    th1 = theta_half(n, 1, field, cfg)
-    th2 = theta_half(n, 2, field, cfg)
+    g = ops["g_a"] + eta * ops["g_b"]
     u1 = expm(-1j * (cfg.t1 * ops["h_chain"] + th1 * g))
     u2 = expm(-1j * (cfg.t2 * ops["h_exchange"] + th2 * g))
-    return u2 @ u1
+    return _read_only(u2 @ u1)
 
 
 def dense_evolve(cfg: ProbeConfig, field: FieldConfig, cycles: int,

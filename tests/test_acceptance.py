@@ -125,7 +125,7 @@ def test_c06_tangent_qfi_matches_finite_differences():
         state = initial_state_with_tangent(cfg)
         for n in range(1, cycles + 1):
             engine.apply_cycle(state, n)
-        got = qfi_pure(state)
+        got = qfi_pure(state)[0]
         ref = oracles.dense_qfi_fd(cfg, fld, cycles)
         if ref > 1e-12:
             worst = max(worst, abs(got - ref) / ref)
@@ -254,7 +254,7 @@ def test_c12_zero_noise_consistency():
     worst_trace = 0.0
     worst_eig = 0.0
     for n in range(1, 21):
-        rho = engine.apply_cycle(state, n).rho
+        rho = engine.apply_cycle(state, n).rho[0]
         imb = (imb_diag @ np.diag(rho).real) / i0
         worst_imb = max(worst_imb, abs(imb - unitary.imbalance[n]))
         worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))

@@ -178,10 +178,10 @@ def test_ideal_cycle_inverts_imbalance():
     cfg = ProbeConfig(length=3, epsilon=0.0)
     engine = FloquetEngine(cfg, FieldConfig())
     state = initial_state_with_tangent(cfg)
-    i0 = engine.imbalance_diag @ np.abs(state.amplitudes) ** 2
+    i0 = engine.imbalance_diag @ np.abs(state.amplitudes[0]) ** 2
     for n, expected in ((1, -1.0), (2, 1.0)):
         engine.apply_cycle(state, n)
-        imb = engine.imbalance_diag @ np.abs(state.amplitudes) ** 2
+        imb = engine.imbalance_diag @ np.abs(state.amplitudes[0]) ** 2
         assert imb / i0 == pytest.approx(expected, abs=1e-12)
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
@@ -197,7 +197,7 @@ def test_gate_order_is_irrelevant():
     fld = FieldConfig(h_a=0.05, eta=0.1)
     engine = FloquetEngine(cfg, fld)
     gates = engine.pair_gates(1)  # the folded gates U D of the pairs
-    psi0 = build_initial_state(cfg, InitConfig(tilt=0.1)).amplitudes
+    psi0 = build_initial_state(cfg, InitConfig(tilt=0.1))
     psi0 = engine.chain * psi0
     sites = range(1, cfg.length + 1)
     out_fwd = psi0.copy()
@@ -299,11 +299,11 @@ def test_norm_and_magnetization_over_long_run():
     engine = FloquetEngine(cfg, fld)
     state = initial_state_with_tangent(cfg, InitConfig(tilt=0.05))
     mag = oracles.total_magnetization_diagonal(cfg)
-    m0 = mag @ np.abs(state.amplitudes) ** 2
+    m0 = mag @ np.abs(state.amplitudes[0]) ** 2
     for n in range(1, 1001):
         engine.apply_cycle(state, n)
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
-    m1 = mag @ np.abs(state.amplitudes) ** 2
+    m1 = mag @ np.abs(state.amplitudes[0]) ** 2
     assert m1 == pytest.approx(m0, abs=1e-10)
 
 
@@ -334,16 +334,16 @@ def test_imbalance_stays_in_range():
     engine = FloquetEngine(cfg, fld)
     state = initial_state_with_tangent(cfg)
     d = engine.imbalance_diag
-    i0 = d @ np.abs(state.amplitudes) ** 2
+    i0 = d @ np.abs(state.amplitudes[0]) ** 2
     for n in range(1, 101):
         engine.apply_cycle(state, n)
-        val = (d @ np.abs(state.amplitudes) ** 2) / i0
+        val = (d @ np.abs(state.amplitudes[0]) ** 2) / i0
         assert -1.0 - 1e-10 <= val <= 1.0 + 1e-10
 
 
 def test_attach_tangent_initializes_zero():
     state = initial_state_with_tangent(ProbeConfig(length=2))
-    assert state.tangent.shape == state.amplitudes.shape
+    assert state.x.shape == (1, 2, 16)
     assert np.all(state.tangent == 0)
 
 
@@ -385,15 +385,15 @@ def _full_space_trace(cfg, fld, cycles):
     engine = FloquetEngine(cfg, fld)
     state = initial_state_with_tangent(cfg)
     coll = collective_index_a(cfg)
-    i0 = engine.imbalance_diag @ np.abs(state.amplitudes) ** 2
+    i0 = engine.imbalance_diag @ np.abs(state.amplitudes[0]) ** 2
     out = np.zeros((cycles + 1, 4))
     out[0, 0] = 1.0
     for n in range(1, cycles + 1):
         engine.apply_cycle(state, n)
-        p = np.abs(state.amplitudes) ** 2
-        dp = 2.0 * np.real(np.conj(state.amplitudes) * state.tangent)
+        p = np.abs(state.amplitudes[0]) ** 2
+        dp = 2.0 * np.real(np.conj(state.amplitudes[0]) * state.tangent[0])
         imb, cfi_c, cfi_m = _readout(p, dp, engine.imbalance_diag, i0, coll)
-        out[n] = imb, qfi_pure(state), cfi_c, cfi_m
+        out[n] = imb, qfi_pure(state)[0], cfi_c, cfi_m
     return out
 
 

@@ -43,6 +43,11 @@ def _random_hermitian(dim, seed):
     return A + A.conj().T
 
 
+def _mixed(rho, drho):
+    """The B = 1 MixedState stack of rho and d rho."""
+    return MixedState(np.stack((rho, drho))[None])
+
+
 def _trajectory(cfg, fld, gamma, cycles):
     """rho after each of cycles 1..cycles, from the initial state."""
     engine = LindbladEngine(cfg, fld, gamma)
@@ -50,7 +55,7 @@ def _trajectory(cfg, fld, gamma, cycles):
     out = []
     for n in range(1, cycles + 1):
         engine.apply_cycle(state, n)
-        out.append(state.rho)
+        out.append(state.rho[0])
     return out
 
 
@@ -88,11 +93,11 @@ def test_cycle_matches_dense_oracle(gamma, length):
     fld = FieldConfig(h_a=0.3, delta_f=0.02, eta=0.1)
     engine = LindbladEngine(cfg, fld, gamma)
     ref = _random_density(cfg.dim, seed=7)
-    state = MixedState(ref, tangent=np.zeros_like(ref))
+    state = _mixed(ref, np.zeros_like(ref))
     for n in (1, 2, 3):
         engine.apply_cycle(state, n)
         ref = oracles.dense_lindblad_cycle(ref, cfg, fld, gamma, n)
-        assert np.max(np.abs(state.rho - ref)) < 1e-12
+        assert np.max(np.abs(state.rho[0] - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("length", [1, 2])
@@ -103,13 +108,13 @@ def test_tangent_matches_expm_frechet(gamma, length):
     engine = LindbladEngine(cfg, fld, gamma)
     rho0 = _random_density(cfg.dim, seed=5)
     drho0 = _random_hermitian(cfg.dim, seed=6)
-    state = MixedState(rho0.copy(), tangent=drho0.copy())
+    state = _mixed(rho0.copy(), drho0.copy())
     ref, dref = rho0, drho0
     for n in (1, 2, 3):
         engine.apply_cycle(state, n)
         ref, dref = oracles.dense_lindblad_cycle(ref, cfg, fld, gamma, n, dref)
-        assert np.max(np.abs(state.tangent - dref)) < 1e-10 * np.max(np.abs(dref))
-        assert np.max(np.abs(state.rho - ref)) < 1e-12
+        assert np.max(np.abs(state.tangent[0] - dref)) < 1e-10 * np.max(np.abs(dref))
+        assert np.max(np.abs(state.rho[0] - ref)) < 1e-12
 
 
 def test_pure_dephasing_closes_exponentially():
@@ -120,12 +125,12 @@ def test_pure_dephasing_closes_exponentially():
     gamma = 0.3
     engine = LindbladEngine(cfg, FieldConfig(), gamma)
     rho = _random_density(cfg.dim, seed=3)
-    state = MixedState(rho.copy(), tangent=np.zeros_like(rho))
+    state = _mixed(rho.copy(), np.zeros_like(rho))
     for n in range(1, 5):
         engine.apply_cycle(state, n)
         decay = np.exp(-2 * gamma * 2 * cfg.length * cfg.period * n)
-        assert state.rho[0, -1] == pytest.approx(decay * rho[0, -1],
-                                                 rel=1e-12)
+        assert state.rho[0, 0, -1] == pytest.approx(decay * rho[0, -1],
+                                                    rel=1e-12)
 
 
 def test_zero_noise_matches_unitary_engine():
@@ -147,9 +152,9 @@ def test_trajectory_is_trace_preserving_and_positive():
     state = initial_mixed_state(cfg, gamma=5e-3)
     for n in range(1, 11):
         engine.apply_cycle(state, n)
-        assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(state.rho)[0] > -1e-12
-        assert np.allclose(state.rho, state.rho.conj().T, atol=1e-13)
+        assert np.trace(state.rho[0]).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(state.rho[0])[0] > -1e-12
+        assert np.allclose(state.rho[0], state.rho[0].conj().T, atol=1e-13)
 
 
 def test_dephasing_shrinks_purity():
@@ -212,23 +217,33 @@ def test_resonant_cycles_after_the_second_compute_no_exponential(monkeypatch):
     assert calls
 
 
-def test_engines_refuse_a_state_without_tangent():
-    cfg, fld = ProbeConfig(length=2), FieldConfig(h_a=1e-3)
-    rho = initial_mixed_state(cfg).rho
-    with pytest.raises(ValueError, match="no tangent"):
-        FloquetEngine(cfg, fld).apply_cycle(build_initial_state(cfg), 1)
-    with pytest.raises(ValueError, match="no tangent"):
-        LindbladEngine(cfg, fld, 1e-3).apply_cycle(MixedState(rho), 1)
+@pytest.mark.parametrize("mixed", [False, True])
+def test_engines_refuse_a_stack_of_another_shape(mixed):
+    # the stack must hold exactly the engine's B fields at its d^L; a B = 1
+    # stack would otherwise broadcast over a B = 2 engine
+    cfg = ProbeConfig(length=2)
+    fields = [FieldConfig(h_a=1e-3), FieldConfig(h_a=2e-3)]
+    engine, initial = ((LindbladEngine(cfg, fields, 1e-3), initial_mixed_state)
+                       if mixed else (FloquetEngine(cfg, fields),
+                                      initial_state_with_tangent))
+    for L, B in ((2, 1), (2, 3), (1, 2), (3, 2)):
+        state = initial(ProbeConfig(length=L))
+        state.x = np.repeat(state.x, B, axis=0)
+        with pytest.raises(ValueError, match="does not match"):
+            engine.apply_cycle(state, 1)
+    state = initial(cfg)
+    state.x = np.repeat(state.x, 2, axis=0)
+    assert engine.apply_cycle(state, 1).x.shape == (2, 2) + engine.chain.shape
 
 
 def test_initial_mixed_state_is_projector():
     cfg = ProbeConfig(length=2)
     st = initial_mixed_state(cfg, InitConfig(tilt=0.1), gamma=0.0)
-    assert np.array_equal(st.tangent, np.zeros_like(st.rho))
-    assert np.trace(st.rho).real == pytest.approx(1.0, abs=1e-12)
-    assert np.trace(st.rho @ st.rho).real == pytest.approx(1.0, abs=1e-12)
-    psi = build_initial_state(cfg, InitConfig(tilt=0.1)).amplitudes
-    assert np.allclose(st.rho, np.outer(psi, psi.conj()), atol=1e-13)
+    assert np.array_equal(st.tangent[0], np.zeros_like(st.rho[0]))
+    assert np.trace(st.rho[0]).real == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(st.rho[0] @ st.rho[0]).real == pytest.approx(1.0, abs=1e-12)
+    psi = build_initial_state(cfg, InitConfig(tilt=0.1))
+    assert np.allclose(st.rho[0], np.outer(psi, psi.conj()), atol=1e-13)
 
 
 # ------------------------------------------------------------ noisy_fisher
@@ -355,14 +370,14 @@ def test_noisy_fisher_sector_equals_full_engine(length):
     engine = LindbladEngine(cfg, fld, gamma)
     state = initial_mixed_state(cfg, gamma=gamma)
     imb_diag = engine.imbalance_diag
-    i0 = imb_diag @ np.diag(state.rho).real
+    i0 = imb_diag @ np.diag(state.rho[0]).real
     ref = np.zeros((cycles + 1, 4))
     ref[0, 0] = 1.0
     for n in range(1, cycles + 1):
         engine.apply_cycle(state, n)
-        imb, cfi_c, cfi_m = _readout(np.diag(state.rho).real,
-                                     np.diag(state.tangent).real, imb_diag,
+        imb, cfi_c, cfi_m = _readout(np.diag(state.rho[0]).real,
+                                     np.diag(state.tangent[0]).real, imb_diag,
                                      i0, collective_index_a(cfg))
-        ref[n] = imb, qfi_mixed(state.rho, state.tangent), cfi_c, cfi_m
+        ref[n] = imb, qfi_mixed(state.rho[0], state.tangent[0]), cfi_c, cfi_m
     scale = np.abs(ref).max(axis=0)
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)

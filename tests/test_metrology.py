@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -31,7 +31,6 @@ from dtc_sense.model import (
     InitConfig,
     ProbeConfig,
     PureState,
-    build_initial_state,
     collective_index_a,
     observable_diagonal,
 )
@@ -46,24 +45,25 @@ def _random_state_and_generator(dim, seed):
     return psi, A
 
 
+def _pure(psi, tan):
+    """The PureState stack of amplitudes `psi` and tangents `tan`, each one
+    state (d^L,) or one row per field (B, d^L)."""
+    x = np.stack((psi, tan), axis=-2)
+    return PureState(x.reshape(-1, 2, psi.shape[-1]))
+
+
 # ----------------------------------------------------------------- qfi_pure
-
-def test_qfi_pure_requires_tangent():
-    state = build_initial_state(ProbeConfig(length=2))
-    with pytest.raises(ValueError):
-        qfi_pure(state)
-
 
 def test_qfi_pure_gauge_tangent_vanishes():
     # tangent parallel to the state is a pure phase derivative
     psi, _ = _random_state_and_generator(16, seed=0)
-    state = PureState(psi, tangent=2.7j * psi)
+    state = _pure(psi, 2.7j * psi)
     assert qfi_pure(state) == 0.0
 
 
 def test_qfi_pure_is_four_times_generator_variance():
     psi, A = _random_state_and_generator(16, seed=1)
-    state = PureState(psi, tangent=-1j * (A @ psi))
+    state = _pure(psi, -1j * (A @ psi))
     var = np.vdot(psi, A @ A @ psi).real - np.vdot(psi, A @ psi).real ** 2
     assert qfi_pure(state) == pytest.approx(4 * var, rel=1e-10)
 
@@ -118,7 +118,7 @@ def _pure_readout(state, cfg):
 def test_cfi_zero_for_insensitive_distribution():
     cfg = ProbeConfig(length=2)
     psi, _ = _random_state_and_generator(cfg.dim, seed=2)
-    state = PureState(psi, tangent=np.zeros(cfg.dim, dtype=complex))
+    state = _pure(psi, np.zeros(cfg.dim, dtype=complex))
     _, c_comp, c_coll = _pure_readout(state, cfg)
     assert c_comp == 0.0 and c_coll == 0.0
 
@@ -137,7 +137,7 @@ def test_fisher_hierarchy(seed, L):
     # any measurement loses information: QFI >= comp CFI >= collective CFI
     cfg = ProbeConfig(length=L)
     psi, A = _random_state_and_generator(cfg.dim, seed)
-    state = PureState(psi, tangent=-1j * (A @ psi))
+    state = _pure(psi, -1j * (A @ psi))
     q = qfi_pure(state)
     _, c_comp, c_coll = _pure_readout(state, cfg)
     assert q >= c_comp - 1e-8 * max(1.0, q)
@@ -147,9 +147,9 @@ def test_fisher_hierarchy(seed, L):
 def test_cfi_collective_matches_manual_grouping():
     cfg = ProbeConfig(length=3)
     psi, A = _random_state_and_generator(cfg.dim, seed=3)
-    state = PureState(psi, tangent=-1j * (A @ psi))
+    state = _pure(psi, -1j * (A @ psi))
     p = np.abs(psi) ** 2
-    dp = 2 * np.real(psi.conj() * state.tangent)
+    dp = 2 * np.real(psi.conj() * state.tangent[0])
     groups = {}
     for z in range(cfg.dim):
         # outcome: number of up spins on chain a (bit 2(j-1) clear)
@@ -228,6 +228,41 @@ def test_dephased_qfi_respects_pang_jordan_bound(case, gamma):
     qfi = noisy_fisher(cfg, [fld], gamma, 20, init)[0].qfi
     bound = oracles.pang_jordan_bound(cfg, fld, np.arange(21), init.tilt)
     assert np.all(qfi <= bound * (1 + 1e-10))
+
+
+def _beyond_the_cone(traces, name, n, start, order, weight=False):
+    """The largest |order-th difference over L| of trace `name` at cycle n,
+    times L if `weight`, on L = start..max, relative to its largest value."""
+    L = np.arange(start, max(traces) + 1)
+    y = np.array([getattr(traces[k], name)[n] for k in L])
+    y = y * L if weight else y
+    return np.abs(np.diff(y, order)).max() / np.abs(y).max()
+
+
+# no shrinking: each example runs 23 traces up to L = 16 (about 1.4 s), so
+# shrinking a failure runs for minutes
+@settings(max_examples=2, deadline=None, phases=(Phase.reuse, Phase.generate))
+@given(eps=st.floats(0.02, 0.4), eta=st.floats(0.0, 0.3),
+       df=st.floats(-0.05, 0.05))
+def test_fixed_time_traces_are_polynomial_beyond_the_light_cone(eps, eta, df):
+    # the Ising bond is the only coupling between pairs, so in n cycles a
+    # pair operator spreads over at most n - 1 pairs per side: at h_a = 0 and
+    # tilt 0 the covariance of pairs j and k vanishes for |j - k| > 2(n - 1)
+    # and depends on k - j alone away from the ends.  With the field weight
+    # j, L * imbalance(L, n) is then linear in L from L = 2(n - 1), and
+    # QFI(L, n) cubic from L = 4(n - 1); a dephased run keeps the first.
+    fld = FieldConfig(delta_f=df, eta=eta)
+    pure = {L: stroboscopic_trace(ProbeConfig(length=L, epsilon=eps), fld,
+                                  cycles=4) for L in range(2, 17)}
+    mixed = {L: noisy_fisher(ProbeConfig(length=L, epsilon=eps), [fld], 1e-2,
+                             cycles=3)[0] for L in range(2, 10)}
+    for n in (2, 3, 4):
+        assert _beyond_the_cone(pure, "qfi", n, 4 * (n - 1), 4) <= 1e-10
+        assert _beyond_the_cone(pure, "imbalance", n, 2 * (n - 1), 2,
+                                weight=True) <= 1e-10
+    for n in (2, 3):
+        assert _beyond_the_cone(mixed, "imbalance", n, 2 * (n - 1), 2,
+                                weight=True) <= 1e-10
 
 
 # ----------------------------------------------------------------- windows
@@ -438,7 +473,7 @@ def test_batch_numerical_checks_cover_every_field():
     good = -1j * (A @ psi)
     e0 = np.eye(16)[0].astype(complex)
     # |<psi|t>|^2 > <t|t>: an unnormalized second state gives a negative QFI
-    state = PureState(np.stack([psi, 2.0 * e0]), tangent=np.stack([good, e0]))
+    state = _pure(np.stack([psi, 2.0 * e0]), np.stack([good, e0]))
     with pytest.raises(NumericalError):
         qfi_pure(state)
     p = np.stack([np.abs(psi) ** 2, np.abs(psi) ** 2])
@@ -462,13 +497,13 @@ def test_batched_readout_matches_row_by_row():
     imb_diag = observable_diagonal(cfg)
     coll = collective_index_a(cfg)
     batched = _readout(p, dp, imb_diag, 1.0, coll)
-    qfi = qfi_pure(PureState(psi, tangent=tan))
+    qfi = qfi_pure(_pure(psi, tan))
     for b in range(3):
         single = _readout(p[b], dp[b], imb_diag, 1.0, coll)
         for got, ref in zip(batched, single):
             assert got[b] == pytest.approx(ref, rel=1e-13, abs=1e-15)
         assert qfi[b] == pytest.approx(
-            qfi_pure(PureState(psi[b], tangent=tan[b])), rel=1e-13)
+            qfi_pure(_pure(psi[b], tan[b])), rel=1e-13)
 
 
 def test_golden_section_evaluates_the_grid_in_one_call():

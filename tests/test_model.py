@@ -33,7 +33,8 @@ def test_probe_config_derived_quantities():
 @pytest.mark.parametrize("kwargs", [
     {"length": 0}, {"length": -2},
     {"length": 3, "epsilon": 1.0}, {"length": 3, "epsilon": -0.1},
-    {"length": 2.5},
+    {"length": 2.5}, {"length": 2.0}, {"length": float("nan")},
+    {"length": True},
 ])
 def test_probe_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
@@ -71,23 +72,23 @@ def test_init_config_range():
 
 def test_reference_state_is_single_configuration():
     # a-chain all up (bits 0), b-chain all down (bits 1): L=2 -> 0b1010
-    state = build_initial_state(ProbeConfig(length=2))
-    assert np.argmax(np.abs(state.amplitudes)) == 0b1010
-    assert state.amplitudes[0b1010] == pytest.approx(1.0)
-    assert np.count_nonzero(np.abs(state.amplitudes) > 1e-15) == 1
+    psi = build_initial_state(ProbeConfig(length=2))
+    assert np.argmax(np.abs(psi)) == 0b1010
+    assert psi[0b1010] == pytest.approx(1.0)
+    assert np.count_nonzero(np.abs(psi) > 1e-15) == 1
 
 
 def test_quarter_tilt_populates_everything():
     cfg = ProbeConfig(length=3)
-    state = build_initial_state(cfg, InitConfig(tilt=np.pi / 4))
-    assert np.all(np.abs(state.amplitudes) > 0)
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    psi = build_initial_state(cfg, InitConfig(tilt=np.pi / 4))
+    assert np.all(np.abs(psi) > 0)
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tilted_overlap_with_reference():
     cfg = ProbeConfig(length=3)
-    ref = build_initial_state(cfg).amplitudes
-    tilted = build_initial_state(cfg, InitConfig(tilt=0.01 * np.pi)).amplitudes
+    ref = build_initial_state(cfg)
+    tilted = build_initial_state(cfg, InitConfig(tilt=0.01 * np.pi))
     overlap = abs(np.vdot(ref, tilted))
     assert overlap == pytest.approx(np.cos(0.01 * np.pi) ** 6, abs=1e-12)
     assert overlap == pytest.approx(0.99705, abs=5e-5)
@@ -97,10 +98,10 @@ def test_tilted_overlap_with_reference():
 @given(L=st.integers(1, 4), tilt=st.floats(0.0, np.pi / 4))
 def test_initial_state_norm_and_fidelity(L, tilt):
     cfg = ProbeConfig(length=L)
-    state = build_initial_state(cfg, InitConfig(tilt=tilt))
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    ref = build_initial_state(cfg).amplitudes
-    fid = abs(np.vdot(ref, state.amplitudes))
+    psi = build_initial_state(cfg, InitConfig(tilt=tilt))
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+    ref = build_initial_state(cfg)
+    fid = abs(np.vdot(ref, psi))
     assert fid == pytest.approx(np.cos(tilt) ** (2 * L), abs=1e-12)
 
 
@@ -127,8 +128,8 @@ def test_gradient_extremes_attained_at_polarized_configs():
 def test_imbalance_numerator_on_reference_state():
     cfg = ProbeConfig(length=3)
     d = observable_diagonal(cfg)
-    state = build_initial_state(cfg)
-    value = d @ np.abs(state.amplitudes) ** 2
+    psi = build_initial_state(cfg)
+    value = d @ np.abs(psi) ** 2
     assert value == pytest.approx(2 * cfg.length)
 
 
@@ -236,13 +237,12 @@ def test_sector_table_and_diagonals_are_full_space_columns(L):
                           collective_index_a(full)[cols])
     assert np.array_equal(hamming_distance_matrix(2),
                           hamming_distance_matrix(4)[np.ix_([2, 1], [2, 1])])
-    state = build_initial_state(sector)
-    assert state.amplitudes[0] == 1.0
-    assert np.linalg.norm(state.amplitudes) == 1.0
-    assert np.array_equal(state.amplitudes,
-                          build_initial_state(full).amplitudes[cols])
+    psi = build_initial_state(sector)
+    assert psi[0] == 1.0
+    assert np.linalg.norm(psi) == 1.0
+    assert np.array_equal(psi, build_initial_state(full)[cols])
     imb = observable_diagonal(sector)
-    assert imb @ np.abs(state.amplitudes) ** 2 == 2 * L
+    assert imb @ np.abs(psi) ** 2 == 2 * L
 
 
 def test_sector_gradient_does_not_overflow_at_L16():

@@ -76,10 +76,9 @@ dtc_sense.FloquetEngine(cfg, field).apply_cycle(
     dtc_sense.initial_state_with_tangent(cfg), 1)
 dtc_sense.LindbladEngine(cfg, field, 1e-3).apply_cycle(
     dtc_sense.initial_mixed_state(cfg), 1)
-rho = dtc_sense.initial_mixed_state(cfg).rho[None].repeat(2, axis=0)
+x = dtc_sense.initial_mixed_state(cfg).x.repeat(2, axis=0)
 dtc_sense.LindbladEngine(cfg, [field, dtc_sense.FieldConfig(h_a=1e6)],
-                         1e-3).apply_cycle(
-    dtc_sense.MixedState(rho, tangent=0 * rho), 1)
+                         1e-3).apply_cycle(dtc_sense.MixedState(x), 1)
 print("scipy" in sys.modules)
 """
 
