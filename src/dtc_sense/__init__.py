@@ -27,7 +27,7 @@ _SUBMODULE_OF = {
         ("model", ("FieldConfig", "InitConfig", "ProbeConfig", "PureState",
                    "build_initial_state", "observable_diagonal")),
         ("floquet", ("FloquetEngine", "initial_state_with_tangent",
-                     "theta_half")),
+                     "theta_units")),
         ("metrology", ("FitResult", "StroboscopicTrace", "find_transition",
                        "point_average", "power_fit", "qfi_bound",
                        "qfi_mixed", "qfi_pure", "stroboscopic_trace",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
+from .model import ProbeConfig
 
 #: f_pair (Hz) and coherence time (s) for the bundled material presets.
 MATERIALS = {
@@ -27,10 +28,10 @@ MATERIALS = {
 def expcalc(f_pair_hz: float, coherence_s: float, length: int,
             unit_scale: float = 1.0) -> dict[str, float]:
     """All derived timing and sensitivity quantities, as a flat record."""
-    if f_pair_hz <= 0 or coherence_s <= 0:
-        raise ConfigError("pair frequency and coherence time must be positive")
-    if length < 1:
-        raise ConfigError(f"length must be >= 1, got {length}")
+    if not all(0.0 < x < np.inf for x in (f_pair_hz, coherence_s, unit_scale)):
+        raise ConfigError("pair frequency, coherence time and unit scale must "
+                          "be finite and positive")
+    L = ProbeConfig(length=length).length  # ProbeConfig's rule for L
     t2_s = 1.0 / (2.0 * np.pi * f_pair_hz)
     period_s = t2_s
     n_max = int(np.floor(coherence_s / period_s))
@@ -38,7 +39,6 @@ def expcalc(f_pair_hz: float, coherence_s: float, length: int,
         raise ConfigError(f"coherence_s = {coherence_s:g} s is shorter than "
                           f"one drive period ({period_s * 1e3:.6g} ms)")
     shots_per_s = 1.0 / (n_max * period_s)
-    L = length
     # exact bound-limited sensitivity, and the large-L form whose coefficient
     # is what experimental papers tend to quote (coeff / L^2)
     sens_exact = unit_scale * np.pi / (n_max * L * (L + 1) * np.sqrt(shots_per_s))

@@ -23,7 +23,7 @@ exp(-i Theta_1 j (1 - eta) tau^z_j).
 
 The sinusoidal drive enters only through its per-half-period time integral
 Theta (the square-pulse/accumulated-phase approximation); there is no
-sub-half-period time stepping.  Theta = h_a * Theta_unit is linear in h_a.
+sub-half-period time stepping.  Theta = h_a * theta_units(n, delta_f).
 
 Batched fields.  One engine propagates B fields that share (delta_f, eta) and
 differ in h_a; a single field is B = 1.  Their state is one model.PureState,
@@ -58,8 +58,6 @@ which is then d psi / d h_a up to such a phase term.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .model import (
@@ -81,25 +79,19 @@ _HOP = {d: np.array([[{i, j} == {1, 2} for j in k] for i in k], dtype=float)
         for d, k in PAIR_STATES.items()}
 
 
-def theta_half(n: int, half: int, field: FieldConfig, cfg: ProbeConfig) -> float:
-    """Accumulated field phase Theta over one half-period of cycle n.
-
-    Theta = h_a * integral of sin(pi (1+delta_f) tau / T) over
-    [(n-1)T, (n-1/2)T] (half 1) or [(n-1/2)T, nT] (half 2).  At delta_f = 0
-    both halves give (-1)^{n+1} h_a / pi.
-    """
-    if half not in (1, 2):
-        raise ValueError(f"half must be 1 or 2, got {half}")
+def theta_units(n: int, delta_f: float) -> tuple[float, float]:
+    """(Theta_1, Theta_2) of cycle n per unit h_a: the integrals of
+    sin(pi (1+delta_f) tau / T) over [(n-1)T, (n-1/2)T] and [(n-1/2)T, nT],
+    T = ProbeConfig.period.  At delta_f = 0 both are (-1)^{n+1} T / pi."""
     if n < 1:
         raise ValueError(f"cycle index must be >= 1, got {n}")
-    T = cfg.period
-    if field.delta_f == 0.0:
-        sign = 1.0 if n % 2 == 1 else -1.0
-        return sign * field.h_a * T / np.pi
-    w = np.pi * (1.0 + field.delta_f) / T
-    a = (n - 1.0) * T if half == 1 else (n - 0.5) * T
-    b = (n - 0.5) * T if half == 1 else n * T
-    return field.h_a * (np.cos(w * a) - np.cos(w * b)) / w
+    T = ProbeConfig.period
+    if delta_f == 0.0:
+        unit = (1.0 if n % 2 == 1 else -1.0) * T / np.pi
+        return unit, unit
+    w = np.pi * (1.0 + delta_f) / T
+    c0, c1, c2 = (np.cos(w * t) for t in ((n - 1.0) * T, (n - 0.5) * T, n * T))
+    return (c0 - c1) / w, (c1 - c2) / w
 
 
 def apply_pair_gates(X: np.ndarray, gates: np.ndarray) -> np.ndarray:
@@ -130,8 +122,6 @@ class FloquetEngine:
                              f"shared (delta_f, eta); got {sorted(shared)}")
         self.cfg = cfg
         self.h_a = np.array([f.h_a for f in self.fields])
-        # Theta is linear in h_a: Theta = h_a * theta_half(.., unit field, ..)
-        self._unit_field = replace(self.fields[0], h_a=1.0)
         self.weights = field_weights(cfg, self.fields[0].eta)
         self.chain = np.exp(-1j * cfg.t1 * chain_interaction_diagonal(cfg))
         self.imbalance_diag = observable_diagonal(cfg)
@@ -145,8 +135,7 @@ class FloquetEngine:
         exchange-half gate U after the diagonal half's pair factor D: shape
         (L, B, 2d, 2d), row j-1 for the (a_j, b_j) pair.  Cached for the two
         latest (Theta_1, Theta_2) units: both of a resonant drive."""
-        units = (theta_half(n, 1, self._unit_field, self.cfg),
-                 theta_half(n, 2, self._unit_field, self.cfg))
+        units = theta_units(n, self.fields[0].delta_f)
         gates = self._gate_cache.get(units)
         if gates is None:
             if len(self._gate_cache) == 2:
@@ -211,6 +200,12 @@ class FloquetEngine:
             * X[:, 0]
         state.x = X
         return state
+
+    def distribution(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """|psi|^2 and its h_a-derivative 2 Re(psi* d psi) per field of the
+        (B, 2, d^L) stack X: the phase term of the tangent drops out."""
+        psi, tan = X[:, 0], X[:, 1]
+        return np.abs(psi) ** 2, 2.0 * np.real(psi.conj() * tan)
 
 
 def initial_state_with_tangent(cfg: ProbeConfig,

@@ -51,7 +51,7 @@ conjugate, one d^L x d^L matrix built once per engine.
 
 noisy_fisher has no readout of its own: metrology.record_trace, the loop
 the pure-state traces run too, reads (diag rho, diag d rho) of every field
-through MixedState.distribution and returns one trace per field.
+through LindbladEngine.distribution and returns one trace per field.
 """
 from __future__ import annotations
 
@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .floquet import FloquetEngine, apply_pair_gates
 from .metrology import StroboscopicTrace, qfi_mixed, record_trace
 from .model import (
@@ -84,12 +85,6 @@ class MixedState:
     gamma: float = 0.0
     rho = property(lambda self: self.x[:, 0])
     tangent = property(lambda self: self.x[:, 1])
-
-    def distribution(self) -> tuple[np.ndarray, np.ndarray]:
-        """The basis distribution diag rho and its h_a-derivative
-        diag d rho, one row per field."""
-        diag = np.diagonal(self.x, axis1=-2, axis2=-1).real
-        return diag[:, 0], diag[:, 1]
 
 
 def hamming_distance_matrix(pair_dim: int) -> np.ndarray:
@@ -127,6 +122,8 @@ class LindbladEngine(FloquetEngine):
 
     def __init__(self, cfg: ProbeConfig,
                  fields: FieldConfig | list[FieldConfig], gamma: float):
+        if not 0.0 <= gamma < np.inf:
+            raise ConfigError(f"gamma must be finite and >= 0, got {gamma}")
         super().__init__(cfg, fields)
         self.chain = np.outer(self.chain, self.chain.conj())
         # on the row-major vec of a pair's d x d block of rho: the field
@@ -156,6 +153,12 @@ class LindbladEngine(FloquetEngine):
         # linear in Theta: one derivative for every field
         E = np.broadcast_to(unit * lift(dM), A.shape)
         return _expm(np.block([[A, np.zeros_like(A)], [E, A]]))
+
+    def distribution(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The basis distribution diag rho and its h_a-derivative diag d rho
+        of the (B, 2, d^L, d^L) stack X, one row per field."""
+        diag = np.diagonal(X, axis1=-2, axis2=-1).real
+        return diag[:, 0], diag[:, 1]
 
     def apply_cycle(self, state: MixedState, n: int) -> MixedState:
         """Advance `state` by cycle n (in place; module docstring)."""
@@ -187,13 +190,14 @@ def noisy_fisher(cfg: ProbeConfig, fields: list[FieldConfig], gamma: float,
     One LindbladEngine, at the pair dimension model.engine_probe picks for
     `init`, evolves each rho with its exact h_a-derivative, so h_a = 0 needs
     no special case.  It runs exactly the batch given (model.batch_size
-    sizes the ones callers form).  The mixed QFI raises NumericalError on
-    trace drift or negative eigenvalues; a density matrix beyond
-    model.MIXED_STATE_MAX_DIM rows raises ResourceLimitError.
+    sizes the ones callers form).  A negative or non-finite gamma raises
+    ConfigError, a density matrix beyond model.MIXED_STATE_MAX_DIM rows
+    ResourceLimitError, and the mixed QFI NumericalError on trace drift or
+    negative eigenvalues.
     """
     cfg = engine_probe(cfg, init)
     batch_size(cfg, mixed=True)
     state = initial_mixed_state(cfg, init, gamma)
     state.x = np.repeat(state.x, len(fields), axis=0)
     return record_trace(LindbladEngine(cfg, fields, gamma), state, cycles,
-                        lambda s: qfi_mixed(s.rho, s.tangent))
+                        qfi_mixed)

@@ -1,17 +1,17 @@
 """Fisher-information toolkit: QFI/CFI, averages, power-law fits, transition search.
 
 Conventions: all Fisher quantities are with respect to the field amplitude
-h_a.  Pure-state QFI uses the tangent vector carried by the state; mixed-state
-QFI uses the spectral formula on (rho, drho).  CFI is reported for two
-measurements: the full computational basis and the coarse-grained collective
-magnetization of the probe chain.
+h_a.  Both QFI functions take the engine's (B, 2, ...) stack: qfi_pure uses
+its tangent rows, qfi_mixed the spectral formula on its (rho, drho) rows.
+CFI is reported for two measurements: the full computational basis and the
+coarse-grained collective magnetization of the probe chain.
 
 One loop, record_trace, builds every trace, for psi (stroboscopic_traces)
-and for rho (lindblad.noisy_fisher) alike: each cycle it reads the state's
-distribution() (the basis distribution and its h_a-derivative) into the
-imbalance and both CFIs, and takes the QFI from the function the builder
-passes; a non-finite distribution raises NumericalError.  The builders only
-set up the engine and the initial state.
+and for rho (lindblad.noisy_fisher) alike: each cycle it reads the engine's
+distribution of state.x (the basis distribution and its h_a-derivative) into
+the imbalance and both CFIs, and the QFI from the function the builder
+passes, on state.x; a non-finite distribution raises NumericalError.  The
+builders only set up the engine and the initial state.
 """
 from __future__ import annotations
 
@@ -20,13 +20,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BoundaryPeakWarning, NumericalError
+from .errors import BoundaryPeakWarning, ConfigError, NumericalError
 from .floquet import FloquetEngine, initial_state_with_tangent
 from .model import (
     FieldConfig,
     InitConfig,
     ProbeConfig,
-    PureState,
     batch_size,
     collective_index_a,
     engine_probe,
@@ -61,10 +60,10 @@ class FitResult:
     r_squared: float
 
 
-def qfi_pure(state: PureState) -> np.ndarray:
-    """4( <d psi|d psi> - |<psi|d psi>|^2 ) from the state's tangent, one
-    value per field; any field's value below -1e-10 raises NumericalError."""
-    psi, tan = state.amplitudes, state.tangent
+def qfi_pure(X: np.ndarray) -> np.ndarray:
+    """4( <d psi|d psi> - |<psi|d psi>|^2 ) per field of the (B, 2, d^L)
+    stack X of psi and d psi; a value below -1e-10 raises NumericalError."""
+    psi, tan = X[:, 0], X[:, 1]
     value = 4.0 * ((tan.real ** 2 + tan.imag ** 2).sum(axis=-1)
                    - np.abs((psi.conj() * tan).sum(axis=-1)) ** 2)
     if np.min(value) < -1e-10:
@@ -72,10 +71,11 @@ def qfi_pure(state: PureState) -> np.ndarray:
     return np.maximum(value, 0.0)
 
 
-def qfi_mixed(rho: np.ndarray, drho: np.ndarray) -> float | np.ndarray:
+def qfi_mixed(X: np.ndarray) -> np.ndarray:
     """Spectral mixed-state QFI: 2 sum |<i|drho|j>|^2 / (lam_i + lam_j) over
-    eigenpairs of rho with lam_i + lam_j above cutoff, per matrix of a
-    batched (B, dim, dim) pair; the checks cover every matrix."""
+    eigenpairs of rho with lam_i + lam_j above cutoff, per field of the
+    (B, 2, dim, dim) stack X of rho and drho; the checks cover every field."""
+    rho, drho = X[:, 0], X[:, 1]
     for name, m in (("rho", rho), ("drho", drho)):
         if not np.allclose(m, m.conj().swapaxes(-1, -2), atol=1e-8):
             raise ValueError(f"{name} is not Hermitian")
@@ -124,16 +124,18 @@ def qfi_bound(cfg: ProbeConfig, n: int) -> float:
 
 def record_trace(engine: FloquetEngine, state, cycles: int,
                  qfi) -> list[StroboscopicTrace]:
-    """Step `state` (the PureState or MixedState stack of the engine's
-    fields) through `cycles` periods of `engine`, in place, and record
-    the imbalance, qfi(state), CFI_computational and CFI_collective at every
-    stroboscopic time n = 0..cycles: one trace per field of the engine.  The
-    imbalance is normalized by the initial state's, i0; a vanishing i0
-    raises NumericalError before the first cycle, and a state that is not
-    finite after a cycle raises it before that cycle's readout."""
+    """Step `state` (a PureState or MixedState of the engine's fields)
+    through `cycles` periods of `engine`, in place, and record at every
+    stroboscopic time n = 0..cycles the imbalance (over the initial
+    state's, i0) and both CFIs from engine.distribution(state.x), and
+    qfi(state.x): one trace per field.  A negative `cycles` raises
+    ConfigError.  NumericalError: a vanishing i0, before the first cycle,
+    and a state not finite after a cycle, before that cycle's readout."""
+    if cycles < 0:
+        raise ConfigError(f"cycles must be >= 0, got {cycles}")
     imb_diag = engine.imbalance_diag
     coll_idx = collective_index_a(engine.cfg)
-    i0 = state.distribution()[0] @ imb_diag
+    i0 = engine.distribution(state.x)[0] @ imb_diag
     if np.min(np.abs(i0)) < 1e-12:
         raise NumericalError(
             "initial state has zero imbalance; the normalized trace is undefined")
@@ -141,11 +143,11 @@ def record_trace(engine: FloquetEngine, state, cycles: int,
     rec[0, :, 0] = 1.0
     for n in range(1, cycles + 1):
         engine.apply_cycle(state, n)
-        p, dp = state.distribution()
+        p, dp = engine.distribution(state.x)
         if not (np.isfinite(p).all() and np.isfinite(dp).all()):
             raise NumericalError(f"the state is not finite after cycle {n}")
         imb, cfi_c, cfi_m = _readout(p, dp, imb_diag, i0, coll_idx)
-        rec[..., n] = np.vstack((imb, qfi(state), cfi_c, cfi_m))
+        rec[..., n] = np.vstack((imb, qfi(state.x), cfi_c, cfi_m))
     return [StroboscopicTrace(np.arange(cycles + 1), *rec[:, b])
             for b in range(len(engine.fields))]
 

@@ -125,13 +125,6 @@ class PureState:
     amplitudes = property(lambda self: self.x[:, 0])
     tangent = property(lambda self: self.x[:, 1])
 
-    def distribution(self) -> tuple[np.ndarray, np.ndarray]:
-        """The basis distribution |psi|^2 and its h_a-derivative
-        2 Re(psi* d psi), one row per field; the tangent's phase term drops
-        out."""
-        psi, tan = self.amplitudes, self.tangent
-        return np.abs(psi) ** 2, 2.0 * np.real(psi.conj() * tan)
-
 
 def engine_probe(cfg: ProbeConfig, init: InitConfig | None) -> ProbeConfig:
     """`cfg` at the pair dimension the engines run from `init`: d = 2 (the

@@ -260,8 +260,8 @@ def run_sweep(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
 def _fmt(x) -> str:
     if isinstance(x, str):
         return x
-    if isinstance(x, (int,)) or (isinstance(x, float) and x == int(x) and
-                                 abs(x) < 1e15):
+    if isinstance(x, int) or (isinstance(x, float) and math.isfinite(x)
+                              and x == int(x) and abs(x) < 1e15):
         return str(int(x))
     return f"{x:.12g}"
 

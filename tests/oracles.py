@@ -12,7 +12,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy.linalg import expm, expm_frechet
 
-from dtc_sense.floquet import theta_half
+from dtc_sense.floquet import theta_units
 from dtc_sense.metrology import StroboscopicTrace
 from dtc_sense.model import FieldConfig, InitConfig, ProbeConfig
 
@@ -75,8 +75,9 @@ def dense_initial_state(cfg: ProbeConfig, init: InitConfig | None = None) -> np.
 
 
 def dense_cycle_unitary(cfg: ProbeConfig, field: FieldConfig, n: int) -> np.ndarray:
-    return _cycle_unitary(cfg, field.eta, theta_half(n, 1, field, cfg),
-                          theta_half(n, 2, field, cfg))
+    unit1, unit2 = theta_units(n, field.delta_f)
+    return _cycle_unitary(cfg, field.eta, field.h_a * unit1,
+                          field.h_a * unit2)
 
 
 @lru_cache(maxsize=16)
@@ -165,18 +166,16 @@ def dense_lindblad_cycle(rho: np.ndarray, cfg: ProbeConfig, field: FieldConfig,
     Liouvillian's h_a-derivative."""
     ops = dense_operators(cfg)
     g = ops["g_a"] + field.eta * ops["g_b"]
-    unit = FieldConfig(h_a=1.0, delta_f=field.delta_f, eta=field.eta)
     v = rho.reshape(-1)
     dv = None if drho is None else drho.reshape(-1)
-    for half, t, h0 in ((1, cfg.t1, ops["h_chain"]),
-                        (2, cfg.t2, ops["h_exchange"])):
-        th = theta_half(n, half, field, cfg)
-        gen = t * dense_liouvillian(h0 + (th / t) * g, gamma, cfg)
+    for unit, t, h0 in zip(theta_units(n, field.delta_f), (cfg.t1, cfg.t2),
+                           (ops["h_chain"], ops["h_exchange"])):
+        gen = t * dense_liouvillian(h0 + (field.h_a * unit / t) * g, gamma,
+                                    cfg)
         if dv is None:
             v = expm(gen) @ v
             continue
-        dth = theta_half(n, half, unit, cfg)
-        dgen = t * dense_liouvillian((dth / t) * g, 0.0, cfg)
+        dgen = t * dense_liouvillian((unit / t) * g, 0.0, cfg)
         S, dS = expm_frechet(gen, dgen)
         v, dv = S @ v, S @ dv + dS @ v
     shape = rho.shape

@@ -125,7 +125,7 @@ def test_c06_tangent_qfi_matches_finite_differences():
         state = initial_state_with_tangent(cfg)
         for n in range(1, cycles + 1):
             engine.apply_cycle(state, n)
-        got = qfi_pure(state)[0]
+        got = qfi_pure(state.x)[0]
         ref = oracles.dense_qfi_fd(cfg, fld, cycles)
         if ref > 1e-12:
             worst = max(worst, abs(got - ref) / ref)

@@ -5,6 +5,7 @@ import pytest
 
 from dtc_sense import __version__
 from dtc_sense.cli import main
+from dtc_sense.errors import BoundaryPeakWarning
 from dtc_sense.lindblad import noisy_fisher
 from dtc_sense.metrology import point_average
 from dtc_sense.model import FieldConfig, ProbeConfig
@@ -171,15 +172,27 @@ def test_fit_beyond_float_range_is_a_numerical_error(tmp_path, capsys, out):
 
 
 def test_transition_reports_peak(tmp_path, capsys):
-    cfg = _write(tmp_path, "t.cfg", "L = 2\nn = 4\ngrid_points = 10\n")
+    # an interior peak of the default 40-point grid
+    cfg = _write(tmp_path, "t.cfg", "L = 3\nn = 10\n")
     out = tmp_path / "trans.csv"
     rc = main(["transition", "--config", cfg, "--out", str(out)])
     assert rc == 0
-    assert "h_a_max =" in capsys.readouterr().out
+    assert "h_a_max = 0.587134" in capsys.readouterr().out
     header, row = out.read_text().splitlines()
     assert header == "L,n,h_a_max"
-    assert row.split(",")[0] == "2"
+    assert row.split(",")[:2] == ["3", "10"]
+    assert float(row.split(",")[2]) == pytest.approx(0.587134, abs=1e-6)
     _assert_sidecar(tmp_path / "trans.meta.txt")
+
+
+def test_transition_warns_on_a_peak_at_the_grid_edge(tmp_path, capsys):
+    # at L = 2 and n = 4 the QFI still grows at the grid's upper edge
+    cfg = _write(tmp_path, "t.cfg", "L = 2\nn = 4\ngrid_points = 10\n")
+    out = tmp_path / "trans.csv"
+    with pytest.warns(BoundaryPeakWarning):
+        assert main(["transition", "--config", cfg, "--out", str(out)]) == 0
+    assert "h_a_max = 1\n" in capsys.readouterr().out
+    assert out.read_text().splitlines()[1] == "2,4,1"
 
 
 def test_transition_runs_from_the_tilted_state(tmp_path, capsys):

@@ -55,6 +55,13 @@ def test_input_validation():
         expcalc(60.0, -1.0, 10)
     with pytest.raises(ConfigError):
         expcalc(60.0, 0.1, 0)
+    # non-finite inputs, a non-positive unit scale and a length that is not
+    # an integer (ProbeConfig's rule)
+    for args in ((float("nan"), 0.1, 3), (60.0, float("inf"), 3),
+                 (60.0, 0.1, 3, float("nan")), (60.0, 0.1, 3, 0.0),
+                 (60.0, 0.1, 2.5), (60.0, 0.1, True)):
+        with pytest.raises(ConfigError):
+            expcalc(*args)
     with pytest.raises(ConfigError):
         material_record("Tb")
     # 1 ms is shorter than one 2.65 ms period at 60 Hz: no cycle fits

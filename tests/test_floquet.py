@@ -9,7 +9,7 @@ from scipy.linalg import expm, expm_frechet
 
 import oracles
 from dtc_sense.errors import NumericalError
-from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent, theta_half
+from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent, theta_units
 from dtc_sense.lindblad import noisy_fisher
 from dtc_sense.metrology import _readout, qfi_pure, stroboscopic_trace
 from dtc_sense.model import (
@@ -24,60 +24,37 @@ from dtc_sense.recipes import RECIPES, recipe_config
 from dtc_sense.sweep import apply_dict, base_config
 
 
-# ---------------------------------------------------------------- theta_half
+# --------------------------------------------------------------- theta_units
 
 def test_theta_resonant_value_and_sign():
-    cfg = ProbeConfig(length=2)
-    fld = FieldConfig(h_a=0.1)
-    assert theta_half(1, 1, fld, cfg) == pytest.approx(0.1 / np.pi)
-    assert theta_half(1, 1, fld, cfg) == pytest.approx(0.0318310, abs=1e-7)
-    assert theta_half(1, 2, fld, cfg) == pytest.approx(0.1 / np.pi)
-    for half in (1, 2):
-        assert theta_half(2, half, fld, cfg) == pytest.approx(-0.0318310,
-                                                              abs=1e-7)
-
-
-def test_theta_zero_field():
-    cfg = ProbeConfig(length=2)
-    for df in (0.0, 0.05):
-        fld = FieldConfig(h_a=0.0, delta_f=df)
-        for n in (1, 2, 7):
-            for half in (1, 2):
-                assert theta_half(n, half, fld, cfg) == 0.0
+    assert theta_units(1, 0.0) == pytest.approx((1 / np.pi, 1 / np.pi))
+    assert theta_units(1, 0.0)[0] == pytest.approx(0.318310, abs=1e-6)
+    for unit in theta_units(2, 0.0):
+        assert unit == pytest.approx(-0.318310, abs=1e-6)
 
 
 def test_theta_offresonant_cycle_sum_identity():
-    cfg = ProbeConfig(length=2)
-    h, df = 0.3, 0.02
-    fld = FieldConfig(h_a=h, delta_f=df)
+    df = 0.02
     for n in (1, 2, 5, 40):
-        total = theta_half(n, 1, fld, cfg) + theta_half(n, 2, fld, cfg)
-        expected = ((-1) ** (n + 1) * h / (np.pi * (1 + df))) \
+        expected = ((-1) ** (n + 1) / (np.pi * (1 + df))) \
             * (np.cos(n * np.pi * df) + np.cos((n - 1) * np.pi * df))
-        assert total == pytest.approx(expected, rel=1e-12)
+        assert sum(theta_units(n, df)) == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 1000), half=st.sampled_from([1, 2]),
-       h=st.floats(1e-6, 1.0), df=st.floats(-0.5, 0.5))
-def test_theta_matches_quadrature(n, half, h, df):
-    cfg = ProbeConfig(length=2)
-    fld = FieldConfig(h_a=h, delta_f=df)
-    T = cfg.period
+       df=st.floats(-0.5, 0.5))
+def test_theta_matches_quadrature(n, half, df):
+    T = ProbeConfig.period
     a = (n - 1) * T if half == 1 else (n - 0.5) * T
     b = (n - 0.5) * T if half == 1 else n * T
-    ref, _ = quad(lambda t: h * np.sin(np.pi * (1 + df) * t / T), a, b,
-                  limit=200)
-    assert theta_half(n, half, fld, cfg) == pytest.approx(ref, abs=1e-10)
+    ref, _ = quad(lambda t: np.sin(np.pi * (1 + df) * t / T), a, b, limit=200)
+    assert theta_units(n, df)[half - 1] == pytest.approx(ref, abs=1e-10)
 
 
 def test_theta_rejects_bad_indices():
-    cfg = ProbeConfig(length=2)
-    fld = FieldConfig()
     with pytest.raises(ValueError):
-        theta_half(0, 1, fld, cfg)
-    with pytest.raises(ValueError):
-        theta_half(1, 3, fld, cfg)
+        theta_units(0, 0.0)
 
 
 # ---------------------------------------------------------------- pair gates
@@ -139,7 +116,7 @@ def test_exchange_blocks_match_scipy_expm_and_frechet(d, eta):
     # by hand; at d = 4 and h_a = 0 local states 0 and 3 are degenerate
     cfg = ProbeConfig(length=3, epsilon=0.1, pair_dim=d)
     fields = [FieldConfig(h_a=h, eta=eta) for h in (0.0, 1e-5, 1e-2, 1.0)]
-    unit = theta_half(1, 2, FieldConfig(h_a=1.0, eta=eta), cfg)
+    unit = theta_units(1, 0.0)[1]
     blocks = FloquetEngine(cfg, fields)._exchange_blocks(unit)
     sa, sb = _PAIR_SPINS[d]
     # the exchange flips both spins of a pair whose spins are opposite
@@ -162,9 +139,9 @@ def test_diagonal_half_preserves_norm():
     fld = FieldConfig(h_a=0.2, eta=0.1)
     engine = FloquetEngine(cfg, fld)
     assert np.allclose(np.abs(engine.chain), 1.0, atol=1e-12)
-    exchange = engine._exchange_blocks(
-        theta_half(1, 2, FieldConfig(h_a=1.0, eta=0.1), cfg))
-    theta1 = theta_half(1, 1, fld, cfg)
+    unit1, unit2 = theta_units(1, 0.0)
+    exchange = engine._exchange_blocks(unit2)
+    theta1 = fld.h_a * unit1
     sa, sb = np.array([1, -1, 1, -1]), np.array([1, 1, -1, -1])
     for site, g, u in zip(range(1, 4), engine.pair_gates(1), exchange):
         D = _first_field(u)[0].conj().T @ _first_field(g)[0]
@@ -253,7 +230,7 @@ def test_single_pair_qfi_matches_brute_force():
     fld = FieldConfig(h_a=1e-4)
     state = initial_state_with_tangent(cfg)
     FloquetEngine(cfg, fld).apply_cycle(state, 1)
-    value = qfi_pure(state)
+    value = qfi_pure(state.x)
     ref = oracles.dense_qfi_fd(cfg, fld, cycles=1)
     assert value == pytest.approx(ref, rel=1e-7)
     # analytic small-field limit for one cycle of the ideal single pair
@@ -274,7 +251,7 @@ def test_tangent_matches_finite_difference(L, eps, h, df, eta, cycles):
     for n in range(1, cycles + 1):
         engine.apply_cycle(state, n)
     ref = oracles.dense_qfi_fd(cfg, fld, cycles=cycles)
-    assert qfi_pure(state) == pytest.approx(ref, rel=1e-6)
+    assert qfi_pure(state.x) == pytest.approx(ref, rel=1e-6)
 
 
 def test_zero_field_tangent_matches_finite_difference():
@@ -288,7 +265,7 @@ def test_zero_field_tangent_matches_finite_difference():
         engine.apply_cycle(state, n)
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
     ref = oracles.dense_qfi_fd(cfg, fld, cycles=20)
-    assert qfi_pure(state) == pytest.approx(ref, rel=1e-6)
+    assert qfi_pure(state.x) == pytest.approx(ref, rel=1e-6)
 
 
 # --------------------------------------------------------------- invariants
@@ -393,7 +370,7 @@ def _full_space_trace(cfg, fld, cycles):
         p = np.abs(state.amplitudes[0]) ** 2
         dp = 2.0 * np.real(np.conj(state.amplitudes[0]) * state.tangent[0])
         imb, cfi_c, cfi_m = _readout(p, dp, engine.imbalance_diag, i0, coll)
-        out[n] = imb, qfi_pure(state)[0], cfi_c, cfi_m
+        out[n] = imb, qfi_pure(state.x)[0], cfi_c, cfi_m
     return out
 
 

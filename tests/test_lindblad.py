@@ -4,7 +4,7 @@ import scipy.linalg
 
 import oracles
 from dtc_sense import model, sweep
-from dtc_sense.errors import ResourceLimitError
+from dtc_sense.errors import ConfigError, ResourceLimitError
 from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent
 from dtc_sense.lindblad import (
     LindbladEngine,
@@ -256,10 +256,23 @@ def test_noisy_fisher_gate_and_window_validation():
     with pytest.raises(ResourceLimitError):
         noisy_fisher(ProbeConfig(length=11), [FieldConfig(h_a=1e-3)], 1e-3,
                      cycles=4)
+    with pytest.raises(ConfigError, match="^cycles must be >= 0, got -1$"):
+        noisy_fisher(ProbeConfig(length=2), [FieldConfig(h_a=1e-3)], 1e-3,
+                     cycles=-1)
     trace = noisy_fisher(ProbeConfig(length=2), [FieldConfig(h_a=1e-3)], 1e-3,
                          cycles=4)[0]
     with pytest.raises(ValueError):
         point_average(trace, dn=3, K=2)
+
+
+@pytest.mark.parametrize("gamma", [-1e-3, np.nan, np.inf])
+def test_dephasing_rate_must_be_finite_and_non_negative(gamma):
+    cfg, fields = ProbeConfig(length=3), [FieldConfig(h_a=1e-5)]
+    match = f"^gamma must be finite and >= 0, got {gamma}$"
+    with pytest.raises(ConfigError, match=match):
+        LindbladEngine(cfg, fields, gamma)
+    with pytest.raises(ConfigError, match=match):
+        noisy_fisher(cfg, fields, gamma, 50)
 
 
 @pytest.mark.parametrize("tilt", [0.0, 0.1])
@@ -378,6 +391,6 @@ def test_noisy_fisher_sector_equals_full_engine(length):
         imb, cfi_c, cfi_m = _readout(np.diag(state.rho[0]).real,
                                      np.diag(state.tangent[0]).real, imb_diag,
                                      i0, collective_index_a(cfg))
-        ref[n] = imb, qfi_mixed(state.rho[0], state.tangent[0]), cfi_c, cfi_m
+        ref[n] = imb, qfi_mixed(state.x)[0], cfi_c, cfi_m
     scale = np.abs(ref).max(axis=0)
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)

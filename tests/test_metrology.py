@@ -7,6 +7,7 @@ import oracles
 from dtc_sense import metrology, model
 from dtc_sense.errors import (
     BoundaryPeakWarning,
+    ConfigError,
     NumericalError,
     ResourceLimitError,
 )
@@ -52,20 +53,25 @@ def _pure(psi, tan):
     return PureState(x.reshape(-1, 2, psi.shape[-1]))
 
 
+def _rho_stack(rho, drho):
+    """The B = 1 (1, 2, dim, dim) stack of rho and d rho."""
+    return np.stack((rho, drho))[None]
+
+
 # ----------------------------------------------------------------- qfi_pure
 
 def test_qfi_pure_gauge_tangent_vanishes():
     # tangent parallel to the state is a pure phase derivative
     psi, _ = _random_state_and_generator(16, seed=0)
     state = _pure(psi, 2.7j * psi)
-    assert qfi_pure(state) == 0.0
+    assert qfi_pure(state.x) == 0.0
 
 
 def test_qfi_pure_is_four_times_generator_variance():
     psi, A = _random_state_and_generator(16, seed=1)
     state = _pure(psi, -1j * (A @ psi))
     var = np.vdot(psi, A @ A @ psi).real - np.vdot(psi, A @ psi).real ** 2
-    assert qfi_pure(state) == pytest.approx(4 * var, rel=1e-10)
+    assert qfi_pure(state.x) == pytest.approx(4 * var, rel=1e-10)
 
 
 # ---------------------------------------------------------------- qfi_mixed
@@ -80,13 +86,14 @@ def test_qfi_mixed_agrees_with_pure_limit():
     psi, dpsi = state.amplitudes, state.tangent
     rho = np.outer(psi, psi.conj())
     drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
-    assert qfi_mixed(rho, drho) == pytest.approx(qfi_pure(state), rel=1e-8)
+    assert qfi_mixed(_rho_stack(rho, drho)) == pytest.approx(
+        qfi_pure(state.x), rel=1e-8)
 
 
 def test_qfi_mixed_insensitive_generator_gives_zero():
     dim = 8
     rho = np.eye(dim) / dim
-    assert qfi_mixed(rho, np.zeros((dim, dim))) == 0.0
+    assert qfi_mixed(_rho_stack(rho, np.zeros((dim, dim)))) == 0.0
 
 
 @pytest.mark.parametrize("which", ["rho", "drho"])
@@ -94,13 +101,13 @@ def test_qfi_mixed_rejects_non_hermitian(which):
     args = {"rho": np.eye(4) / 4.0, "drho": np.zeros((4, 4))}
     args[which][0, 1] = 0.5
     with pytest.raises(ValueError, match=f"^{which} is not Hermitian"):
-        qfi_mixed(args["rho"], args["drho"])
+        qfi_mixed(_rho_stack(args["rho"], args["drho"]))
 
 
 def test_qfi_mixed_rejects_trace_drift():
     rho = np.eye(4) / 4.0 * 0.9
     with pytest.raises(NumericalError):
-        qfi_mixed(rho, np.zeros((4, 4)))
+        qfi_mixed(_rho_stack(rho, np.zeros((4, 4))))
 
 
 # --------------------------------------------------------------------- CFI
@@ -138,7 +145,7 @@ def test_fisher_hierarchy(seed, L):
     cfg = ProbeConfig(length=L)
     psi, A = _random_state_and_generator(cfg.dim, seed)
     state = _pure(psi, -1j * (A @ psi))
-    q = qfi_pure(state)
+    q = qfi_pure(state.x)
     _, c_comp, c_coll = _pure_readout(state, cfg)
     assert q >= c_comp - 1e-8 * max(1.0, q)
     assert c_comp >= c_coll - 1e-8 * max(1.0, c_comp)
@@ -453,6 +460,10 @@ def test_pure_builder_gates_the_state_vector():
     # 2^17 amplitudes from tilt 0 exceed the 4^8 pure-state budget
     with pytest.raises(ResourceLimitError):
         stroboscopic_traces(ProbeConfig(length=17), [FieldConfig()], cycles=1)
+    # a negative cycle count is the caller's error, worded as the CLI's
+    with pytest.raises(ConfigError, match="^cycles must be >= 0, got -1$"):
+        stroboscopic_traces(ProbeConfig(length=2), [FieldConfig(h_a=1e-3)],
+                            None, -1)
 
 
 def test_batch_requires_shared_offset_and_crosstalk():
@@ -475,7 +486,7 @@ def test_batch_numerical_checks_cover_every_field():
     # |<psi|t>|^2 > <t|t>: an unnormalized second state gives a negative QFI
     state = _pure(np.stack([psi, 2.0 * e0]), np.stack([good, e0]))
     with pytest.raises(NumericalError):
-        qfi_pure(state)
+        qfi_pure(state.x)
     p = np.stack([np.abs(psi) ** 2, np.abs(psi) ** 2])
     p[1, 0] = -1e-10
     dp = np.zeros_like(p)
@@ -497,13 +508,13 @@ def test_batched_readout_matches_row_by_row():
     imb_diag = observable_diagonal(cfg)
     coll = collective_index_a(cfg)
     batched = _readout(p, dp, imb_diag, 1.0, coll)
-    qfi = qfi_pure(_pure(psi, tan))
+    qfi = qfi_pure(_pure(psi, tan).x)
     for b in range(3):
         single = _readout(p[b], dp[b], imb_diag, 1.0, coll)
         for got, ref in zip(batched, single):
             assert got[b] == pytest.approx(ref, rel=1e-13, abs=1e-15)
         assert qfi[b] == pytest.approx(
-            qfi_pure(_pure(psi[b], tan[b])), rel=1e-13)
+            qfi_pure(_pure(psi[b], tan[b]).x), rel=1e-13)
 
 
 def test_golden_section_evaluates_the_grid_in_one_call():

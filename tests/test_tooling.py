@@ -1,4 +1,5 @@
-"""The public names and the benchmark's set-up probe still work.
+"""The public names, the README's Python examples and the benchmark's
+set-up probe still work.
 
 perfbench/setup_probe.py builds engines through the package's public API;
 running it here makes an API change that would break the benchmark fail in
@@ -11,6 +12,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +147,20 @@ def test_traced_cli_runs(tmp_path, command, config, spans):
         assert traced["counters"]["lindblad.apply_cycle.gflop_computed"] > 0
     if command == "sweep":
         assert traced["counters"]["sweep.emit_table.bytes"] > 0
+
+
+_README_BLOCKS = re.findall(r"^```python\n(.*?)^```",
+                            (ROOT / "README.md").read_text(encoding="utf-8"),
+                            re.M | re.S)
+
+
+@pytest.mark.parametrize("block", _README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(_README_BLOCKS))])
+def test_readme_python_examples_run(tmp_path, block):
+    proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120,
+                          env=_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def _resolve(argv):
