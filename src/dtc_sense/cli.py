@@ -1,13 +1,15 @@
 """dtc-sense: Floquet two-chain probe simulator and Fisher-information toolkit.
 
-Commands: simulate (one trace), sweep (Cartesian parameter sweep), fit
-(power-law fit on a results CSV), transition (field amplitude of the QFI
-peak), noise (simulate's trace plus its point averages), expcalc
-(experimental units arithmetic).  Precedence: key defaults < recipe <
-config file < flags.  An unknown key, a count below its minimum, a
-repeated axis value, a recipe of another command and axes outside sweep
-are configuration errors; the printed configuration and sidecar hold only
-the keys the command reads (sweep.KEYS).
+Commands: simulate (one trace: a sweep with no axes), sweep (Cartesian
+parameter sweep), fit (power-law fit on a results CSV), transition (field
+amplitude of the QFI peak), noise (simulate's trace plus its point
+averages), expcalc (experimental units arithmetic).  Precedence: key
+defaults < recipe < config file < flags.  An unknown key, a count below its
+minimum, a repeated axis value, a recipe of another command and axes
+outside sweep are configuration errors; the printed configuration and
+sidecar hold only the keys the command reads (sweep.KEYS).  Each command
+returns its table; main alone writes it (sweep.emit_table) to `out`, else
+to <command>.csv for simulate, sweep and noise, else nowhere.
 
 Exit codes: 0 success, 2 configuration error, 3 resource-gate rejection,
 4 numerical-contract failure.
@@ -25,15 +27,18 @@ from .expcalc import MATERIALS, expcalc, material_record
 from .metrology import find_transition, point_average, power_fit
 from .recipes import RECIPES, recipe_config
 from .sweep import (
+    CSV_COLUMNS,
     RunConfig,
     apply_dict,
     base_config,
+    config_lines,
     emit_table,
     evaluate_point,
     load_config,
     point_configs,
     run_sweep,
     trace_rows,
+    _TRACE,
     _fmt,
 )
 
@@ -72,18 +77,11 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _print_resolved(cfg: RunConfig) -> None:
-    print("# resolved configuration")
-    for key, value in sorted(cfg.resolved().items()):
-        print(f"{key} = {_fmt(value)}")
+    print("# resolved configuration", *config_lines(cfg.resolved()), sep="\n")
 
 
-def _cmd_table(cfg: RunConfig) -> int:
-    axis_names, rows = run_sweep(cfg) if cfg.axes else \
-        ([], trace_rows(evaluate_point(cfg.fixed)))
-    out = cfg.get("out") or f"{cfg.command}.csv"
-    emit_table(axis_names, rows, out, cfg.resolved())
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+def _cmd_table(cfg: RunConfig, out: str) -> tuple:
+    return (*run_sweep(cfg), CSV_COLUMNS)
 
 
 def _read_csv_columns(path: str) -> np.ndarray:
@@ -96,7 +94,7 @@ def _read_csv_columns(path: str) -> np.ndarray:
     return np.atleast_1d(data)
 
 
-def _cmd_fit(cfg: RunConfig) -> int:
+def _cmd_fit(cfg: RunConfig, out: str | None) -> tuple:
     path = cfg.get("in")
     if not path:
         raise ConfigError("fit needs `in = <results.csv>` in the config")
@@ -121,53 +119,39 @@ def _cmd_fit(cfg: RunConfig) -> int:
     print(f"exponent = {fit.exponent:.6g}")
     print(f"prefactor = {fit.prefactor:.6g}")
     print(f"r_squared = {fit.r_squared:.8g}")
-    out = cfg.get("out")
-    if out:
-        emit_table([], [(fit.exponent, fit.prefactor, fit.r_squared)], out,
-                   cfg.resolved(), ("exponent", "prefactor", "r_squared"))
-        print(f"wrote fit to {out}")
-    return 0
+    return ([], [(fit.exponent, fit.prefactor, fit.r_squared)],
+            ("exponent", "prefactor", "r_squared"))
 
 
-def _cmd_transition(cfg: RunConfig) -> int:
+def _cmd_transition(cfg: RunConfig, out: str | None) -> tuple:
     params = cfg.fixed
     probe, fld, init = point_configs(params)
     n = int(params.get("n", 10))
     grid = np.logspace(-5, 0, int(params["grid_points"]))
     h_max = find_transition(probe, fld, n, grid, init)
     print(f"h_a_max = {h_max:.6g}")
-    out = cfg.get("out")
-    if out:
-        emit_table([], [(probe.length, n, h_max)], out, cfg.resolved(),
-                   ("L", "n", "h_a_max"))
-        print(f"wrote transition point to {out}")
-    return 0
+    return [], [(probe.length, n, h_max)], ("L", "n", "h_a_max")
 
 
-def _cmd_noise(cfg: RunConfig) -> int:
+def _cmd_noise(cfg: RunConfig, out: str) -> tuple:
     params = cfg.fixed
     cycles, dn, K = int(params["cycles"]), int(params["dn"]), int(params["K"])
     if K * dn > cycles:
         raise ConfigError(f"K*dn = {K * dn} point-average windows exceed "
                           f"cycles = {cycles}")
     trace = evaluate_point(params)
-    rows = trace_rows(trace)
-    out = cfg.get("out") or "noise.csv"
-    emit_table([], rows, out, cfg.resolved())
-    pa = point_average(trace, dn, K)
+    pa = point_average(trace, dn, K)  # keys in the header's column order
     pa_path = os.path.splitext(out)[0] + ".pointavg.csv"
-    pa_keys = ("n_mid", "n_cumulative", "qfi", "cfi_computational",
-               "cfi_collective")
-    emit_table([], list(zip(*(pa[k] for k in pa_keys))), pa_path, None,
+    emit_table([], list(zip(*pa.values())), pa_path, None,
                ("n_mid", "n_cumulative", "qfi", "cfi_comp", "cfi_coll"))
-    print(f"wrote {len(rows)} rows to {out} and point averages to {pa_path}")
-    if len(pa["n_mid"]) >= 3 and np.all(pa["qfi"] > 0):
+    print(f"wrote {K} rows to {pa_path}")
+    if K >= 3 and np.all(pa["qfi"] > 0):
         fit = power_fit(pa["n_mid"], pa["qfi"])
         print(f"point-averaged QFI growth exponent alpha = {fit.exponent:.4g}")
-    return 0
+    return [], trace_rows(trace), CSV_COLUMNS
 
 
-def _cmd_expcalc(cfg: RunConfig) -> int:
+def _cmd_expcalc(cfg: RunConfig, out: str | None) -> tuple:
     params = cfg.fixed
     L, unit_scale = int(params["L"]), float(params["unit_scale"])
     if "f_pair_hz" in params or "coherence_s" in params:
@@ -186,13 +170,9 @@ def _cmd_expcalc(cfg: RunConfig) -> int:
     for name, rec in records.items():
         print(f"[{name}] "
               + "  ".join(f"{k}={_fmt(v)}" for k, v in rec.items()))
-    out = cfg.get("out")
-    if out:  # every record has the columns of rec, the last one
-        emit_table(["material"], [(name, *rec.values())
-                                  for name, rec in records.items()],
-                   out, cfg.resolved(), list(rec))
-        print(f"wrote {len(records)} records to {out}")
-    return 0
+    # every record has the columns of rec, the last one
+    return (["material"], [(name, *rec.values())
+                           for name, rec in records.items()], list(rec))
 
 
 _COMMANDS = {
@@ -210,7 +190,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         _print_resolved(cfg)
-        return _COMMANDS[args.command](cfg)
+        out = cfg.get("out") or (f"{cfg.command}.csv"
+                                 if cfg.command in _TRACE else None)
+        axis_names, rows, columns = _COMMANDS[cfg.command](cfg, out)
+        if out:
+            emit_table(axis_names, rows, out, cfg.resolved(), columns)
+            print(f"wrote {len(rows)} rows to {out}")
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

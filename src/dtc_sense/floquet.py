@@ -66,6 +66,7 @@ from .model import (
     InitConfig,
     ProbeConfig,
     PureState,
+    batch_size,
     build_initial_state,
     chain_interaction_diagonal,
     field_weights,
@@ -109,11 +110,14 @@ class FloquetEngine:
     application to one FieldConfig, or a list of them sharing (delta_f, eta)
     (module docstring).  Off resonance each cycle builds L*B fresh d x d
     eigendecompositions and diagonal factors, small next to the statevector
-    work.
+    work.  It refuses a state beyond model.batch_size's gate first.
     """
+
+    mixed = False  # whether the state is a density matrix (model.batch_size)
 
     def __init__(self, cfg: ProbeConfig,
                  fields: FieldConfig | list[FieldConfig]):
+        batch_size(cfg, self.mixed)
         self.fields = (fields,) if isinstance(fields, FieldConfig) \
             else tuple(fields)
         shared = {(f.delta_f, f.eta) for f in self.fields}

@@ -66,7 +66,6 @@ from .model import (
     FieldConfig,
     InitConfig,
     ProbeConfig,
-    batch_size,
     build_initial_state,
     engine_probe,
     pair_spins,
@@ -116,6 +115,7 @@ class LindbladEngine(FloquetEngine):
     through the exact channel of each half-period: a FloquetEngine whose
     pair blocks are the exchange-half superoperators (module docstring)."""
 
+    mixed = True
     # one exact step per half-period; perfbench/traced_cli.py reads this to
     # count the work of apply_cycle
     substeps = 1
@@ -192,12 +192,10 @@ def noisy_fisher(cfg: ProbeConfig, fields: list[FieldConfig], gamma: float,
     no special case.  It runs exactly the batch given (model.batch_size
     sizes the ones callers form).  A negative or non-finite gamma raises
     ConfigError, a density matrix beyond model.MIXED_STATE_MAX_DIM rows
-    ResourceLimitError, and the mixed QFI NumericalError on trace drift or
-    negative eigenvalues.
+    ResourceLimitError (from the engine), and the mixed QFI NumericalError
+    on trace drift or negative eigenvalues.
     """
     cfg = engine_probe(cfg, init)
-    batch_size(cfg, mixed=True)
-    state = initial_mixed_state(cfg, init, gamma)
-    state.x = np.repeat(state.x, len(fields), axis=0)
-    return record_trace(LindbladEngine(cfg, fields, gamma), state, cycles,
-                        qfi_mixed)
+    engine = LindbladEngine(cfg, fields, gamma)
+    return record_trace(engine, initial_mixed_state(cfg, init, gamma),
+                        cycles, qfi_mixed)

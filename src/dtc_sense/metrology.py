@@ -124,15 +124,16 @@ def qfi_bound(cfg: ProbeConfig, n: int) -> float:
 
 def record_trace(engine: FloquetEngine, state, cycles: int,
                  qfi) -> list[StroboscopicTrace]:
-    """Step `state` (a PureState or MixedState of the engine's fields)
-    through `cycles` periods of `engine`, in place, and record at every
-    stroboscopic time n = 0..cycles the imbalance (over the initial
-    state's, i0) and both CFIs from engine.distribution(state.x), and
-    qfi(state.x): one trace per field.  A negative `cycles` raises
+    """Repeat the B = 1 start `state` (a PureState or MixedState) over the
+    engine's fields, step it through `cycles` periods of `engine`, in place,
+    and record at every stroboscopic time n = 0..cycles the imbalance (over
+    the initial state's, i0) and both CFIs from engine.distribution(state.x),
+    and qfi(state.x): one trace per field.  A negative `cycles` raises
     ConfigError.  NumericalError: a vanishing i0, before the first cycle,
     and a state not finite after a cycle, before that cycle's readout."""
     if cycles < 0:
         raise ConfigError(f"cycles must be >= 0, got {cycles}")
+    state.x = np.repeat(state.x, len(engine.fields), axis=0)
     imb_diag = engine.imbalance_diag
     coll_idx = collective_index_a(engine.cfg)
     i0 = engine.distribution(state.x)[0] @ imb_diag
@@ -159,12 +160,12 @@ def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
     sharing delta_f and eta) through record_trace: one trace per field.
     The fields propagate as exactly the batch given (model.batch_size
     sizes the ones callers form), at the pair dimension model.engine_probe
-    picks for `init` (2^L amplitudes per field at tilt 0), gated as pure."""
+    picks for `init` (2^L amplitudes per field at tilt 0); the engine gates
+    the state vector."""
     cfg = engine_probe(cfg, init)
-    batch_size(cfg, mixed=False)
-    state = initial_state_with_tangent(cfg, init)
-    state.x = np.repeat(state.x, len(fields), axis=0)
-    return record_trace(FloquetEngine(cfg, fields), state, cycles, qfi_pure)
+    engine = FloquetEngine(cfg, fields)
+    return record_trace(engine, initial_state_with_tangent(cfg, init),
+                        cycles, qfi_pure)
 
 
 def stroboscopic_trace(cfg: ProbeConfig, field: FieldConfig,
@@ -226,9 +227,13 @@ def golden_section_peak(fn, grid: np.ndarray, rel_width: float = 1e-3) -> float:
 
     `fn` is called once on the whole grid array, then on single points.
     Warns with BoundaryPeakWarning when the coarse maximum sits on the grid
-    edge, in which case the edge value is returned as-is.
+    edge, in which case the edge value is returned as-is.  A grid that is
+    not positive and strictly increasing raises ValueError before any call.
     """
     grid = np.asarray(grid, dtype=float)
+    if not (np.all(grid > 0) and np.all(np.diff(grid) > 0)):
+        raise ValueError("the search grid must be positive and strictly "
+                         "increasing: the refinement runs in log space")
     vals = np.asarray(fn(grid), dtype=float)
     k = int(np.argmax(vals))
     if k == 0 or k == grid.size - 1:
@@ -260,10 +265,10 @@ def find_transition(cfg: ProbeConfig, field_template: FieldConfig, n: int = 10,
     batches of model.batch_size fields."""
     if h_grid is None:
         h_grid = np.logspace(-5, 0, 40)
+    size = batch_size(engine_probe(cfg, init), mixed=False)
 
     def peak_qfi(h):
         fields = [replace(field_template, h_a=x) for x in np.ravel(h)]
-        size = batch_size(engine_probe(cfg, init), mixed=False)
         qfi = [trace.qfi[n] for i in range(0, len(fields), size)
                for trace in stroboscopic_traces(cfg, fields[i:i + size],
                                                 init, n)]

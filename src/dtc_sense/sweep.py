@@ -8,13 +8,14 @@ apply_dict alone checks each key against KEYS and decides axis or fixed
 value, for config files, recipes and flags alike.
 
 run_sweep builds and gates every point of the Cartesian product of the axes
-once, before any work, then groups the points by every axis value but
-h_a_per_Jz and cuts each group into engine batches of model.batch_size
-fields.  Each piece is one call of the pure (metrology.stroboscopic_traces)
-or dephased (lindblad.noisy_fisher) builder, as _runs_mixed picks for any
-command's points; with workers > 1 a pool of at most one process per piece
-runs them.  Rows are emitted sorted by axis values so output never depends
-on completion order.  emit_table writes every CSV and metadata sidecar.
+(one point if there are none: simulate's trace) before any work, then groups
+the points by every axis value but h_a_per_Jz and cuts each group into
+engine batches of model.batch_size fields.  Each piece is one call of the
+pure (metrology.stroboscopic_traces) or dephased (lindblad.noisy_fisher)
+builder, as _runs_mixed picks for any command's points; with workers > 1 a
+pool of at most one process per piece runs them.  Rows are emitted sorted
+by axis values so output never depends on completion order.  emit_table
+writes every CSV and metadata sidecar, whose config_lines the CLI prints.
 """
 from __future__ import annotations
 
@@ -220,7 +221,7 @@ def trace_rows(trace: StroboscopicTrace, key: tuple = ()) -> list[tuple]:
 
 
 def run_sweep(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
-    """Evaluate the Cartesian product of the sweep axes.
+    """Evaluate the Cartesian product of the sweep axes (one point if none).
 
     Returns (axis column names, rows); each row is the axis-value tuple
     followed by the per-cycle record, already in deterministic order.
@@ -244,7 +245,7 @@ def run_sweep(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
                   for i in range(0, len(configs), size)]
     task_keys, task_params, task_configs = zip(*tasks)
 
-    workers = min(int(cfg.get("workers")), len(tasks))
+    workers = min(int(cfg.get("workers", 1)), len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -291,15 +292,20 @@ def emit_table(axis_names: list[str], rows: list[tuple], out_path: str,
         lines.append(line if exact else ",".join(map(_fmt, row)))
     files = {out_path: lines}
     if resolved_config is not None:
-        files[sidecar_path(out_path)] = [f"dtc-sense {__version__}"] + [
-            f"{key} = {_fmt(resolved_config[key])}"
-            for key in sorted(resolved_config)]
+        files[sidecar_path(out_path)] = [f"dtc-sense {__version__}",
+                                         *config_lines(resolved_config)]
     for path, file_lines in files.items():
         try:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(file_lines) + "\n")
         except OSError as exc:
             raise ConfigError(f"cannot write output {path}: {exc}") from exc
+
+
+def config_lines(resolved_config: dict) -> list[str]:
+    """The sorted `key = value` lines of a resolved config, as the sidecar
+    and the CLI's printed configuration hold them."""
+    return [f"{k} = {_fmt(v)}" for k, v in sorted(resolved_config.items())]
 
 
 def sidecar_path(out_path: str) -> str:

@@ -262,6 +262,47 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
     assert "cannot write output" in capsys.readouterr().err
 
 
+# per command: a config that runs from an empty working directory
+_ROUTE_RUNS = {
+    "simulate": "L = 2\ncycles = 2\n",
+    "sweep": "L = 2, 3\ncycles = 2\n",
+    "fit": "in = {table}\n",
+    "transition": "L = 1\nn = 2\ngrid_points = 5\n",
+    "noise": _NOISE_CFG,
+    "expcalc": "material = Dy\n",
+}
+
+
+@pytest.mark.parametrize("out", [True, False], ids=["out", "no-out"])
+@pytest.mark.parametrize("command", sorted(_ROUTE_RUNS))
+def test_every_command_writes_its_table_by_one_route(tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     out):
+    # main alone writes each command's table: to `out`, else to
+    # <command>.csv for the trace commands, else nowhere; it ends stdout
+    # with one line for the file.  noise also writes its point averages.
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    table = _write(tmp_path, "t.csv", "L,qfi\n2,16\n3,54\n4,128\n")
+    cfg = _write(tmp_path, "c.cfg", _ROUTE_RUNS[command].format(table=table))
+    argv = [command, "--config", cfg] + (["--out", "o.csv"] if out else [])
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    name = "o" if out else command
+    written = {f"{name}.csv", f"{name}.meta.txt"} \
+        if out or command in ("simulate", "sweep", "noise") else set()
+    if command == "noise":
+        written.add(f"{name}.pointavg.csv")
+    assert {p.name for p in run_dir.iterdir()} == written
+    if written:
+        rows = len((run_dir / f"{name}.csv").read_text().splitlines()) - 1
+        assert stdout[-1] == f"wrote {rows} rows to {name}.csv"
+        _assert_sidecar(run_dir / f"{name}.meta.txt")
+    else:
+        assert not any(line.startswith("wrote") for line in stdout)
+
+
 _QUARTER_TILT = "L = 3\ntheta_rad = 0.7853981633974483\ncycles = 4\n"
 
 

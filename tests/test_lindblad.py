@@ -248,6 +248,18 @@ def test_initial_mixed_state_is_projector():
 
 # ------------------------------------------------------------ noisy_fisher
 
+def test_engines_gate_the_state_they_are_built_for():
+    # each engine refuses a state beyond model.batch_size's gate before it
+    # builds a d^L array: 2^17 amplitudes, and 2^11 density-matrix rows
+    with pytest.raises(ResourceLimitError, match="pure-state"):
+        FloquetEngine(ProbeConfig(length=17, pair_dim=2), FieldConfig())
+    with pytest.raises(ResourceLimitError, match="density-matrix"):
+        LindbladEngine(ProbeConfig(length=11, pair_dim=2), FieldConfig(), 1e-3)
+    # the largest states each gate admits still build
+    FloquetEngine(ProbeConfig(length=16, pair_dim=2), FieldConfig())
+    LindbladEngine(ProbeConfig(length=5), FieldConfig(), 1e-3)
+
+
 def test_noisy_fisher_gate_and_window_validation():
     # the gate counts density-matrix rows: 4^6 at tilt > 0, 2^11 at tilt 0
     with pytest.raises(ResourceLimitError):

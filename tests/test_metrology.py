@@ -360,6 +360,28 @@ def test_golden_section_warns_on_boundary():
     assert edge == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("grid", [
+    pytest.param([0.0, 0.5, 1.0, 2.0], id="zero"),
+    pytest.param([-1.0, 0.5, 1.0, 2.0], id="negative"),
+    pytest.param([1e-3, 1e-2, 1e-2, 1.0], id="repeated"),
+    pytest.param([2.0, 1.0, 0.5, 1e-3], id="decreasing"),
+])
+def test_golden_section_rejects_a_grid_it_cannot_refine(grid, monkeypatch):
+    # the refinement runs in log space: a zero made it return NaN after a
+    # divide-by-zero warning, and an unsorted grid brackets the wrong
+    # interval; both are refused before any evaluation or trace
+    calls = []
+    with pytest.raises(ValueError, match="strictly increasing"):
+        golden_section_peak(lambda h: calls.append(h) or -(h - 0.5) ** 2,
+                            np.array(grid))
+    assert calls == []
+    monkeypatch.setattr(metrology, "stroboscopic_traces",
+                        lambda *args: pytest.fail("a trace ran"))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        find_transition(ProbeConfig(length=2), FieldConfig(), 4,
+                        np.array(grid))
+
+
 def test_find_transition_small_probe():
     cfg = ProbeConfig(length=2)
     h_max = find_transition(cfg, FieldConfig(), n=6)

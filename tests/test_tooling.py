@@ -120,10 +120,11 @@ def test_setup_probe_runs(engine):
 
 
 @pytest.mark.parametrize("command,config,spans", [
-    ("simulate", "", {"floquet.apply_cycle", "floquet.pair_gates"}),
+    # simulate is a sweep with no axes
+    ("simulate", "", {"floquet.apply_cycle", "floquet.pair_gates",
+                      "sweep.run_sweep"}),
     ("noise", "gamma_per_Jz = 1e-3\ndn = 1\nK = 2\n",
      {"lindblad.apply_cycle", "floquet.pair_gates"}),
-    # the tracer reads emit_table's output path from its third argument
     ("sweep", "L = 2, 3\n", {"sweep.run_sweep", "sweep.emit_table"}),
 ])
 def test_traced_cli_runs(tmp_path, command, config, spans):
@@ -145,8 +146,9 @@ def test_traced_cli_runs(tmp_path, command, config, spans):
     assert spans <= {name for name, *_ in traced["spans"]}
     if command == "noise":
         assert traced["counters"]["lindblad.apply_cycle.gflop_computed"] > 0
-    if command == "sweep":
-        assert traced["counters"]["sweep.emit_table.bytes"] > 0
+    # every table goes through emit_table, and the tracer reads its output
+    # path from the third positional argument
+    assert traced["counters"]["sweep.emit_table.bytes"] > 0
 
 
 _README_BLOCKS = re.findall(r"^```python\n(.*?)^```",
