@@ -3,11 +3,13 @@
 Exact statevector and density-matrix evolution of a binary-quench spin-probe
 whose period-doubled response carries gradient-field information, plus the
 Fisher-information machinery (QFI/CFI, averages, scaling fits, transition
-search) and a reproducible sweep CLI.
+search, the Cramer-Rao sensitivity in experimental units) and a
+reproducible sweep CLI.
 
 The public names below load their submodule on first use (PEP 562), so
 `import dtc_sense` costs only the error classes, and building an engine
-imports only `model` and `floquet`.
+imports only `model` and `floquet`.  No public name is also a submodule,
+whose import would bind the module over it.
 """
 import importlib
 
@@ -28,14 +30,13 @@ _SUBMODULE_OF = {
                    "build_initial_state", "observable_diagonal")),
         ("floquet", ("FloquetEngine", "initial_state_with_tangent",
                      "theta_units")),
-        ("metrology", ("FitResult", "StroboscopicTrace", "find_transition",
-                       "point_average", "power_fit", "qfi_bound",
-                       "qfi_mixed", "qfi_pure", "stroboscopic_trace",
-                       "stroboscopic_traces")),
+        ("metrology", ("FitResult", "MATERIALS", "StroboscopicTrace",
+                       "calibrate_unit_scale", "expcalc", "find_transition",
+                       "material_record", "point_average", "power_fit",
+                       "qfi_bound", "qfi_mixed", "qfi_pure",
+                       "stroboscopic_trace", "stroboscopic_traces")),
         ("lindblad", ("LindbladEngine", "MixedState", "initial_mixed_state",
                       "noisy_fisher")),
-        ("expcalc", ("MATERIALS", "calibrate_unit_scale", "expcalc",
-                     "material_record")),
     ) for name in names
 }
 

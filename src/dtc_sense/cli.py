@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ResourceLimitError
-from .expcalc import MATERIALS, expcalc, material_record
-from .metrology import find_transition, point_average, power_fit
+from .metrology import (MATERIALS, expcalc, find_transition, material_record,
+                        point_average, power_fit)
 from .recipes import RECIPES, recipe_config
 from .sweep import (
     CSV_COLUMNS,
@@ -87,7 +87,7 @@ def _cmd_table(cfg: RunConfig, out: str) -> tuple:
 def _read_csv_columns(path: str) -> np.ndarray:
     try:
         data = np.genfromtxt(path, delimiter=",", names=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad bytes, ragged rows
         raise ConfigError(f"cannot read results file {path}: {exc}") from exc
     if data.size == 0 or data.dtype.names is None:
         raise ConfigError(f"results file {path} is empty or has no header")

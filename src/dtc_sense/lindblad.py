@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .floquet import FloquetEngine, apply_pair_gates
-from .metrology import StroboscopicTrace, qfi_mixed, record_trace
+from .metrology import StroboscopicTrace, record_trace
 from .model import (
     FieldConfig,
     InitConfig,
@@ -197,5 +197,4 @@ def noisy_fisher(cfg: ProbeConfig, fields: list[FieldConfig], gamma: float,
     """
     cfg = engine_probe(cfg, init)
     engine = LindbladEngine(cfg, fields, gamma)
-    return record_trace(engine, initial_mixed_state(cfg, init, gamma),
-                        cycles, qfi_mixed)
+    return record_trace(engine, initial_mixed_state(cfg, init, gamma), cycles)

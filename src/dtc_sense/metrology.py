@@ -1,4 +1,5 @@
-"""Fisher-information toolkit: QFI/CFI, averages, power-law fits, transition search.
+"""Fisher-information toolkit: QFI/CFI, averages, power-law fits, transition
+search, and the Cramer-Rao arithmetic in experimental units.
 
 Conventions: all Fisher quantities are with respect to the field amplitude
 h_a.  Both QFI functions take the engine's (B, 2, ...) stack: qfi_pure uses
@@ -9,9 +10,13 @@ coarse-grained collective magnetization of the probe chain.
 One loop, record_trace, builds every trace, for psi (stroboscopic_traces)
 and for rho (lindblad.noisy_fisher) alike: each cycle it reads the engine's
 distribution of state.x (the basis distribution and its h_a-derivative) into
-the imbalance and both CFIs, and the QFI from the function the builder
-passes, on state.x; a non-finite distribution raises NumericalError.  The
-builders only set up the engine and the initial state.
+the imbalance and both CFIs, and the QFI of state.x from qfi_mixed or
+qfi_pure as engine.mixed says; a non-finite distribution raises
+NumericalError.  The builders only set up the engine and the initial state.
+
+expcalc maps a physical pair-exchange frequency and coherence time onto the
+drive schedule and turns qfi_bound, at the cycle budget, into a Cramer-Rao
+sensitivity per root Hz (MATERIALS holds the bundled presets).
 """
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ from .model import (
 )
 
 PROB_CUTOFF = 1e-14       # probabilities below this are dropped from CFI sums
+PEAK_REL_WIDTH = 1e-3     # golden_section_peak stops at this log-space width
 EIGSUM_CUTOFF = 1e-12     # eigenvalue-pair cutoff in the mixed-state QFI
 
 
@@ -122,15 +128,16 @@ def qfi_bound(cfg: ProbeConfig, n: int) -> float:
     return n ** 2 * L ** 2 * (L + 1) ** 2 / np.pi ** 2
 
 
-def record_trace(engine: FloquetEngine, state, cycles: int,
-                 qfi) -> list[StroboscopicTrace]:
+def record_trace(engine: FloquetEngine, state,
+                 cycles: int) -> list[StroboscopicTrace]:
     """Repeat the B = 1 start `state` (a PureState or MixedState) over the
     engine's fields, step it through `cycles` periods of `engine`, in place,
     and record at every stroboscopic time n = 0..cycles the imbalance (over
     the initial state's, i0) and both CFIs from engine.distribution(state.x),
-    and qfi(state.x): one trace per field.  A negative `cycles` raises
-    ConfigError.  NumericalError: a vanishing i0, before the first cycle,
-    and a state not finite after a cycle, before that cycle's readout."""
+    and the QFI of state.x (qfi_mixed if engine.mixed, else qfi_pure): one
+    trace per field.  A negative `cycles` raises ConfigError.
+    NumericalError: a vanishing i0, before the first cycle, and a state not
+    finite after a cycle, before that cycle's readout."""
     if cycles < 0:
         raise ConfigError(f"cycles must be >= 0, got {cycles}")
     state.x = np.repeat(state.x, len(engine.fields), axis=0)
@@ -140,6 +147,8 @@ def record_trace(engine: FloquetEngine, state, cycles: int,
     if np.min(np.abs(i0)) < 1e-12:
         raise NumericalError(
             "initial state has zero imbalance; the normalized trace is undefined")
+    # looked up per call, so a rebinding of the module names takes effect
+    qfi = qfi_mixed if engine.mixed else qfi_pure
     rec = np.zeros((4, len(engine.fields), cycles + 1))
     rec[0, :, 0] = 1.0
     for n in range(1, cycles + 1):
@@ -164,8 +173,7 @@ def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],
     the state vector."""
     cfg = engine_probe(cfg, init)
     engine = FloquetEngine(cfg, fields)
-    return record_trace(engine, initial_state_with_tangent(cfg, init),
-                        cycles, qfi_pure)
+    return record_trace(engine, initial_state_with_tangent(cfg, init), cycles)
 
 
 def stroboscopic_trace(cfg: ProbeConfig, field: FieldConfig,
@@ -221,9 +229,10 @@ def power_fit(x, y) -> FitResult:
     return fit
 
 
-def golden_section_peak(fn, grid: np.ndarray, rel_width: float = 1e-3) -> float:
+def golden_section_peak(fn, grid: np.ndarray) -> float:
     """Argmax of a unimodal function: coarse grid argmax, then golden-section
-    refinement (in log space) of the bracketing interval.
+    refinement (in log space) of the bracketing interval, down to a width of
+    PEAK_REL_WIDTH.
 
     `fn` is called once on the whole grid array, then on single points.
     Warns with BoundaryPeakWarning when the coarse maximum sits on the grid
@@ -245,7 +254,7 @@ def golden_section_peak(fn, grid: np.ndarray, rel_width: float = 1e-3) -> float:
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(np.exp(c)), fn(np.exp(d))
-    while b - a > rel_width:
+    while b - a > PEAK_REL_WIDTH:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -275,3 +284,64 @@ def find_transition(cfg: ProbeConfig, field_template: FieldConfig, n: int = 10,
         return np.reshape(qfi, np.shape(h))
 
     return golden_section_peak(peak_qfi, h_grid)
+
+
+#: f_pair (Hz) and coherence time (s) for the bundled material presets.
+MATERIALS = {
+    "Dy": {"f_pair_hz": 60.0, "coherence_s": 0.1},
+    "Er": {"f_pair_hz": 29.4, "coherence_s": 0.1},
+}
+
+
+def expcalc(f_pair_hz: float, coherence_s: float, length: int,
+            unit_scale: float = 1.0) -> dict[str, float]:
+    """All derived timing and sensitivity quantities, as a flat record.
+
+    The exchange half-period is t2 = 1/(2 pi f_pair) and the drive period
+    equals t2 (the timing-limited convention); n_max periods fit into the
+    coherence window, and the shot rate is what is left.  The sensitivity
+    is the Cramer-Rao limit on qfi_bound at n_max, in the caller's field
+    units through `unit_scale` (see calibrate_unit_scale)."""
+    if not all(0.0 < x < np.inf for x in (f_pair_hz, coherence_s, unit_scale)):
+        raise ConfigError("pair frequency, coherence time and unit scale must "
+                          "be finite and positive")
+    probe = ProbeConfig(length=length)  # ProbeConfig's rule for L
+    t2_s = 1.0 / (2.0 * np.pi * f_pair_hz)
+    period_s = t2_s
+    n_max = int(np.floor(coherence_s / period_s))
+    if n_max < 1:
+        raise ConfigError(f"coherence_s = {coherence_s:g} s is shorter than "
+                          f"one drive period ({period_s * 1e3:.6g} ms)")
+    shots_per_s = 1.0 / (n_max * period_s)
+    return {
+        "f_pair_hz": f_pair_hz,
+        "coherence_s": coherence_s,
+        "length": float(probe.length),
+        "unit_scale": unit_scale,
+        "t2_ms": t2_s * 1e3,
+        "period_ms": period_s * 1e3,
+        "n_max": float(n_max),
+        "shots_per_s": shots_per_s,
+        "sensitivity": unit_scale / np.sqrt(qfi_bound(probe, n_max)
+                                            * shots_per_s),
+        # the large-L form, coeff / L^2, whose coefficient experimental
+        # papers tend to quote
+        "sensitivity_coeff_per_l2":
+            unit_scale * np.pi / (n_max * np.sqrt(shots_per_s)),
+    }
+
+
+def calibrate_unit_scale(target_coeff: float, f_pair_hz: float,
+                         coherence_s: float) -> float:
+    """One-point calibration: the unit_scale that makes the large-L
+    sensitivity coefficient equal `target_coeff` at the reference inputs."""
+    raw = expcalc(f_pair_hz, coherence_s, length=1)["sensitivity_coeff_per_l2"]
+    return target_coeff / raw
+
+
+def material_record(name: str, length: int = 10,
+                    unit_scale: float = 1.0) -> dict[str, float]:
+    if name not in MATERIALS:
+        raise ConfigError(f"unknown material {name!r}; presets: {sorted(MATERIALS)}")
+    preset = MATERIALS[name]
+    return expcalc(preset["f_pair_hz"], preset["coherence_s"], length, unit_scale)

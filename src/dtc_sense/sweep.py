@@ -167,7 +167,7 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text, base)
 

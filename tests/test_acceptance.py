@@ -11,11 +11,13 @@ import pytest
 from scipy.integrate import quad
 
 import oracles
-from dtc_sense.expcalc import calibrate_unit_scale, expcalc, material_record
 from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent
 from dtc_sense.lindblad import LindbladEngine, initial_mixed_state, noisy_fisher
 from dtc_sense.metrology import (
+    calibrate_unit_scale,
+    expcalc,
     find_transition,
+    material_record,
     point_average,
     power_fit,
     qfi_bound,

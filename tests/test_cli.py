@@ -538,6 +538,25 @@ def test_missing_config_file(tmp_path, capsys):
     assert rc == 2
 
 
+def test_undecodable_config_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"L = 2\n\xff\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert f"cannot read config file {cfg}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b"x,y\n1,2\n\xff,3\n4,5\n",  # not UTF-8
+    b"x,y\n1,2\n3\n4,5\n",        # the third line has one field
+], ids=["undecodable", "ragged"])
+def test_unreadable_fit_input(tmp_path, capsys, content):
+    table = tmp_path / "t.csv"
+    table.write_bytes(content)
+    cfg = _write(tmp_path, "f.cfg", f"in = {table}\nx = x\ny = y\n")
+    assert main(["fit", "--config", cfg]) == 2
+    assert f"cannot read results file {table}" in capsys.readouterr().err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dtc_sense.cli", "expcalc"],

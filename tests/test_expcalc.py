@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dtc_sense.errors import ConfigError
-from dtc_sense.expcalc import MATERIALS, calibrate_unit_scale, expcalc, material_record
+from dtc_sense.metrology import MATERIALS, calibrate_unit_scale, expcalc, material_record
 
 
 def test_dysprosium_timing():

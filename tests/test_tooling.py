@@ -102,6 +102,29 @@ def test_package_loads_submodules_on_first_use():
     ]
 
 
+_NAMESPACE_PROBE = """
+import types
+import dtc_sense
+{setup}
+print([name for name in dtc_sense.__all__
+       if isinstance(getattr(dtc_sense, name), types.ModuleType)])
+print(callable(dtc_sense.expcalc))
+"""
+
+
+@pytest.mark.parametrize("setup", ["import dtc_sense.cli",
+                                   "dtc_sense.MATERIALS"],
+                         ids=["after_cli", "after_materials"])
+def test_no_public_name_is_a_submodule(setup):
+    # importing a submodule binds it on the package, over any public name
+    # it shares; the CLI imports every submodule
+    proc = subprocess.run(
+        [sys.executable, "-c", _NAMESPACE_PROBE.format(setup=setup)],
+        capture_output=True, text=True, timeout=120, env=_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
+
+
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -121,10 +144,12 @@ def test_setup_probe_runs(engine):
 
 @pytest.mark.parametrize("command,config,spans", [
     # simulate is a sweep with no axes
+    # record_trace looks its QFI function up per call, so the wrapped one
+    # runs
     ("simulate", "", {"floquet.apply_cycle", "floquet.pair_gates",
-                      "sweep.run_sweep"}),
+                      "sweep.run_sweep", "metrology.qfi_pure"}),
     ("noise", "gamma_per_Jz = 1e-3\ndn = 1\nK = 2\n",
-     {"lindblad.apply_cycle", "floquet.pair_gates"}),
+     {"lindblad.apply_cycle", "floquet.pair_gates", "metrology.qfi_mixed"}),
     ("sweep", "L = 2, 3\n", {"sweep.run_sweep", "sweep.emit_table"}),
 ])
 def test_traced_cli_runs(tmp_path, command, config, spans):
