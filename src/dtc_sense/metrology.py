@@ -201,9 +201,8 @@ def point_average(trace: StroboscopicTrace, dn: int, K: int) -> dict[str, np.nda
         "n_cumulative": dn * i * (i + 1) / 2.0,
     }
     for name in ("qfi", "cfi_computational", "cfi_collective"):
-        series = getattr(trace, name)
-        vals = [series[(i0 - 1) * dn + 1: i0 * dn + 1].mean() for i0 in i]
-        out[name] = np.array(vals)
+        series = getattr(trace, name)[1:K * dn + 1]
+        out[name] = series.reshape(K, dn).mean(axis=1)
     return out
 
 

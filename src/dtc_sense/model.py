@@ -154,13 +154,14 @@ def pair_spins(pair_dim: int) -> tuple[np.ndarray, np.ndarray]:
     return 1 - 2 * (k & 1), 1 - 2 * (k >> 1)
 
 
-def pair_sum(local: np.ndarray) -> np.ndarray:
-    """sum_j local[j-1, k_j] over all d^L basis integers, where k_j is the
-    base-d digit of pair j (pair 1 least significant): `local` has shape
-    (L, d), and the result its dtype."""
+def pair_sum(local: np.ndarray, op: np.ufunc = np.add) -> np.ndarray:
+    """op over j of local[j-1, k_j] for all d^L basis integers, where k_j is
+    the base-d digit of pair j (pair 1 least significant): `local` has shape
+    (L, d), the result its dtype.  The diagonals sum (op = np.add), and
+    build_initial_state multiplies (np.multiply)."""
     out = local[0]
     for v in local[1:]:
-        out = (v[:, None] + out[None, :]).reshape(-1)
+        out = op.outer(v, out).reshape(-1)
     return out
 
 
@@ -215,7 +216,9 @@ def build_initial_state(cfg: ProbeConfig,
 
     At tilt = 0 this is |up...up>_a |down...down>_b, the state whose imbalance
     normalizes the subharmonic-response trace; at d = 2 it is basis state 0
-    (every tau up), and only tilt 0 lies in that sector.
+    (every tau up), and only tilt 0 lies in that sector.  A pair's amplitude
+    at full local index bit_a + 2 bit_b (b above a) is outer(amp_b, amp_a),
+    and pair_sum with op = np.multiply takes their product over the pairs.
     """
     init = init or InitConfig()
     t = init.tilt
@@ -223,11 +226,6 @@ def build_initial_state(cfg: ProbeConfig,
         raise ConfigError(f"tilt {t} leaves the one-up-per-pair sector")
     amp_a = np.array([np.cos(t), np.sin(t)])
     amp_b = np.array([-np.sin(t), np.cos(t)])
-    local = list(PAIR_STATES[cfg.pair_dim])
-    psi = np.array([1.0])
-    # pair j is digit j of the basis index, so later (more significant)
-    # factors must be kron'ed on the left; within a pair, b is above a
-    for _ in range(cfg.length):
-        pair = np.kron(amp_b, np.kron(amp_a, psi)).reshape(4, -1)
-        psi = pair[local].reshape(-1)
-    return psi.astype(np.complex128)
+    pair = np.outer(amp_b, amp_a).reshape(-1)[list(PAIR_STATES[cfg.pair_dim])]
+    local = np.tile(pair.astype(np.complex128), (cfg.length, 1))
+    return pair_sum(local, np.multiply)

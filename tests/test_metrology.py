@@ -205,6 +205,25 @@ def test_pang_jordan_bound_at_resonance():
     assert bound == pytest.approx((12 * 2 / np.pi) ** 2, rel=1e-14)
 
 
+@pytest.mark.parametrize("tilt", [0.0, 0.1])
+@pytest.mark.parametrize("delta_f,eta", [(0.0, 0.0), (-0.3, 0.4), (0.5, 0.2)])
+def test_separable_ceiling_against_pang_jordan(delta_f, eta, tilt):
+    # uncoupled pairs: equal to the Pang-Jordan ceiling for one pair, and
+    # below it by 3L(L+1) / (2(2L+1)) for more (10.9 at L = 14)
+    fld, n = FieldConfig(delta_f=delta_f, eta=eta), np.array([1, 7, 50])
+    one = ProbeConfig(length=1)
+    assert np.allclose(oracles.separable_ceiling(one, fld, n, tilt),
+                       oracles.pang_jordan_bound(one, fld, n, tilt),
+                       rtol=1e-14, atol=0)
+    for L in range(2, 17):
+        cfg = ProbeConfig(length=L)
+        sep = oracles.separable_ceiling(cfg, fld, n, tilt)
+        pj = oracles.pang_jordan_bound(cfg, fld, n, tilt)
+        assert np.all(sep < pj)
+        assert np.allclose(pj / sep, 3 * L * (L + 1) / (2 * (2 * L + 1)),
+                           rtol=1e-13, atol=0)
+
+
 @st.composite
 def _bound_cases(draw, max_length):
     # (probe, field, init) over L, epsilon, eta, delta_f, tilt and h_a; the

@@ -208,6 +208,21 @@ def _sector_columns(L):
                      for z in range(2 ** L)])
 
 
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_initial_state_matches_the_dense_oracle(L):
+    # a sign slip in a tilted amplitude, or a/b swapped within a pair, moves
+    # the tilted state off the Kronecker product over all 2L qubits
+    cfg = ProbeConfig(length=L)
+    for tilt in (0.0, 0.01 * np.pi, 0.2 * np.pi, np.pi / 4):
+        init = InitConfig(tilt=tilt)
+        psi = build_initial_state(cfg, init)
+        assert np.max(np.abs(psi - oracles.dense_initial_state(cfg, init))) \
+            <= 1e-15
+    sector = build_initial_state(ProbeConfig(length=L, pair_dim=2))
+    assert np.array_equal(sector, oracles.dense_initial_state(cfg)
+                          [_sector_columns(L)])
+
+
 def test_engine_probe_picks_the_sector_at_tilt_zero_only():
     cfg = ProbeConfig(length=5, epsilon=0.2)
     sector = engine_probe(cfg, None)
