@@ -86,10 +86,13 @@ def _cmd_table(cfg: RunConfig, out: str) -> tuple:
 
 def _read_csv_columns(path: str) -> np.ndarray:
     try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
+        with open(path, encoding="utf-8") as fh:
+            lines = [line for line in fh if line.strip()]
+        data = np.genfromtxt(lines, delimiter=",", names=True) if lines \
+            else None
     except (OSError, ValueError) as exc:  # ValueError: bad bytes, ragged rows
         raise ConfigError(f"cannot read results file {path}: {exc}") from exc
-    if data.size == 0 or data.dtype.names is None:
+    if data is None or data.size == 0 or data.dtype.names is None:
         raise ConfigError(f"results file {path} is empty or has no header")
     return np.atleast_1d(data)
 

@@ -70,7 +70,6 @@ from .model import (
     build_initial_state,
     chain_interaction_diagonal,
     field_weights,
-    observable_diagonal,
 )
 
 #: The pair exchange |a down, b up><a up, b down| + h.c. on the local states
@@ -128,7 +127,6 @@ class FloquetEngine:
         self.h_a = np.array([f.h_a for f in self.fields])
         self.weights = field_weights(cfg, self.fields[0].eta)
         self.chain = np.exp(-1j * cfg.t1 * chain_interaction_diagonal(cfg))
-        self.imbalance_diag = observable_diagonal(cfg)
         # the diagonal half's field weights and t1 decay on the local states
         # a pair block acts on (LindbladEngine lifts both)
         self._phase_w, self._t1_decay = self.weights, 1.0

@@ -9,8 +9,8 @@ coarse-grained collective magnetization of the probe chain.
 
 One loop, record_trace, builds every trace, for psi (stroboscopic_traces)
 and for rho (lindblad.noisy_fisher) alike: each cycle it reads the engine's
-distribution of state.x (the basis distribution and its h_a-derivative) into
-the imbalance and both CFIs, and the QFI of state.x from qfi_mixed or
+distribution of state.x into the imbalance and both CFIs, through readout
+arrays it builds from engine.cfg, and the QFI of state.x from qfi_mixed or
 qfi_pure as engine.mixed says; a non-finite distribution raises
 NumericalError.  The builders only set up the engine and the initial state.
 
@@ -34,6 +34,7 @@ from .model import (
     batch_size,
     collective_index_a,
     engine_probe,
+    observable_diagonal,
 )
 
 PROB_CUTOFF = 1e-14       # probabilities below this are dropped from CFI sums
@@ -141,7 +142,7 @@ def record_trace(engine: FloquetEngine, state,
     if cycles < 0:
         raise ConfigError(f"cycles must be >= 0, got {cycles}")
     state.x = np.repeat(state.x, len(engine.fields), axis=0)
-    imb_diag = engine.imbalance_diag
+    imb_diag = observable_diagonal(engine.cfg)
     coll_idx = collective_index_a(engine.cfg)
     i0 = engine.distribution(state.x)[0] @ imb_diag
     if np.min(np.abs(i0)) < 1e-12:

@@ -2,10 +2,10 @@
 
 Configs are plain key=value text (one pair per line, '#' comments).  Keys
 carry their units: couplings and rates are in units of the chain coupling
-(h_a_per_Jz, gamma_per_Jz), angles in radians (theta_rad).  Any axis key of
-KEYS may hold a comma-separated list, which turns it into a sweep axis;
-apply_dict alone checks each key against KEYS and decides axis or fixed
-value, for config files, recipes and flags alike.
+(h_a_per_Jz, gamma_per_Jz), angles in radians (theta_rad).  A comma-separated
+value is a list unless its key is text; a list makes an axis key of KEYS a
+sweep axis.  apply_dict alone checks each key against KEYS and decides axis
+or fixed value, for config files, recipes and flags alike.
 
 run_sweep builds and gates every point of the Cartesian product of the axes
 (one point if there are none: simulate's trace) before any work, then groups
@@ -77,24 +77,30 @@ CSV_COLUMNS = ("n", "imbalance", "qfi", "cfi_comp", "cfi_coll")
 
 @dataclass
 class RunConfig:
-    """Resolved run parameters (fixed values, sweep axes) of `command`."""
+    """Run parameters of `command`: `values` maps each key to its value, or
+    a sweep axis to its list of values; `fixed` and `axes` view each kind."""
 
-    fixed: dict = dataclass_field(default_factory=dict)
-    axes: dict = dataclass_field(default_factory=dict)  # key -> list of values
+    values: dict = dataclass_field(default_factory=dict)
     command: str | None = None
+    fixed = property(lambda self: {k: v for k, v in self.values.items()
+                                   if not isinstance(v, list)})
+    axes = property(lambda self: {k: v for k, v in self.values.items()
+                                  if isinstance(v, list)})
 
     def get(self, key, default=None):
         return self.fixed.get(key, default)
 
     def resolved(self) -> dict:
-        out = dict(self.fixed)
-        for k, v in self.axes.items():
-            out[k] = ",".join(_fmt(x) for x in v)
-        return out
+        return {k: ",".join(map(_fmt, v)) if isinstance(v, list) else v
+                for k, v in self.values.items()}
 
 
-def _parse_scalar(key: str, text: str):
+def _parse_value(key: str, text: str):
+    """`key`'s value in `text`: a list at its commas, unless `key` is text."""
     parse = KEYS[key].parse if key in KEYS else str  # apply_dict rejects key
+    if parse is not str and "," in text:
+        return [_parse_value(key, v.strip())
+                for v in text.split(",") if v.strip()]
     try:
         value = parse(text)
     except ValueError as exc:
@@ -131,18 +137,13 @@ def apply_dict(cfg: RunConfig, fragment: dict) -> RunConfig:
                 raise ConfigError(f"{key} must be >= {spec.minimum}, got {v}")
         if cfg.command not in (None, *spec.commands):
             continue
-        if is_list:
-            cfg.axes[key] = list(value)
-            cfg.fixed.pop(key, None)
-        else:
-            cfg.fixed[key] = value
-            cfg.axes.pop(key, None)
+        cfg.values[key] = list(value) if is_list else value
     return cfg
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Merge key = value lines into `base` (default: `base_config()`); a
-    comma-separated value is a list."""
+    """Merge key = value lines into `base` (default: `base_config()`),
+    each value read by _parse_value."""
     cfg = base if base is not None else base_config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -152,12 +153,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         try:
             if not eq:
                 raise ConfigError(f"expected key = value, got {raw!r}")
-            if "," in value:
-                value = [_parse_scalar(key, v.strip())
-                         for v in value.split(",") if v.strip()]
-            else:
-                value = _parse_scalar(key, value)
-            apply_dict(cfg, {key: value})
+            apply_dict(cfg, {key: _parse_value(key, value)})
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
     return cfg
@@ -226,13 +222,14 @@ def run_sweep(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
     Returns (axis column names, rows); each row is the axis-value tuple
     followed by the per-cycle record, already in deterministic order.
     """
-    axis_names = [k for k in AXIS_KEYS if k in cfg.axes]
+    fixed, axes = cfg.fixed, cfg.axes
+    axis_names = [k for k in AXIS_KEYS if k in axes]
     # every point is built and gated before any work; points that differ
     # only in h_a_per_Jz share field batches (they share gamma_per_Jz and
     # cycles, so all run pure or all dephased)
     groups: dict[tuple, tuple[list, dict, list]] = {}
-    for key in itertools.product(*(cfg.axes[k] for k in axis_names)):
-        params = {**cfg.fixed, **dict(zip(axis_names, key))}
+    for key in itertools.product(*(axes[k] for k in axis_names)):
+        params = {**fixed, **dict(zip(axis_names, key))}
         shared = tuple(v for name, v in zip(axis_names, key)
                        if name != "h_a_per_Jz")
         keys, _, configs = groups.setdefault(shared, ([], params, []))
@@ -245,7 +242,7 @@ def run_sweep(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
                   for i in range(0, len(configs), size)]
     task_keys, task_params, task_configs = zip(*tasks)
 
-    workers = min(int(cfg.get("workers", 1)), len(tasks))
+    workers = min(int(fixed.get("workers", 1)), len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,0 +1,81 @@
+"""Write the outputs of every recipe, and of a few other runs, to one directory.
+
+    python tests/recipe_outputs.py OUTDIR
+
+Each run is one `python -m dtc_sense.cli` process on the package in this
+checkout's src/, started in OUTDIR.  For each run OUTDIR gets its CSV, the
+`.meta.txt` sidecar, `noise`'s `.pointavg.csv`, any config file it read,
+and `<run>.stdout`: its standard output followed by a line `exit <code>`.
+The runs are every recipe under its own command, `fit` on the
+`fig2-scaling` table, `transition` at L = 3, n = 10 at tilt 0 and 0.1, and
+one sweep of pure and dephased points on a pool of two workers.
+
+Nothing in the outputs depends on the checkout, the time or the host, so
+two checkouts give the same numbers exactly when
+
+    python <other checkout>/tests/recipe_outputs.py /tmp/before
+    python tests/recipe_outputs.py /tmp/after
+    diff -r /tmp/before /tmp/after
+
+prints nothing.  The file is not a test module; pytest does not collect it.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: run name -> (arguments after the command name, config text or None)
+EXTRA_RUNS = {
+    "fit": (["fit"], "in = fig2-scaling.csv\n"),
+    "transition-tilt0": (["transition"], "L = 3\nn = 10\n"),
+    "transition-tilt0.1": (["transition"], "L = 3\nn = 10\ntheta_rad = 0.1\n"),
+    "sweep-mixed": (["sweep", "--workers", "2"],
+                    "L = 3\ngamma_per_Jz = 0, 1e-3, 0.01\n"
+                    "h_a_per_Jz = 1e-5, 1e-3\ntheta_rad = 0, 0.1\n"
+                    "cycles = 20\n"),
+}
+
+
+def runs() -> dict[str, tuple[list[str], str | None]]:
+    """Every run, in order: the recipes first (fit reads fig2-scaling's
+    table), then EXTRA_RUNS."""
+    sys.path.insert(0, str(SRC))
+    from dtc_sense.recipes import RECIPES
+
+    out = {name: ([recipe["command"], "--recipe", name], None)
+           for name, recipe in sorted(RECIPES.items())}
+    return {**out, **EXTRA_RUNS}
+
+
+def main(outdir: str) -> int:
+    """Write every run's outputs to `outdir`; return how many runs did not
+    exit 0."""
+    root = Path(outdir)
+    root.mkdir(parents=True, exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    failed = 0
+    for name, (args, config) in runs().items():
+        argv = [sys.executable, "-m", "dtc_sense.cli", *args,
+                "--out", f"{name}.csv"]
+        if config is not None:
+            (root / f"{name}.cfg").write_text(config)
+            argv += ["--config", f"{name}.cfg"]
+        proc = subprocess.run(argv, cwd=root, env=env, capture_output=True,
+                              text=True)
+        (root / f"{name}.stdout").write_text(
+            f"{proc.stdout}exit {proc.returncode}\n")
+        if proc.returncode != 0:
+            failed += 1
+            print(f"{name}: exit {proc.returncode}\n{proc.stderr}",
+                  file=sys.stderr)
+    return failed
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(1 if main(sys.argv[1]) else 0)

@@ -545,16 +545,51 @@ def test_undecodable_config_file(tmp_path, capsys):
     assert f"cannot read config file {cfg}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [
-    b"x,y\n1,2\n\xff,3\n4,5\n",  # not UTF-8
-    b"x,y\n1,2\n3\n4,5\n",        # the third line has one field
-], ids=["undecodable", "ragged"])
-def test_unreadable_fit_input(tmp_path, capsys, content):
+_UNREADABLE = "cannot read results file {table}"
+_EMPTY = "results file {table} is empty or has no header"
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"x,y\n1,2\n\xff,3\n4,5\n", _UNREADABLE),  # not UTF-8
+    (b"x,y\n1,2\n3\n4,5\n", _UNREADABLE),  # the third line has one field
+    (b"", _EMPTY),
+    (b"\n", _EMPTY),
+    (b"n,qfi\n", _EMPTY),
+], ids=["undecodable", "ragged", "empty", "blank-line", "header-only"])
+def test_unreadable_fit_input(tmp_path, capsys, content, message):
     table = tmp_path / "t.csv"
     table.write_bytes(content)
     cfg = _write(tmp_path, "f.cfg", f"in = {table}\nx = x\ny = y\n")
     assert main(["fit", "--config", cfg]) == 2
-    assert f"cannot read results file {table}" in capsys.readouterr().err
+    assert message.format(table=table) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("L", "three"), ("cycles", "2.5")])
+def test_unparsable_value_is_a_config_error(tmp_path, capsys, key, value):
+    cfg = _write(tmp_path, "c.cfg", f"{key} = {value}\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert f"line 1: cannot parse value {value!r} for key {key!r}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_text_config_values_are_taken_whole(tmp_path, capsys):
+    # a comma in a text key's value is part of the path, as with --out
+    cfg = _write(tmp_path, "run.cfg",
+                 f"L = 2\ncycles = 2\nout = {tmp_path / 'a,b.csv'}\n")
+    assert main(["simulate", "--config", cfg]) == 0
+    assert (tmp_path / "a,b.csv").exists()
+    assert (tmp_path / "a,b.meta.txt").exists()
+    table = _write(tmp_path, "x,y.csv", "L,qfi\n2,16\n3,54\n4,128\n")
+    cfg = _write(tmp_path, "f.cfg", f"in = {table}\n")
+    assert main(["fit", "--config", cfg]) == 0
+    assert "exponent = 3\n" in capsys.readouterr().out
+    # a numeric key's value still splits, and only an axis key takes a list
+    cfg = _write(tmp_path, "c.cfg", "L = 2\ncycles = 5, 6\n")
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert "line 2: key 'cycles' is not sweepable" in capsys.readouterr().err
 
 
 def test_console_script_entry_point():

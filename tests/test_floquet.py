@@ -19,6 +19,7 @@ from dtc_sense.model import (
     build_initial_state,
     collective_index_a,
     engine_probe,
+    observable_diagonal,
 )
 from dtc_sense.recipes import RECIPES, recipe_config
 from dtc_sense.sweep import apply_dict, base_config
@@ -155,10 +156,10 @@ def test_ideal_cycle_inverts_imbalance():
     cfg = ProbeConfig(length=3, epsilon=0.0)
     engine = FloquetEngine(cfg, FieldConfig())
     state = initial_state_with_tangent(cfg)
-    i0 = engine.imbalance_diag @ np.abs(state.amplitudes[0]) ** 2
+    i0 = observable_diagonal(cfg) @ np.abs(state.amplitudes[0]) ** 2
     for n, expected in ((1, -1.0), (2, 1.0)):
         engine.apply_cycle(state, n)
-        imb = engine.imbalance_diag @ np.abs(state.amplitudes[0]) ** 2
+        imb = observable_diagonal(cfg) @ np.abs(state.amplitudes[0]) ** 2
         assert imb / i0 == pytest.approx(expected, abs=1e-12)
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
@@ -310,7 +311,7 @@ def test_imbalance_stays_in_range():
     fld = FieldConfig(h_a=0.05)
     engine = FloquetEngine(cfg, fld)
     state = initial_state_with_tangent(cfg)
-    d = engine.imbalance_diag
+    d = observable_diagonal(cfg)
     i0 = d @ np.abs(state.amplitudes[0]) ** 2
     for n in range(1, 101):
         engine.apply_cycle(state, n)
@@ -361,15 +362,15 @@ def _full_space_trace(cfg, fld, cycles):
     """Imbalance, QFI, CFI_comp and CFI_coll per cycle from the d = 4 engine."""
     engine = FloquetEngine(cfg, fld)
     state = initial_state_with_tangent(cfg)
-    coll = collective_index_a(cfg)
-    i0 = engine.imbalance_diag @ np.abs(state.amplitudes[0]) ** 2
+    coll, imb_diag = collective_index_a(cfg), observable_diagonal(cfg)
+    i0 = imb_diag @ np.abs(state.amplitudes[0]) ** 2
     out = np.zeros((cycles + 1, 4))
     out[0, 0] = 1.0
     for n in range(1, cycles + 1):
         engine.apply_cycle(state, n)
         p = np.abs(state.amplitudes[0]) ** 2
         dp = 2.0 * np.real(np.conj(state.amplitudes[0]) * state.tangent[0])
-        imb, cfi_c, cfi_m = _readout(p, dp, engine.imbalance_diag, i0, coll)
+        imb, cfi_c, cfi_m = _readout(p, dp, imb_diag, i0, coll)
         out[n] = imb, qfi_pure(state.x)[0], cfi_c, cfi_m
     return out
 

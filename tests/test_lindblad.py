@@ -21,6 +21,7 @@ from dtc_sense.model import (
     build_initial_state,
     collective_index_a,
     engine_probe,
+    observable_diagonal,
 )
 from dtc_sense.metrology import (
     _readout,
@@ -394,7 +395,7 @@ def test_noisy_fisher_sector_equals_full_engine(length):
                            trace.cfi_computational, trace.cfi_collective])
     engine = LindbladEngine(cfg, fld, gamma)
     state = initial_mixed_state(cfg, gamma=gamma)
-    imb_diag = engine.imbalance_diag
+    imb_diag = observable_diagonal(cfg)
     i0 = imb_diag @ np.diag(state.rho[0]).real
     ref = np.zeros((cycles + 1, 4))
     ref[0, 0] = 1.0

@@ -110,6 +110,13 @@ def test_qfi_mixed_rejects_trace_drift():
         qfi_mixed(_rho_stack(rho, np.zeros((4, 4))))
 
 
+def test_qfi_mixed_rejects_negative_eigenvalue():
+    # unit trace and Hermitian, but not positive
+    rho = np.diag([1.2, -0.2])
+    with pytest.raises(NumericalError, match="negative eigenvalue"):
+        qfi_mixed(_rho_stack(rho, np.zeros((2, 2))))
+
+
 # --------------------------------------------------------------------- CFI
 
 def _pure_readout(state, cfg):

@@ -31,6 +31,8 @@ def test_parse_scalars_comments_and_axes():
     assert cfg.get("cycles") == 12
     assert cfg.axes["h_a_per_Jz"] == [1e-3, 1e-2]
     assert "h_a_per_Jz" not in cfg.fixed
+    # fixed and axes are the two kinds of one dict of values
+    assert cfg.values == {**cfg.fixed, **cfg.axes}
 
 
 def test_parse_rejects_malformed_line():

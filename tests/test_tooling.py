@@ -1,5 +1,5 @@
-"""The public names, the README's Python examples and the benchmark's
-set-up probe still work.
+"""The public names, the README's Python examples, the benchmark's set-up
+probe and tests/recipe_outputs.py still work.
 
 perfbench/setup_probe.py builds engines through the package's public API;
 running it here makes an API change that would break the benchmark fail in
@@ -220,3 +220,20 @@ def test_every_benchmark_input_resolves(tmp_path):
             if point is not None:
                 config.write_text(workloads.config_text(point))
                 _resolve(["simulate", "--config", str(config), "--out", out])
+
+
+def test_recipe_outputs_script_writes_every_run(tmp_path):
+    # tests/recipe_outputs.py is the parent/change byte-identity check; every
+    # run it makes must exit 0 and leave its table, sidecar and stdout
+    script = ROOT / "tests" / "recipe_outputs.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    runs = [*RECIPES, "fit", "transition-tilt0", "transition-tilt0.1",
+            "sweep-mixed"]
+    for name in runs:
+        for suffix in (".csv", ".meta.txt"):
+            assert (tmp_path / f"{name}{suffix}").stat().st_size > 0, name
+        assert (tmp_path / f"{name}.stdout").read_text() \
+            .endswith("exit 0\n"), name
+    assert (tmp_path / "fig8-noise.pointavg.csv").exists()
