@@ -145,7 +145,7 @@ def _cmd_noise(cfg: RunConfig, out: str) -> tuple:
     trace = evaluate_point(params)
     pa = point_average(trace, dn, K)  # keys in the header's column order
     pa_path = os.path.splitext(out)[0] + ".pointavg.csv"
-    emit_table([], list(zip(*pa.values())), pa_path, None,
+    emit_table([], np.column_stack(list(pa.values())), pa_path, None,
                ("n_mid", "n_cumulative", "qfi", "cfi_comp", "cfi_coll"))
     print(f"wrote {K} rows to {pa_path}")
     if K >= 3 and np.all(pa["qfi"] > 0):

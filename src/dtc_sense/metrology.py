@@ -83,8 +83,11 @@ def qfi_mixed(X: np.ndarray) -> np.ndarray:
     eigenpairs of rho with lam_i + lam_j above cutoff, per field of the
     (B, 2, dim, dim) stack X of rho and drho; the checks cover every field."""
     rho, drho = X[:, 0], X[:, 1]
-    for name, m in (("rho", rho), ("drho", drho)):
-        if not np.allclose(m, m.conj().swapaxes(-1, -2), atol=1e-8):
+    # np.allclose's rule, |a - a^H| <= 1e-8 + 1e-5 |a^H|, over the whole stack
+    XH = X.conj().swapaxes(-1, -2)
+    hermitian = (abs(X - XH) <= 1e-8 + 1e-5 * abs(XH)).all(axis=(0, 2, 3))
+    for name, ok in zip(("rho", "drho"), hermitian):
+        if not ok:
             raise ValueError(f"{name} is not Hermitian")
     drift = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
     if drift > 1e-6:

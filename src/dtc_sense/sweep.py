@@ -1,6 +1,7 @@
 """Sweep harness: config parsing, parallel point evaluation, CSV emission.
 
-Configs are plain key=value text (one pair per line, '#' comments).  Keys
+Configs are plain key=value text (one pair per line; '#' opens a comment at
+the start of a line or after whitespace, so `in = h#1.csv` keeps it).  Keys
 carry their units: couplings and rates are in units of the chain coupling
 (h_a_per_Jz, gamma_per_Jz), angles in radians (theta_rad).  A comma-separated
 value is a list unless its key is text; a list makes an axis key of KEYS a
@@ -13,17 +14,22 @@ the points by every axis value but h_a_per_Jz and cuts each group into
 engine batches of model.batch_size fields.  Each piece is one call of the
 pure (metrology.stroboscopic_traces) or dephased (lindblad.noisy_fisher)
 builder, as _runs_mixed picks for any command's points; with workers > 1 a
-pool of at most one process per piece runs them.  Rows are emitted sorted
-by axis values so output never depends on completion order.  emit_table
-writes every CSV and metadata sidecar, whose config_lines the CLI prints.
+pool of at most one process per piece runs them.  Its table is one float
+array, allocated once, with the rows sorted by axis values so output never
+depends on completion order.  emit_table writes every CSV, WRITE_CHUNK_ROWS
+rows at a time, and every metadata sidecar, whose config_lines the CLI
+prints.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import os
+import re
 from collections import namedtuple
 from dataclasses import dataclass, field as dataclass_field
+
+import numpy as np
 
 from . import __version__
 from .errors import ConfigError
@@ -73,6 +79,8 @@ AXIS_KEYS = tuple(k for k, spec in KEYS.items() if spec.axis)
 _DEFAULTS = {k: s.default for k, s in KEYS.items() if s.default is not None}
 
 CSV_COLUMNS = ("n", "imbalance", "qfi", "cfi_comp", "cfi_coll")
+WRITE_CHUNK_ROWS = 256  # rows emit_table formats and writes at a time
+_COMMENT = re.compile(r"(?:^|\s)#")  # '#' at a line's start or after space
 
 
 @dataclass
@@ -96,11 +104,16 @@ class RunConfig:
 
 
 def _parse_value(key: str, text: str):
-    """`key`'s value in `text`: a list at its commas, unless `key` is text."""
+    """`key`'s value in `text`: a list at its commas, unless `key` is text.
+    An empty piece beside a value (`3,` or `3,,4`) is a ConfigError; a
+    text of commas alone gives the empty list apply_dict rejects."""
     parse = KEYS[key].parse if key in KEYS else str  # apply_dict rejects key
     if parse is not str and "," in text:
-        return [_parse_value(key, v.strip())
-                for v in text.split(",") if v.strip()]
+        pieces = [v.strip() for v in text.split(",")]
+        if any(pieces) and not all(pieces):
+            raise ConfigError(f"empty item in the list {text!r} for key "
+                              f"{key!r}")
+        return [_parse_value(key, v) for v in pieces if v]
     try:
         value = parse(text)
     except ValueError as exc:
@@ -146,7 +159,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     each value read by _parse_value."""
     cfg = base if base is not None else base_config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         key, eq, value = (part.strip() for part in line.partition("="))
@@ -209,18 +222,25 @@ def evaluate_point(params: dict) -> StroboscopicTrace:
     return evaluate_group(params, [point_configs(params)])[0]
 
 
-def trace_rows(trace: StroboscopicTrace, key: tuple = ()) -> list[tuple]:
-    """One CSV row per cycle, in CSV_COLUMNS order after the axis values `key`."""
-    columns = (trace.n, trace.imbalance, trace.qfi, trace.cfi_computational,
-               trace.cfi_collective)
-    return [key + row for row in zip(*(c.tolist() for c in columns))]
+def trace_rows(trace: StroboscopicTrace, key: tuple = (),
+               out: np.ndarray | None = None) -> np.ndarray:
+    """One CSV row per cycle, the axis values `key` then CSV_COLUMNS: a
+    (len(trace), len(key) + 5) float array, written into `out` if given."""
+    if out is None:
+        out = np.empty((len(trace), len(key) + len(CSV_COLUMNS)))
+    out[:, :len(key)] = key
+    for j, column in enumerate((trace.n, trace.imbalance, trace.qfi,
+                                trace.cfi_computational,
+                                trace.cfi_collective), start=len(key)):
+        out[:, j] = column
+    return out
 
 
-def run_sweep(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
+def run_sweep(cfg: RunConfig) -> tuple[list[str], np.ndarray]:
     """Evaluate the Cartesian product of the sweep axes (one point if none).
 
-    Returns (axis column names, rows); each row is the axis-value tuple
-    followed by the per-cycle record, already in deterministic order.
+    Returns (axis column names, table): the table holds each point's
+    trace_rows, in sorted axis-value order, in one float array.
     """
     fixed, axes = cfg.fixed, cfg.axes
     axis_names = [k for k in AXIS_KEYS if k in axes]
@@ -251,8 +271,14 @@ def run_sweep(cfg: RunConfig) -> tuple[list[str], list[tuple]]:
         traces = map(evaluate_group, task_params, task_configs)
     results = dict(zip(itertools.chain(*task_keys), itertools.chain(*traces)))
 
-    return axis_names, [row for key in sorted(results)
-                        for row in trace_rows(results[key], key)]
+    table = np.empty((sum(map(len, results.values())),
+                      len(axis_names) + len(CSV_COLUMNS)))
+    start = 0
+    for key in sorted(results):
+        stop = start + len(results[key])
+        trace_rows(results[key], key, table[start:stop])
+        start = stop
+    return axis_names, table
 
 
 def _fmt(x) -> str:
@@ -264,39 +290,54 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def emit_table(axis_names: list[str], rows: list[tuple], out_path: str,
+def emit_table(axis_names: list[str], rows, out_path: str,
                resolved_config: dict | None = None,
                columns: tuple = CSV_COLUMNS) -> None:
-    """Write the CSV (header: axis names, then `columns`) and, given the
-    resolved config, its metadata sidecar.
+    """Write the CSV (header: axis names, then `columns`) of `rows`, a 2-D
+    float array or a list of row tuples, WRITE_CHUNK_ROWS rows at a time,
+    and, given the resolved config, its metadata sidecar.
 
     Every value follows `_fmt`: 12 significant digits, integral values as
     integers; nothing time- or host-dependent is written, so identical
     inputs give byte-identical files.
     """
-    if not rows:
+    if len(rows) == 0:
         raise ConfigError("refusing to write an empty result table")
-    row_fmt = ",".join(["%.12g"] * len(rows[0]))
-    lines = [",".join([*axis_names, *columns])]
-    for row in rows:
-        # %.12g is _fmt except on text, -0.0, non-finite values and integral
-        # |x| >= 1e12, which it writes as '-0', 'nan', 'inf' or with 'e+'
-        try:
-            line = row_fmt % row
-            exact = not ("e+" in line or "n" in line or "-0," in line + ",")
-        except TypeError:
-            exact = False
-        lines.append(line if exact else ",".join(map(_fmt, row)))
-    files = {out_path: lines}
+    files = {out_path: _csv_pieces(axis_names, rows, columns)}
     if resolved_config is not None:
-        files[sidecar_path(out_path)] = [f"dtc-sense {__version__}",
-                                         *config_lines(resolved_config)]
-    for path, file_lines in files.items():
+        files[sidecar_path(out_path)] = ["\n".join(
+            [f"dtc-sense {__version__}", *config_lines(resolved_config)])
+            + "\n"]
+    for path, pieces in files.items():
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(file_lines) + "\n")
+                fh.writelines(pieces)
         except OSError as exc:
             raise ConfigError(f"cannot write output {path}: {exc}") from exc
+
+
+def _csv_pieces(axis_names: list[str], rows, columns: tuple):
+    """emit_table's CSV text: the header line, then the lines of each
+    WRITE_CHUNK_ROWS rows of `rows` as one string."""
+    yield ",".join([*axis_names, *columns]) + "\n"
+    row_fmt = ",".join(["%.12g"] * len(rows[0]))
+    for start in range(0, len(rows), WRITE_CHUNK_ROWS):
+        chunk = rows[start:start + WRITE_CHUNK_ROWS]
+        lines = []
+        if isinstance(chunk, np.ndarray):
+            chunk = map(tuple, chunk.tolist())
+        for row in chunk:
+            # %.12g is _fmt except on text, -0.0, non-finite values and
+            # integral |x| >= 1e12, which it writes as '-0', 'nan', 'inf' or
+            # with 'e+'
+            try:
+                line = row_fmt % row
+                exact = not ("e+" in line or "n" in line
+                             or "-0," in line + ",")
+            except TypeError:
+                exact = False
+            lines.append(line if exact else ",".join(map(_fmt, row)))
+        yield "\n".join(lines) + "\n"
 
 
 def config_lines(resolved_config: dict) -> list[str]:

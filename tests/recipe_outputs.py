@@ -7,8 +7,10 @@ checkout's src/, started in OUTDIR.  For each run OUTDIR gets its CSV, the
 `.meta.txt` sidecar, `noise`'s `.pointavg.csv`, any config file it read,
 and `<run>.stdout`: its standard output followed by a line `exit <code>`.
 The runs are every recipe under its own command, `fit` on the
-`fig2-scaling` table, `transition` at L = 3, n = 10 at tilt 0 and 0.1, and
-one sweep of pure and dephased points on a pool of two workers.
+`fig2-scaling` table, `transition` at L = 3, n = 10 at tilt 0 and 0.1,
+one sweep of pure and dephased points on a pool of two workers, and one
+5000-cycle `simulate` at L = 2, whose table spans many of `emit_table`'s
+write chunks.
 
 Nothing in the outputs depends on the checkout, the time or the host, so
 two checkouts give the same numbers exactly when
@@ -37,6 +39,8 @@ EXTRA_RUNS = {
                     "L = 3\ngamma_per_Jz = 0, 1e-3, 0.01\n"
                     "h_a_per_Jz = 1e-5, 1e-3\ntheta_rad = 0, 0.1\n"
                     "cycles = 20\n"),
+    "simulate-long": (["simulate"], "L = 2\ncycles = 5000\n"
+                      "h_a_per_Jz = 1e-5\n"),
 }
 
 

@@ -57,6 +57,14 @@ def test_single_point_commands_reject_axes(tmp_path, capsys, command, text):
     assert "sweep subcommand" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["L = 3,\n", "L = 3,,4\n"])
+def test_stray_comma_is_a_config_error_naming_its_key(tmp_path, capsys, text):
+    cfg = _write(tmp_path, "run.cfg", text)
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "key 'L'" in err and "axes" not in err
+
+
 def test_sweep_requires_axis(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", "L = 2\ncycles = 2\n")
     assert main(["sweep", "--config", cfg]) == 2

@@ -50,6 +50,26 @@ def test_parse_rejects_empty_list():
         parse_config_text("eta = ,\n")
 
 
+def test_hash_opens_a_comment_only_at_line_start_or_after_whitespace():
+    # inside a value '#' is text: `in = h#1.csv` names the file h#1.csv
+    cfg = parse_config_text("in = h#1.csv\n#L = 7\n"
+                            "h_a_per_Jz = 1e-3, 1e-2   # two field points\n",
+                            base_config("fit"))
+    assert cfg.get("in") == "h#1.csv"
+    assert "L" not in cfg.values
+    cfg = parse_config_text("h_a_per_Jz = 1e-3, 1e-2   # two field points\n")
+    assert cfg.axes["h_a_per_Jz"] == [1e-3, 1e-2]
+    with pytest.raises(ConfigError, match="cannot parse value '5#6'"):
+        parse_config_text("L = 5#6\n")
+
+
+@pytest.mark.parametrize("text", ["L = 3,\n", "L = 3,,4\n", "L = ,3\n"])
+def test_parse_rejects_an_empty_list_item(text):
+    # a stray comma is an error naming the key, not a one-value axis
+    with pytest.raises(ConfigError, match="line 1: empty item .* key 'L'"):
+        parse_config_text(text)
+
+
 def test_later_assignment_replaces_axis():
     cfg = parse_config_text("eta = 0.0, 0.1\neta = 0.2\n")
     assert "eta" not in cfg.axes
@@ -144,9 +164,7 @@ def test_workers_do_not_change_results():
     serial = run_sweep(cfg)
     parallel = run_sweep(apply_dict(cfg, {"workers": 2}))
     assert serial[0] == parallel[0]
-    assert len(serial[1]) == len(parallel[1])
-    for a, b in zip(serial[1], parallel[1]):
-        assert a == b
+    assert np.array_equal(serial[1], parallel[1])
 
 
 def test_workers_run_the_pieces_of_a_split_group(monkeypatch):
@@ -155,8 +173,9 @@ def test_workers_run_the_pieces_of_a_split_group(monkeypatch):
     monkeypatch.setattr(model, "PURE_STATE_MAX_DIM", 16)  # 2 per piece at L=3
     cfg = _tiny_cfg(L=3, cycles=6)
     apply_dict(cfg, {"h_a_per_Jz": [1e-4, 1e-3, 1e-2, 0.1, 0.5]})
-    serial = run_sweep(cfg)
-    assert run_sweep(apply_dict(cfg, {"workers": 2})) == serial
+    names, serial = run_sweep(cfg)
+    pool_names, pooled = run_sweep(apply_dict(cfg, {"workers": 2}))
+    assert pool_names == names and np.array_equal(pooled, serial)
 
 
 @pytest.mark.parametrize("workers,fields,created,tasks", [
@@ -238,13 +257,12 @@ def _assert_rows_match_points(cfg, names, rows, points):
     # column's largest value
     by_key = {}
     for row in rows:
-        by_key.setdefault(row[:len(names)], []).append(row[len(names):])
+        by_key.setdefault(tuple(row[:len(names)]), []).append(row[len(names):])
     assert len(by_key) == points
     for key, got in by_key.items():
         params = {**cfg.fixed, **dict(zip(names, key))}
-        ref = np.array([r[1:] for r in trace_rows(evaluate_point(params))],
-                       dtype=float)
-        got = np.array([r[1:] for r in got], dtype=float)
+        ref = trace_rows(evaluate_point(params))[:, 1:]
+        got = np.array(got)[:, 1:]
         scale = np.abs(ref).max(axis=0)
         assert np.all(np.abs(got - ref) <= 1e-13 * scale), key
 
@@ -317,9 +335,60 @@ def test_emit_table_number_rule_at_its_edges(tmp_path, value, text):
     assert sweep._fmt(value) == text
 
 
+def test_emit_table_writes_an_array_as_its_list_of_tuples(tmp_path):
+    # the number rule's edges, one per row, and integral floats in a row of
+    # their own: the array and its list of tuples give the same bytes
+    edges = [-0.0, float("nan"), float("inf"), float("-inf"), 3.0, 1e12,
+             123456789012345.0, 1e15, 2.5e-7]
+    rows = [(v, 0.5, 7.0, v, -2.25) for v in edges] + [(1.0, 2.0, 0.0, -4.0,
+                                                         1e14)]
+    emit_table([], rows, str(tmp_path / "tuples.csv"))
+    emit_table([], np.array(rows), str(tmp_path / "array.csv"))
+    text = (tmp_path / "array.csv").read_text()
+    assert (tmp_path / "tuples.csv").read_text() == text
+    assert text.splitlines()[1:] == [
+        ",".join(map(sweep._fmt, row)) for row in rows]
+
+
+def test_emit_table_loses_and_doubles_no_row_at_a_chunk_edge(tmp_path,
+                                                              monkeypatch):
+    monkeypatch.setattr(sweep, "WRITE_CHUNK_ROWS", 4)
+    for count in (3, 4, 5, 8, 9):
+        table = np.arange(count * 2, dtype=float).reshape(count, 2)
+        out = tmp_path / f"rows{count}.csv"
+        emit_table(["a"], table, str(out), columns=("b",))
+        lines = out.read_text().splitlines()
+        assert lines == ["a,b"] + [f"{2 * i},{2 * i + 1}"
+                                   for i in range(count)]
+
+
+def test_run_sweep_table_is_the_stacked_trace_rows(monkeypatch):
+    # the one table run_sweep allocates holds each trace's trace_rows block,
+    # in sorted axis-value order, bit for bit
+    traces, evaluate_group = {}, sweep.evaluate_group
+
+    def recording(params, configs):
+        batch = evaluate_group(params, configs)
+        for (probe, fld, _), trace in zip(configs, batch):
+            traces[probe.length, fld.h_a] = trace
+        return batch
+
+    monkeypatch.setattr(sweep, "evaluate_group", recording)
+    cfg = _tiny_cfg(cycles=4)
+    apply_dict(cfg, {"L": [3, 2], "h_a_per_Jz": [1e-2, 1e-3]})
+    names, table = run_sweep(cfg)
+    assert names == ["L", "h_a_per_Jz"]
+    assert sorted(traces) == [(2, 1e-3), (2, 1e-2), (3, 1e-3), (3, 1e-2)]
+    blocks = [trace_rows(traces[key], key) for key in sorted(traces)]
+    assert table.shape == (4 * 5, 2 + len(CSV_COLUMNS))
+    assert np.array_equal(table, np.vstack(blocks))
+
+
 def test_emit_table_refuses_empty_rows(tmp_path):
     with pytest.raises(ConfigError):
         emit_table([], [], str(tmp_path / "none.csv"))
+    with pytest.raises(ConfigError):
+        emit_table([], np.empty((0, 5)), str(tmp_path / "none.csv"))
 
 
 def test_emit_table_surfaces_write_failure(tmp_path):

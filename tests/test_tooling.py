@@ -230,7 +230,7 @@ def test_recipe_outputs_script_writes_every_run(tmp_path):
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     runs = [*RECIPES, "fit", "transition-tilt0", "transition-tilt0.1",
-            "sweep-mixed"]
+            "sweep-mixed", "simulate-long"]
     for name in runs:
         for suffix in (".csv", ".meta.txt"):
             assert (tmp_path / f"{name}{suffix}").stat().st_size > 0, name
