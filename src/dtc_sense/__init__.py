@@ -31,9 +31,9 @@ _SUBMODULE_OF = {
         ("floquet", ("FloquetEngine", "initial_state_with_tangent",
                      "theta_units")),
         ("metrology", ("FitResult", "MATERIALS", "StroboscopicTrace",
-                       "calibrate_unit_scale", "expcalc", "find_transition",
-                       "material_record", "point_average", "power_fit",
-                       "qfi_bound", "qfi_mixed", "qfi_pure",
+                       "TRACE_COLUMNS", "calibrate_unit_scale", "expcalc",
+                       "find_transition", "material_record", "point_average",
+                       "power_fit", "qfi_bound", "qfi_mixed", "qfi_pure",
                        "stroboscopic_trace", "stroboscopic_traces")),
         ("lindblad", ("LindbladEngine", "MixedState", "initial_mixed_state",
                       "noisy_fisher")),

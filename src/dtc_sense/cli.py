@@ -23,11 +23,10 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ResourceLimitError
-from .metrology import (MATERIALS, expcalc, find_transition, material_record,
-                        point_average, power_fit)
+from .metrology import (MATERIALS, TRACE_COLUMNS, expcalc, find_transition,
+                        material_record, point_average, power_fit)
 from .recipes import RECIPES, recipe_config
 from .sweep import (
-    CSV_COLUMNS,
     RunConfig,
     apply_dict,
     base_config,
@@ -37,7 +36,6 @@ from .sweep import (
     load_config,
     point_configs,
     run_sweep,
-    trace_rows,
     _TRACE,
     _fmt,
 )
@@ -81,7 +79,7 @@ def _print_resolved(cfg: RunConfig) -> None:
 
 
 def _cmd_table(cfg: RunConfig, out: str) -> tuple:
-    return (*run_sweep(cfg), CSV_COLUMNS)
+    return (*run_sweep(cfg), TRACE_COLUMNS)
 
 
 def _read_csv_columns(path: str) -> np.ndarray:
@@ -151,7 +149,7 @@ def _cmd_noise(cfg: RunConfig, out: str) -> tuple:
     if K >= 3 and np.all(pa["qfi"] > 0):
         fit = power_fit(pa["n_mid"], pa["qfi"])
         print(f"point-averaged QFI growth exponent alpha = {fit.exponent:.4g}")
-    return [], trace_rows(trace), CSV_COLUMNS
+    return [], trace.rows, TRACE_COLUMNS
 
 
 def _cmd_expcalc(cfg: RunConfig, out: str | None) -> tuple:

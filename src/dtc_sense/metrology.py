@@ -11,8 +11,10 @@ One loop, record_trace, builds every trace, for psi (stroboscopic_traces)
 and for rho (lindblad.noisy_fisher) alike: each cycle it reads the engine's
 distribution of state.x into the imbalance and both CFIs, through readout
 arrays it builds from engine.cfg, and the QFI of state.x from qfi_mixed or
-qfi_pure as engine.mixed says; a non-finite distribution raises
-NumericalError.  The builders only set up the engine and the initial state.
+qfi_pure as engine.mixed says, into one (B, cycles + 1, 5) record in
+TRACE_COLUMNS order, whose blocks are the traces' rows (the layout of every
+trace CSV); a non-finite distribution raises NumericalError.  The builders
+only set up the engine and the initial state.
 
 expcalc maps a physical pair-exchange frequency and coherence time onto the
 drive schedule and turns qfi_bound, at the cycle budget, into a Cramer-Rao
@@ -42,18 +44,25 @@ PEAK_REL_WIDTH = 1e-3     # golden_section_peak stops at this log-space width
 EIGSUM_CUTOFF = 1e-12     # eigenvalue-pair cutoff in the mixed-state QFI
 
 
+#: The columns of a trace, in the order of its rows and of every trace CSV.
+TRACE_COLUMNS = ("n", "imbalance", "qfi", "cfi_comp", "cfi_coll")
+
+
 @dataclass
 class StroboscopicTrace:
-    """Per-cycle record of the probe observables, n = 0..N."""
+    """Per-cycle record of the probe observables, n = 0..N: `rows` is the
+    (N + 1, 5) float block in TRACE_COLUMNS order, and each named column a
+    read-only view of it."""
 
-    n: np.ndarray
-    imbalance: np.ndarray
-    qfi: np.ndarray
-    cfi_computational: np.ndarray
-    cfi_collective: np.ndarray
+    rows: np.ndarray
+    n = property(lambda self: self.rows[:, 0])
+    imbalance = property(lambda self: self.rows[:, 1])
+    qfi = property(lambda self: self.rows[:, 2])
+    cfi_computational = property(lambda self: self.rows[:, 3])
+    cfi_collective = property(lambda self: self.rows[:, 4])
 
     def __len__(self) -> int:
-        return len(self.n)
+        return len(self.rows)
 
     @property
     def cycles(self) -> int:
@@ -139,9 +148,10 @@ def record_trace(engine: FloquetEngine, state,
     and record at every stroboscopic time n = 0..cycles the imbalance (over
     the initial state's, i0) and both CFIs from engine.distribution(state.x),
     and the QFI of state.x (qfi_mixed if engine.mixed, else qfi_pure): one
-    trace per field.  A negative `cycles` raises ConfigError.
-    NumericalError: a vanishing i0, before the first cycle, and a state not
-    finite after a cycle, before that cycle's readout."""
+    trace per field, whose rows are a block of one record.  A negative
+    `cycles` raises ConfigError.  NumericalError: a vanishing i0, before
+    the first cycle, and a state not finite after a cycle, before that
+    cycle's readout."""
     if cycles < 0:
         raise ConfigError(f"cycles must be >= 0, got {cycles}")
     state.x = np.repeat(state.x, len(engine.fields), axis=0)
@@ -153,17 +163,17 @@ def record_trace(engine: FloquetEngine, state,
             "initial state has zero imbalance; the normalized trace is undefined")
     # looked up per call, so a rebinding of the module names takes effect
     qfi = qfi_mixed if engine.mixed else qfi_pure
-    rec = np.zeros((4, len(engine.fields), cycles + 1))
-    rec[0, :, 0] = 1.0
+    rec = np.zeros((len(engine.fields), cycles + 1, len(TRACE_COLUMNS)))
+    rec[..., 0] = np.arange(cycles + 1)
+    rec[:, 0, 1] = 1.0
     for n in range(1, cycles + 1):
         engine.apply_cycle(state, n)
         p, dp = engine.distribution(state.x)
         if not (np.isfinite(p).all() and np.isfinite(dp).all()):
             raise NumericalError(f"the state is not finite after cycle {n}")
         imb, cfi_c, cfi_m = _readout(p, dp, imb_diag, i0, coll_idx)
-        rec[..., n] = np.vstack((imb, qfi(state.x), cfi_c, cfi_m))
-    return [StroboscopicTrace(np.arange(cycles + 1), *rec[:, b])
-            for b in range(len(engine.fields))]
+        rec[:, n, 1:] = np.column_stack((imb, qfi(state.x), cfi_c, cfi_m))
+    return [StroboscopicTrace(rows) for rows in rec]
 
 
 def stroboscopic_traces(cfg: ProbeConfig, fields: list[FieldConfig],

@@ -15,10 +15,11 @@ engine batches of model.batch_size fields.  Each piece is one call of the
 pure (metrology.stroboscopic_traces) or dephased (lindblad.noisy_fisher)
 builder, as _runs_mixed picks for any command's points; with workers > 1 a
 pool of at most one process per piece runs them.  Its table is one float
-array, allocated once, with the rows sorted by axis values so output never
-depends on completion order.  emit_table writes every CSV, WRITE_CHUNK_ROWS
-rows at a time, and every metadata sidecar, whose config_lines the CLI
-prints.
+array, allocated once: per point, sorted by axis values so output never
+depends on completion order, the point's axis values beside its trace's
+rows (metrology.TRACE_COLUMNS).  emit_table writes every CSV,
+WRITE_CHUNK_ROWS rows at a time, and every metadata sidecar, whose
+config_lines the CLI prints.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .lindblad import noisy_fisher
-from .metrology import StroboscopicTrace, stroboscopic_traces
+from .metrology import TRACE_COLUMNS, StroboscopicTrace, stroboscopic_traces
 from .model import (
     FieldConfig,
     InitConfig,
@@ -78,7 +79,6 @@ KEYS = {
 AXIS_KEYS = tuple(k for k, spec in KEYS.items() if spec.axis)
 _DEFAULTS = {k: s.default for k, s in KEYS.items() if s.default is not None}
 
-CSV_COLUMNS = ("n", "imbalance", "qfi", "cfi_comp", "cfi_coll")
 WRITE_CHUNK_ROWS = 256  # rows emit_table formats and writes at a time
 _COMMENT = re.compile(r"(?:^|\s)#")  # '#' at a line's start or after space
 
@@ -131,9 +131,9 @@ def base_config(command: str | None = None) -> RunConfig:
 def apply_dict(cfg: RunConfig, fragment: dict) -> RunConfig:
     """Merge a config fragment into `cfg`: a list makes its key a sweep
     axis, a scalar a fixed value.  Unknown keys, lists on keys that do not
-    sweep, lists with a repeated value and values below their minimum (the
-    counts', and gamma_per_Jz's 0) are ConfigErrors; a key cfg's command
-    does not read is dropped."""
+    sweep, lists with a repeated value, values below their minimum (the
+    counts', and gamma_per_Jz's 0) and empty text values are ConfigErrors;
+    a key cfg's command does not read is dropped."""
     for key, value in fragment.items():
         if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}; known keys: "
@@ -145,6 +145,8 @@ def apply_dict(cfg: RunConfig, fragment: dict) -> RunConfig:
             raise ConfigError(f"empty value list for {key!r}")
         if is_list and len(set(value)) < len(value):
             raise ConfigError(f"repeated value in the list for {key!r}")
+        if spec.parse is str and value == "":
+            raise ConfigError(f"empty value for key {key!r}")
         for v in value if is_list else [value]:
             if spec.minimum is not None and v < spec.minimum:
                 raise ConfigError(f"{key} must be >= {spec.minimum}, got {v}")
@@ -222,25 +224,12 @@ def evaluate_point(params: dict) -> StroboscopicTrace:
     return evaluate_group(params, [point_configs(params)])[0]
 
 
-def trace_rows(trace: StroboscopicTrace, key: tuple = (),
-               out: np.ndarray | None = None) -> np.ndarray:
-    """One CSV row per cycle, the axis values `key` then CSV_COLUMNS: a
-    (len(trace), len(key) + 5) float array, written into `out` if given."""
-    if out is None:
-        out = np.empty((len(trace), len(key) + len(CSV_COLUMNS)))
-    out[:, :len(key)] = key
-    for j, column in enumerate((trace.n, trace.imbalance, trace.qfi,
-                                trace.cfi_computational,
-                                trace.cfi_collective), start=len(key)):
-        out[:, j] = column
-    return out
-
-
 def run_sweep(cfg: RunConfig) -> tuple[list[str], np.ndarray]:
     """Evaluate the Cartesian product of the sweep axes (one point if none).
 
-    Returns (axis column names, table): the table holds each point's
-    trace_rows, in sorted axis-value order, in one float array.
+    Returns (axis column names, table): the table holds one row per point
+    and cycle, the point's axis values then its trace's rows, in sorted
+    axis-value order, in one float array.
     """
     fixed, axes = cfg.fixed, cfg.axes
     axis_names = [k for k in AXIS_KEYS if k in axes]
@@ -271,14 +260,12 @@ def run_sweep(cfg: RunConfig) -> tuple[list[str], np.ndarray]:
         traces = map(evaluate_group, task_params, task_configs)
     results = dict(zip(itertools.chain(*task_keys), itertools.chain(*traces)))
 
-    table = np.empty((sum(map(len, results.values())),
-                      len(axis_names) + len(CSV_COLUMNS)))
-    start = 0
-    for key in sorted(results):
-        stop = start + len(results[key])
-        trace_rows(results[key], key, table[start:stop])
-        start = stop
-    return axis_names, table
+    width = len(axis_names) + len(TRACE_COLUMNS)
+    table = np.empty((len(results), int(fixed["cycles"]) + 1, width))
+    for block, key in zip(table, sorted(results)):
+        block[:, :len(axis_names)] = key
+        block[:, len(axis_names):] = results[key].rows
+    return axis_names, table.reshape(-1, width)
 
 
 def _fmt(x) -> str:
@@ -292,7 +279,7 @@ def _fmt(x) -> str:
 
 def emit_table(axis_names: list[str], rows, out_path: str,
                resolved_config: dict | None = None,
-               columns: tuple = CSV_COLUMNS) -> None:
+               columns: tuple = TRACE_COLUMNS) -> None:
     """Write the CSV (header: axis names, then `columns`) of `rows`, a 2-D
     float array or a list of row tuples, WRITE_CHUNK_ROWS rows at a time,
     and, given the resolved config, its metadata sidecar.

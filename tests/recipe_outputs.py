@@ -8,9 +8,10 @@ checkout's src/, started in OUTDIR.  For each run OUTDIR gets its CSV, the
 and `<run>.stdout`: its standard output followed by a line `exit <code>`.
 The runs are every recipe under its own command, `fit` on the
 `fig2-scaling` table, `transition` at L = 3, n = 10 at tilt 0 and 0.1,
-one sweep of pure and dephased points on a pool of two workers, and one
+one sweep of pure and dephased points on a pool of two workers, one
 5000-cycle `simulate` at L = 2, whose table spans many of `emit_table`'s
-write chunks.
+write chunks, and one `noise` run on the unitary engine (the `fig8-noise`
+recipe runs the dephased one).
 
 Nothing in the outputs depends on the checkout, the time or the host, so
 two checkouts give the same numbers exactly when
@@ -41,6 +42,7 @@ EXTRA_RUNS = {
                     "cycles = 20\n"),
     "simulate-long": (["simulate"], "L = 2\ncycles = 5000\n"
                       "h_a_per_Jz = 1e-5\n"),
+    "noise-pure": (["noise"], "L = 3\ngamma_per_Jz = 0\ncycles = 50\n"),
 }
 
 

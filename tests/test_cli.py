@@ -65,6 +65,25 @@ def test_stray_comma_is_a_config_error_naming_its_key(tmp_path, capsys, text):
     assert "key 'L'" in err and "axes" not in err
 
 
+@pytest.mark.parametrize("command,args,text,key", [
+    ("simulate", ["--out", ""], "L = 2\ncycles = 2\n", "out"),
+    ("simulate", [], "L = 2\ncycles = 2\nout =\n", "out"),
+    ("fit", [], "in =\n", "in"),
+    ("fit", [], "in = t.csv\nx =  # empty\n", "x"),
+    ("fit", [], "in = t.csv\ny =\n", "y"),
+    ("expcalc", [], "material =\n", "material"),
+])
+def test_empty_text_value_is_a_config_error_naming_its_key(
+        tmp_path, monkeypatch, capsys, command, args, text, key):
+    # an empty path or name is refused, not run under a default while the
+    # sidecar records the empty value
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "c.cfg", text)
+    assert main([command, "--config", cfg, *args]) == 2
+    assert f"key {key!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
 def test_sweep_requires_axis(tmp_path, capsys):
     cfg = _write(tmp_path, "run.cfg", "L = 2\ncycles = 2\n")
     assert main(["sweep", "--config", cfg]) == 2

@@ -14,6 +14,7 @@ from dtc_sense.errors import (
 from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent
 from dtc_sense.lindblad import noisy_fisher
 from dtc_sense.metrology import (
+    TRACE_COLUMNS,
     StroboscopicTrace,
     _cfi_from_probs,
     _readout,
@@ -303,13 +304,9 @@ def test_fixed_time_traces_are_polynomial_beyond_the_light_cone(eps, eta, df):
 def _toy_trace(values):
     values = np.asarray(values, dtype=float)
     m = values.size - 1
-    return StroboscopicTrace(
-        n=np.arange(m + 1),
-        imbalance=np.ones(m + 1),
-        qfi=values,
-        cfi_computational=0.5 * values,
-        cfi_collective=0.25 * values,
-    )
+    return StroboscopicTrace(np.column_stack(
+        (np.arange(m + 1), np.ones(m + 1), values, 0.5 * values,
+         0.25 * values)))
 
 
 def test_time_average_running_mean():
@@ -432,6 +429,25 @@ def test_trace_initial_row_and_shape():
     assert trace.cycles == 9
     assert trace.imbalance[0] == 1.0
     assert trace.qfi[0] == 0.0
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3])
+def test_trace_columns_are_views_of_its_rows(gamma):
+    # a trace is its (cycles + 1, 5) block of rows; each named column is a
+    # read-only view of it, in TRACE_COLUMNS order, for either engine
+    cfg, fld = ProbeConfig(length=2), FieldConfig(h_a=1e-3)
+    trace = (noisy_fisher(cfg, [fld], gamma, 6)[0] if gamma
+             else stroboscopic_trace(cfg, fld, cycles=6))
+    assert TRACE_COLUMNS == ("n", "imbalance", "qfi", "cfi_comp", "cfi_coll")
+    assert trace.rows.shape == (7, len(TRACE_COLUMNS))
+    assert np.array_equal(trace.rows[:, 0], np.arange(7))
+    names = ("n", "imbalance", "qfi", "cfi_computational", "cfi_collective")
+    for j, name in enumerate(names):
+        column = getattr(trace, name)
+        assert np.shares_memory(column, trace.rows), name
+        assert np.array_equal(column, trace.rows[:, j]), name
+        with pytest.raises(AttributeError):
+            setattr(trace, name, column)
 
 
 def test_trace_matches_dense_oracle_qfi():

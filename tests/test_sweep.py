@@ -3,8 +3,8 @@ import pytest
 
 from dtc_sense import model, sweep
 from dtc_sense.errors import ConfigError, ResourceLimitError
+from dtc_sense.metrology import TRACE_COLUMNS
 from dtc_sense.sweep import (
-    CSV_COLUMNS,
     apply_dict,
     base_config,
     emit_table,
@@ -13,7 +13,6 @@ from dtc_sense.sweep import (
     point_configs,
     run_sweep,
     sidecar_path,
-    trace_rows,
 )
 
 
@@ -261,7 +260,7 @@ def _assert_rows_match_points(cfg, names, rows, points):
     assert len(by_key) == points
     for key, got in by_key.items():
         params = {**cfg.fixed, **dict(zip(names, key))}
-        ref = trace_rows(evaluate_point(params))[:, 1:]
+        ref = evaluate_point(params).rows[:, 1:]
         got = np.array(got)[:, 1:]
         scale = np.abs(ref).max(axis=0)
         assert np.all(np.abs(got - ref) <= 1e-13 * scale), key
@@ -293,7 +292,7 @@ def test_emit_table_format_and_determinism(tmp_path):
     emit_table(names, rows, str(out), cfg.resolved())
     text = out.read_text()
     lines = text.splitlines()
-    assert lines[0] == "eta," + ",".join(CSV_COLUMNS)
+    assert lines[0] == "eta," + ",".join(TRACE_COLUMNS)
     assert len(lines) == 1 + len(rows)
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
@@ -363,8 +362,8 @@ def test_emit_table_loses_and_doubles_no_row_at_a_chunk_edge(tmp_path,
 
 
 def test_run_sweep_table_is_the_stacked_trace_rows(monkeypatch):
-    # the one table run_sweep allocates holds each trace's trace_rows block,
-    # in sorted axis-value order, bit for bit
+    # the one table run_sweep allocates holds each point's axis values
+    # beside its trace's rows, in sorted axis-value order, bit for bit
     traces, evaluate_group = {}, sweep.evaluate_group
 
     def recording(params, configs):
@@ -379,8 +378,9 @@ def test_run_sweep_table_is_the_stacked_trace_rows(monkeypatch):
     names, table = run_sweep(cfg)
     assert names == ["L", "h_a_per_Jz"]
     assert sorted(traces) == [(2, 1e-3), (2, 1e-2), (3, 1e-3), (3, 1e-2)]
-    blocks = [trace_rows(traces[key], key) for key in sorted(traces)]
-    assert table.shape == (4 * 5, 2 + len(CSV_COLUMNS))
+    blocks = [np.column_stack((np.tile(key, (5, 1)), traces[key].rows))
+              for key in sorted(traces)]
+    assert table.shape == (4 * 5, 2 + len(TRACE_COLUMNS))
     assert np.array_equal(table, np.vstack(blocks))
 
 

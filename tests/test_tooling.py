@@ -230,10 +230,11 @@ def test_recipe_outputs_script_writes_every_run(tmp_path):
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     runs = [*RECIPES, "fit", "transition-tilt0", "transition-tilt0.1",
-            "sweep-mixed", "simulate-long"]
+            "sweep-mixed", "simulate-long", "noise-pure"]
     for name in runs:
         for suffix in (".csv", ".meta.txt"):
             assert (tmp_path / f"{name}{suffix}").stat().st_size > 0, name
         assert (tmp_path / f"{name}.stdout").read_text() \
             .endswith("exit 0\n"), name
-    assert (tmp_path / "fig8-noise.pointavg.csv").exists()
+    for name in ("fig8-noise", "noise-pure"):
+        assert (tmp_path / f"{name}.pointavg.csv").exists(), name
