@@ -116,7 +116,11 @@ def _cmd_fit(cfg: RunConfig, out: str | None) -> tuple:
             f"fit needs at least 3 rows with positive {x_col!r} and "
             f"{y_col!r}; {path} has {np.count_nonzero(keep)}"
         )
-    fit = power_fit(x[keep], y[keep])
+    try:
+        fit = power_fit(x[keep], y[keep])
+    except ValueError as exc:  # every x equal: no line to fit
+        raise ConfigError(f"cannot fit {y_col!r} against column {x_col!r} "
+                          f"of {path}: {exc}") from exc
     print(f"exponent = {fit.exponent:.6g}")
     print(f"prefactor = {fit.prefactor:.6g}")
     print(f"r_squared = {fit.r_squared:.8g}")

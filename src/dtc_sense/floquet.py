@@ -29,13 +29,18 @@ Batched fields.  One engine propagates B fields that share (delta_f, eta) and
 differ in h_a; a single field is B = 1.  Their state is one model.PureState,
 whose one complex array x of shape (B, 2, d^L) stacks psi and its
 h_a-derivative d psi (the tangent); each cycle takes x through the chain
-factor and the gates and stores the result as the new x.  The gates of
-all L pairs and B fields for one cycle's (Theta_1, Theta_2) units come from
-one batched eigh, with each U's derivative from the Daleckii-Krein formula
-on the eigendecomposition, written in a form exact at degenerate
-eigenvalues.  A resonant drive has two such unit pairs (equal within a
-cycle, of opposite sign in odd and even cycles), so its gates are built
-twice, and no later cycle computes an exponential.
+factor and the gates and stores the result as the new x.  A resonant
+drive has two (Theta_1, Theta_2) unit pairs (equal within a cycle, of
+opposite sign in odd and even cycles), so its gates are built twice, and no
+later cycle computes an exponential.
+
+Closed-form gates.  The exchange couples only the local states (p, q) of
+EXCHANGED; every other state gains the phase exp(-i Theta_2 w_k).  On
+(p, q), M = m + delta sigma^z + c sigma^x, with m and delta the mean and
+half difference of Theta_2 w_p and Theta_2 w_q and c = t2 J_ab =
+pi (1 - epsilon) / 2 > 0, so U = exp(-i m) (cos r - i sin(r)/r (delta
+sigma^z + c sigma^x)) with r = sqrt(delta^2 + c^2) >= c never degenerates,
+and dU/dTheta_2 follows by the chain rule: one formula for d = 2 and 4.
 
 Fused block gate.  Each pair acts on (psi, d psi) through the 2d x 2d block
 gate [[U D, 0], [dU D + U dD, U D]] (new d psi = d(U D) psi + U D d psi):
@@ -45,8 +50,8 @@ most significant digit of the basis index: the matmul contracts the
 significant place, so after L pairs the digits are back in order, at one
 matmul and one copy per pair.  This loop, apply_pair_gates, also runs the
 Lindblad engine's cycle at local dimension d^2; LindbladEngine subclasses
-FloquetEngine and reuses its field weights, exponents (_exponents),
-diagonal fold and pair-block cache (lindblad docstring).
+FloquetEngine and reuses its field weights, diagonal fold and pair-block
+cache (lindblad docstring).
 
 Horizontal gauge.  The exact d psi / d h_a gathers a phase-derivative part
 i a psi (a real, growing linearly in n: |a| = 334 at L = 6 after 50
@@ -72,11 +77,10 @@ from .model import (
     field_weights,
 )
 
-#: The pair exchange |a down, b up><a up, b down| + h.c. on the local states
-#: model.PAIR_STATES keeps at each d: it couples full local states 1 and 2
-#: only.
-_HOP = {d: np.array([[{i, j} == {1, 2} for j in k] for i in k], dtype=float)
-        for d, k in PAIR_STATES.items()}
+#: The two local states of model.PAIR_STATES, at each d, that the pair
+#: exchange |a down, b up><a up, b down| + h.c. couples: full local states 1
+#: and 2.  Every other local state only gains a phase in the exchange half.
+EXCHANGED = {d: (k.index(1), k.index(2)) for d, k in PAIR_STATES.items()}
 
 
 def theta_units(n: int, delta_f: float) -> tuple[float, float]:
@@ -107,9 +111,9 @@ def apply_pair_gates(X: np.ndarray, gates: np.ndarray) -> np.ndarray:
 class FloquetEngine:
     """Caches the chain factor and the folded pair gates for repeated cycle
     application to one FieldConfig, or a list of them sharing (delta_f, eta)
-    (module docstring).  Off resonance each cycle builds L*B fresh d x d
-    eigendecompositions and diagonal factors, small next to the statevector
-    work.  It refuses a state beyond model.batch_size's gate first.
+    (module docstring).  Off resonance each cycle builds L*B fresh
+    closed-form d x d gates and diagonal factors, small next to the
+    statevector work.  It refuses a state beyond model.batch_size's gate first.
     """
 
     mixed = False  # whether the state is a density matrix (model.batch_size)
@@ -156,30 +160,35 @@ class FloquetEngine:
         gates[..., k:, :k] += blocks[..., :k, :k] * (dlog * D)[..., None, :]
         return gates
 
-    def _exponents(self, unit: float) -> tuple[np.ndarray, np.ndarray]:
-        """Hermitian exponents M = Theta_2 w_j + t2 J_ab hop of the exchange
-        half at Theta_2 = h_a * unit, and their derivatives dM/dTheta_2 = w_j:
-        shapes (L, B, d, d) and (L, 1, d, d)."""
-        cfg = self.cfg
-        dM = self.weights[:, None, :, None] * np.eye(cfg.pair_dim)
-        M = (self.h_a * unit)[:, None, None] * dM \
-            + cfg.t2 * cfg.jab * _HOP[cfg.pair_dim]
-        return M, dM
-
     def _exchange_blocks(self, unit: float) -> np.ndarray:
-        d = self.cfg.pair_dim
-        M, dM = self._exponents(unit)
-        lam, V = np.linalg.eigh(M)
-        Vt = V.swapaxes(-1, -2)
-        f = np.exp(-1j * lam)
-        # Frechet derivative of exp(-iM) along dM/dTheta: the divided
-        # differences (f_i - f_j) / (lam_i - lam_j) of the eigenvalues, in
-        # their sinc form, which is exact in the degenerate limit
-        phi = -1j * np.exp(-0.5j * (lam[..., :, None] + lam[..., None, :])) \
-            * np.sinc((lam[..., :, None] - lam[..., None, :]) / (2 * np.pi))
-        gates = np.zeros(M.shape[:2] + (2 * d, 2 * d), dtype=complex)
-        gates[..., :d, :d] = gates[..., d:, d:] = (V * f[..., None, :]) @ Vt
-        gates[..., d:, :d] = (V @ (phi * (Vt @ dM @ V)) @ Vt) * unit
+        """Block gates [[U, 0], [dU/dh_a, U]] of the exchange half at
+        Theta_2 = h_a * unit, in closed form (module docstring): shape
+        (L, B, 2d, 2d), row j-1 for the (a_j, b_j) pair."""
+        d, c = self.cfg.pair_dim, self.cfg.t2 * self.cfg.jab
+        w = self.weights[:, None, :]  # dM/dTheta_2 (diagonal): (L, 1, d)
+        theta = self.h_a * unit
+        gates = np.zeros((len(w), len(theta), 2 * d, 2 * d), dtype=complex)
+        U, dU = gates[..., :d, :d], gates[..., d:, :d]  # dU: d/dTheta_2
+        k = np.arange(d)
+        U[..., k, k] = np.exp(-1j * theta[:, None] * w)
+        dU[..., k, k] = -1j * w * U[..., k, k]
+        # the Rabi rotation on (p, q), its scalars shaped (L, B, 1, 1)
+        pq = np.array(EXCHANGED[d])
+        wp, wq = (w[..., i, None, None] for i in pq)
+        mean, half = (wp + wq) / 2, (wp - wq) / 2  # per unit Theta_2
+        theta = theta[:, None, None]
+        delta = theta * half
+        r = np.sqrt(delta ** 2 + c ** 2)
+        cos, sinc = np.cos(r), np.sin(r) / r
+        dsinc = (cos - sinc) * delta * half / r ** 2  # d(sin(r)/r)/dTheta_2
+        sz, sx, eye = np.diag([1.0, -1.0]), np.eye(2)[::-1], np.eye(2)
+        gen = delta * sz + c * sx
+        phase = np.exp(-1j * theta * mean)
+        U[..., pq[:, None], pq] = rot = phase * (cos * eye - 1j * sinc * gen)
+        dU[..., pq[:, None], pq] = -1j * mean * rot + phase * (
+            -sinc * delta * half * eye - 1j * (dsinc * gen + sinc * half * sz))
+        gates[..., d:, d:] = U
+        dU *= unit
         return gates
 
     def _chain_step(self, state) -> np.ndarray:

@@ -44,8 +44,10 @@ engine runs its gates on (psi, d psi), and transposes back.  There is no
 time stepping and no finite difference.
 
 LindbladEngine is a FloquetEngine: it takes the same field batches, reuses
-the field weights, the exponents M_j and dM_j/dTheta, the fold of D_j and
-the block cache, and exponentiates the L*B lifted blocks as one stack.  C
+the field weights, the fold of D_j and the block cache, and exponentiates
+the L*B lifted blocks as one stack.  It forms the exponents M_j and
+dM_j/dTheta itself: the unitary engine's gates are closed-form and never
+build them.  C
 is the outer product of the unitary engine's chain factor with its
 conjugate, one d^L x d^L matrix built once per engine.
 
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .floquet import FloquetEngine, apply_pair_gates
+from .floquet import EXCHANGED, FloquetEngine, apply_pair_gates
 from .metrology import StroboscopicTrace, record_trace
 from .model import (
     FieldConfig,
@@ -143,8 +145,14 @@ class LindbladEngine(FloquetEngine):
         at Theta = h_a * unit, on the row-major vec of each pair's d x d
         block of rho: shape (L, B, 2d^2, 2d^2), row j-1 for the (a_j, b_j)
         pair."""
-        M, dM = self._exponents(unit)
-        eye = np.eye(self.cfg.pair_dim)
+        d, (p, q) = self.cfg.pair_dim, EXCHANGED[self.cfg.pair_dim]
+        eye = np.eye(d)
+        # the pure exchange half's exponents M = Theta w_j + t2 J_ab hop
+        # (hop couples floquet.EXCHANGED) and dM/dTheta = w_j: (L, B, d, d)
+        # and (L, 1, d, d)
+        dM = self.weights[:, None, :, None] * eye
+        M = (self.h_a * unit)[:, None, None] * dM
+        M[..., [p, q], [q, p]] = self.cfg.t2 * self.cfg.jab
 
         def lift(X):  # X rho - rho X as a matrix on the row-major vec of rho
             return -1j * (np.kron(X, eye) - np.kron(eye, X.swapaxes(-1, -2)))

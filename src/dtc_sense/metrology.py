@@ -221,9 +221,11 @@ def point_average(trace: StroboscopicTrace, dn: int, K: int) -> dict[str, np.nda
 
 
 def power_fit(x, y) -> FitResult:
-    """Least-squares straight line on (ln x, ln y); exponent = slope.  A
-    fit that is not finite (a prefactor beyond float range) raises
-    NumericalError."""
+    """Least-squares straight line on (ln x, ln y), in closed form:
+    exponent = slope = sum dx dy / sum dx^2 over the deviations from the
+    means.  Fewer than 3 points, data that are not positive, or x values
+    that are all equal raise ValueError; a fit that is not finite (a
+    prefactor beyond float range) raises NumericalError."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 3:
@@ -231,10 +233,15 @@ def power_fit(x, y) -> FitResult:
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("power_fit requires strictly positive data")
     lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_tot = np.sum((ly - ly.mean()) ** 2)
-    r2 = 1.0 - np.sum(resid ** 2) / ss_tot if ss_tot > 0 else 1.0
+    if lx.min() == lx.max():
+        raise ValueError(f"power_fit needs two distinct x values; every x "
+                         f"is {x[0]:g}")
+    dx, dy = lx - lx.mean(), ly - ly.mean()
+    slope = (dx @ dy) / (dx @ dx)
+    intercept = ly.mean() - slope * lx.mean()
+    resid = dy - slope * dx
+    ss_tot = dy @ dy
+    r2 = 1.0 - resid @ resid / ss_tot if ss_tot > 0 else 1.0
     with np.errstate(over="ignore"):
         fit = FitResult(float(slope), float(np.exp(intercept)), float(r2))
     if not np.isfinite([fit.exponent, fit.prefactor, fit.r_squared]).all():

@@ -17,9 +17,11 @@ builder, as _runs_mixed picks for any command's points; with workers > 1 a
 pool of at most one process per piece runs them.  Its table is one float
 array, allocated once: per point, sorted by axis values so output never
 depends on completion order, the point's axis values beside its trace's
-rows (metrology.TRACE_COLUMNS).  emit_table writes every CSV,
-WRITE_CHUNK_ROWS rows at a time, and every metadata sidecar, whose
-config_lines the CLI prints.
+rows (metrology.TRACE_COLUMNS); with no axes, the trace's rows themselves.
+Each piece's record is dropped once copied, so at most one piece is held
+beside the table (with workers > 1, those the pool has finished ahead).
+emit_table writes every CSV, WRITE_CHUNK_ROWS rows at a time, and every
+metadata sidecar, whose config_lines the CLI prints.
 """
 from __future__ import annotations
 
@@ -229,10 +231,14 @@ def run_sweep(cfg: RunConfig) -> tuple[list[str], np.ndarray]:
 
     Returns (axis column names, table): the table holds one row per point
     and cycle, the point's axis values then its trace's rows, in sorted
-    axis-value order, in one float array.
+    axis-value order, in one float array.  With no axes it is the trace's
+    rows themselves; otherwise each piece's traces are copied into it and
+    dropped before the next piece runs.
     """
     fixed, axes = cfg.fixed, cfg.axes
     axis_names = [k for k in AXIS_KEYS if k in axes]
+    if not axis_names:
+        return axis_names, evaluate_point(fixed).rows
     # every point is built and gated before any work; points that differ
     # only in h_a_per_Jz share field batches (they share gamma_per_Jz and
     # cycles, so all run pure or all dephased)
@@ -251,20 +257,26 @@ def run_sweep(cfg: RunConfig) -> tuple[list[str], np.ndarray]:
                   for i in range(0, len(configs), size)]
     task_keys, task_params, task_configs = zip(*tasks)
 
+    points = sorted(itertools.chain(*task_keys))
+    slot = {key: i for i, key in enumerate(points)}
+    width = len(axis_names) + len(TRACE_COLUMNS)
+    table = np.empty((len(points), int(fixed["cycles"]) + 1, width))
+
+    def fill(pieces):
+        pieces = iter(pieces)
+        for keys in task_keys:
+            for key, trace in zip(keys, next(pieces)):
+                table[slot[key], :, :len(axis_names)] = key
+                table[slot[key], :, len(axis_names):] = trace.rows
+            del trace  # it holds the piece's record: free that before the next
+
     workers = min(int(fixed.get("workers", 1)), len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(evaluate_group, task_params, task_configs))
+            fill(pool.map(evaluate_group, task_params, task_configs))
     else:
-        traces = map(evaluate_group, task_params, task_configs)
-    results = dict(zip(itertools.chain(*task_keys), itertools.chain(*traces)))
-
-    width = len(axis_names) + len(TRACE_COLUMNS)
-    table = np.empty((len(results), int(fixed["cycles"]) + 1, width))
-    for block, key in zip(table, sorted(results)):
-        block[:, :len(axis_names)] = key
-        block[:, len(axis_names):] = results[key].rows
+        fill(map(evaluate_group, task_params, task_configs))
     return axis_names, table.reshape(-1, width)
 
 

@@ -14,7 +14,7 @@ from scipy.linalg import expm, expm_frechet
 
 from dtc_sense.floquet import theta_units
 from dtc_sense.metrology import StroboscopicTrace
-from dtc_sense.model import FieldConfig, InitConfig, ProbeConfig
+from dtc_sense.model import PAIR_STATES, FieldConfig, InitConfig, ProbeConfig
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -90,6 +90,30 @@ def _cycle_unitary(cfg: ProbeConfig, eta: float, th1: float,
     u1 = expm(-1j * (cfg.t1 * ops["h_chain"] + th1 * g))
     u2 = expm(-1j * (cfg.t2 * ops["h_exchange"] + th2 * g))
     return _read_only(u2 @ u1)
+
+
+def dense_pair_gate(cfg: ProbeConfig, field: FieldConfig, site: int,
+                    n: int) -> np.ndarray:
+    """[[V, 0], [dV/dh_a, V]] of pair `site` in cycle n, with V the
+    exchange-half gate after the diagonal half's pair factor, on the pair's
+    cfg.pair_dim local states (model.PAIR_STATES).  Each half is scipy
+    `expm` of the block generator [[-i M, 0], [-i unit dM, -i M]], whose
+    lower-left block is d exp(-i M)/dh_a (Van Loan, IEEE Trans. Autom.
+    Control 23, 395 (1978)): dM = site (sz_a + eta sz_b) and M = Theta dM,
+    plus t2 J_ab (s+_a s-_b + s-_a s+_b) in the exchange half, built from
+    two-qubit Pauli operators (a the low bit)."""
+    keep = np.ix_(PAIR_STATES[cfg.pair_dim], PAIR_STATES[cfg.pair_dim])
+    dM = (site * (embed(SZ, 0, 2) + field.eta * embed(SZ, 1, 2)))[keep]
+    hop = (embed(SP, 0, 2) @ embed(SM, 1, 2)
+           + embed(SM, 0, 2) @ embed(SP, 1, 2))[keep]
+    gate = np.eye(2 * len(dM))
+    for unit, h0 in zip(theta_units(n, field.delta_f),
+                        (0.0 * hop, cfg.t2 * cfg.jab * hop)):
+        M = field.h_a * unit * dM + h0
+        gen = np.block([[-1j * M, np.zeros_like(M)],
+                        [-1j * unit * dM, -1j * M]])
+        gate = expm(gen) @ gate
+    return gate
 
 
 def dense_evolve(cfg: ProbeConfig, field: FieldConfig, cycles: int,

@@ -1,6 +1,8 @@
-"""Write the outputs of every recipe, and of a few other runs, to one directory.
+"""Write the outputs of every recipe, and of a few other runs, to one
+directory; or compare two such directories.
 
     python tests/recipe_outputs.py OUTDIR
+    python tests/recipe_outputs.py --compare BEFORE AFTER
 
 Each run is one `python -m dtc_sense.cli` process on the package in this
 checkout's src/, started in OUTDIR.  For each run OUTDIR gets its CSV, the
@@ -20,14 +22,24 @@ two checkouts give the same numbers exactly when
     python tests/recipe_outputs.py /tmp/after
     diff -r /tmp/before /tmp/after
 
-prints nothing.  The file is not a test module; pytest does not collect it.
+prints nothing.  Where they differ, `--compare` prints one line per file:
+`identical`, `differs` (a file that is not a CSV, or a CSV whose header or
+row count changed) or `only in BEFORE|AFTER`; and for each column of a CSV
+that changed, the largest absolute change and the largest relative change
+|a - b| / max(|a|, |b|) over its rows (0 where both are 0; a text column
+reads `identical` or `differs`).  It exits 1 if some file is missing from
+one side or differs in shape, else 0.  The file is not a test module;
+pytest does not collect it.
 """
 from __future__ import annotations
 
+import csv
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -81,7 +93,56 @@ def main(outdir: str) -> int:
     return failed
 
 
+def _column_change(before: list[str], after: list[str]) -> str:
+    """The largest absolute and relative change between two columns of
+    values, or `identical`/`differs` for a column that is not numeric."""
+    try:
+        a, b = np.array(before, dtype=float), np.array(after, dtype=float)
+    except ValueError:
+        return "identical" if before == after else "differs"
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    diff = np.where(same, 0.0, np.abs(a - b))
+    scale = np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=~same)
+    return f"{diff.max():10.2g} {rel.max():10.2g}"
+
+
+def compare(before: str, after: str) -> tuple[list[str], bool]:
+    """The table `--compare` prints (module docstring), and whether every
+    file is on both sides with the same shape."""
+    roots = Path(before), Path(after)
+    names = sorted({p.name for root in roots for p in root.iterdir()})
+    width = max(map(len, names), default=4)
+    lines = [f"{'file':<{width}} {'column':<14} {'max abs':>10} "
+             f"{'max rel':>10}"]
+    whole = True
+    for name in names:
+        a, b = (root / name for root in roots)
+        if not (a.exists() and b.exists()):
+            lines.append(f"{name:<{width}} only in "
+                         f"{roots[0] if a.exists() else roots[1]}")
+            whole = False
+            continue
+        if a.read_bytes() == b.read_bytes():
+            lines.append(f"{name:<{width}} identical")
+            continue
+        ta, tb = (list(csv.reader(p.read_text().splitlines())) for p in (a, b))
+        if a.suffix != ".csv" or ta[0] != tb[0] or len(ta) != len(tb):
+            lines.append(f"{name:<{width}} differs")
+            whole &= a.suffix != ".csv"
+            continue
+        for j, column in enumerate(ta[0]):
+            change = _column_change(*([row[j] for row in t[1:]]
+                                      for t in (ta, tb)))
+            lines.append(f"{name:<{width}} {column:<14} {change}")
+    return lines, whole
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        table, whole = compare(sys.argv[2], sys.argv[3])
+        print(*table, sep="\n")
+        sys.exit(0 if whole else 1)
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     sys.exit(1 if main(sys.argv[1]) else 0)

@@ -183,6 +183,17 @@ def test_fit_too_few_points(tmp_path, capsys):
     assert "at least 3 rows" in capsys.readouterr().err
 
 
+def test_fit_on_equal_abscissae_is_a_config_error(tmp_path, capsys):
+    # three rows at L = 3 (n = 10) leave no line in ln L to fit
+    table = _write(tmp_path, "t.csv", "L,n,qfi\n3,10,1\n3,10,2\n3,10,4\n")
+    cfg = _write(tmp_path, "f.cfg", f"in = {table}\n")
+    fit_out = tmp_path / "fit.csv"
+    assert main(["fit", "--config", cfg, "--out", str(fit_out)]) == 2
+    captured = capsys.readouterr()
+    assert "column 'L'" in captured.err and "distinct" in captured.err
+    assert "exponent =" not in captured.out and not fit_out.exists()
+
+
 @pytest.mark.parametrize("out", [False, True])
 def test_fit_beyond_float_range_is_a_numerical_error(tmp_path, capsys, out):
     # y = x * 1e600: the exponent is 1 but the prefactor overflows to inf

@@ -11,7 +11,12 @@ import oracles
 from dtc_sense.errors import NumericalError
 from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent, theta_units
 from dtc_sense.lindblad import noisy_fisher
-from dtc_sense.metrology import _readout, qfi_pure, stroboscopic_trace
+from dtc_sense.metrology import (
+    _readout,
+    qfi_pure,
+    stroboscopic_trace,
+    stroboscopic_traces,
+)
 from dtc_sense.model import (
     FieldConfig,
     InitConfig,
@@ -130,6 +135,48 @@ def test_exchange_blocks_match_scipy_expm_and_frechet(d, eta):
                                                 compute_expm=False))
             for got, ref in zip((block[:d, :d], block[d:, :d]), refs):
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 4]), L=st.integers(1, 4),
+       eps=st.floats(0.0, 0.99), eta=st.floats(0.0, 0.9),
+       log_h=st.none() | st.floats(-8.0, 8.0),
+       df=st.just(0.0) | st.floats(-0.3, 0.3), n=st.integers(1, 6))
+def test_pair_gates_match_dense_block_exponentials(d, L, eps, eta, log_h, df,
+                                                   n):
+    # the closed-form folded gates [[U D, 0], [d(U D)/dh_a, U D]] against
+    # scipy expm of each half's block generator, over both signs of the
+    # Theta units (odd and even n).  A phase Theta w is itself rounded to
+    # eps |Theta w|, which no evaluation of U undoes, so the tolerance is
+    # 1e-12 of the block's largest entry times max(1, |Theta w|)
+    h_a = 0.0 if log_h is None else 10.0 ** log_h
+    cfg = ProbeConfig(length=L, epsilon=eps, pair_dim=d)
+    fld = FieldConfig(h_a=h_a, delta_f=df, eta=eta)
+    gates = FloquetEngine(cfg, fld).pair_gates(n)
+    phase = h_a * max(map(abs, theta_units(n, df))) * L * (1 + eta)
+    for site, gate in zip(range(1, L + 1), gates):
+        ref = oracles.dense_pair_gate(cfg, fld, site, n)
+        assert np.max(np.abs(gate[0] - ref)) \
+            <= 1e-12 * max(1.0, phase) * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("tilt", [0.0, 0.1])
+def test_pure_traces_call_no_linear_algebra(monkeypatch, tilt):
+    # the unitary engine's gates are closed-form: a d = 2 (tilt 0) and a
+    # d = 4 trace run with every numpy.linalg function refusing to run
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called on the pure-state path")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    cfg, init = ProbeConfig(length=3), InitConfig(tilt=tilt)
+    assert engine_probe(cfg, init).pair_dim == (2 if tilt == 0.0 else 4)
+    fields = [FieldConfig(h_a=h, delta_f=0.01) for h in (0.0, 1e-3)]
+    for trace in stroboscopic_traces(cfg, fields, init, cycles=4):
+        assert np.all(trace.qfi[1:] > 0)
+    with pytest.raises(AssertionError, match="numpy.linalg"):
+        np.linalg.eigh(np.eye(2))
 
 
 def test_diagonal_half_preserves_norm():

@@ -369,6 +369,28 @@ def test_power_fit_validation():
         power_fit([1e-300, 2e-300, 4e-300], [1e300, 2e300, 4e300])
 
 
+@pytest.mark.parametrize("x", [[3.0, 3.0, 3.0], [0.1] * 7])
+def test_power_fit_refuses_equal_abscissae(x):
+    # points that share one ln x fix no line: a ValueError, where a least-
+    # squares solver would return a slope behind a rank warning
+    with pytest.raises(ValueError, match="two distinct x values"):
+        power_fit(x, 2.0 ** np.arange(len(x)))
+
+
+def test_power_fit_is_the_least_squares_line():
+    # the closed form against the normal equations solved by numpy
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(0.5, 20.0, 9), rng.uniform(0.1, 5.0, 9)
+    fit = power_fit(x, y)
+    A = np.column_stack((np.log(x), np.ones(9)))
+    slope, intercept = np.linalg.lstsq(A, np.log(y), rcond=None)[0]
+    assert fit.exponent == pytest.approx(slope, rel=1e-12)
+    assert fit.prefactor == pytest.approx(np.exp(intercept), rel=1e-12)
+    resid = np.log(y) - A @ (slope, intercept)
+    r2 = 1 - resid @ resid / np.sum((np.log(y) - np.log(y).mean()) ** 2)
+    assert fit.r_squared == pytest.approx(r2, rel=1e-12)
+
+
 # ----------------------------------------------------------- peak location
 
 def test_golden_section_finds_interior_peak():

@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from dtc_sense import model, sweep
+from dtc_sense import metrology, model, sweep
 from dtc_sense.errors import ConfigError, ResourceLimitError
 from dtc_sense.metrology import TRACE_COLUMNS
 from dtc_sense.sweep import (
@@ -382,6 +384,44 @@ def test_run_sweep_table_is_the_stacked_trace_rows(monkeypatch):
               for key in sorted(traces)]
     assert table.shape == (4 * 5, 2 + len(TRACE_COLUMNS))
     assert np.array_equal(table, np.vstack(blocks))
+
+
+def test_simulate_table_is_its_trace_record(monkeypatch):
+    # with no axes the table is the trace's rows, not a copy of them
+    traces, record_trace = [], metrology.record_trace
+
+    def recording(*args):
+        traces.extend(record_trace(*args))
+        return traces
+
+    monkeypatch.setattr(metrology, "record_trace", recording)
+    names, table = run_sweep(_tiny_cfg(cycles=3))
+    assert names == [] and len(traces) == 1
+    assert np.shares_memory(table, traces[0].rows)
+
+
+@pytest.mark.parametrize("fields", [1, 3])
+def test_sweep_frees_each_piece_before_the_next_runs(monkeypatch, fields):
+    # a piece's record lives only until its rows are in the table, so at
+    # most one piece is held beside it: three pieces, two of them split
+    # from one group by the state budget when fields = 3
+    monkeypatch.setattr(model, "PURE_STATE_MAX_DIM", 16)  # 2 per piece at L=3
+    records, live, evaluate_group = [], [], sweep.evaluate_group
+
+    def recording(params, configs):
+        live.append(sum(ref() is not None for ref in records))
+        batch = evaluate_group(params, configs)
+        records.append(weakref.ref(batch[0].rows.base))
+        return batch
+
+    monkeypatch.setattr(sweep, "evaluate_group", recording)
+    cfg = _tiny_cfg(cycles=4)
+    h_a = [1e-3, 1e-2, 0.1][:fields]
+    apply_dict(cfg, {"L": [2, 3] if fields == 3 else [1, 2, 3],
+                     "h_a_per_Jz": h_a if fields > 1 else h_a[0]})
+    names, table = run_sweep(cfg)
+    assert live == [0] * len(records) and len(records) == 3
+    assert not any(ref() for ref in records)
 
 
 def test_emit_table_refuses_empty_rows(tmp_path):

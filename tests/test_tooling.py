@@ -238,3 +238,33 @@ def test_recipe_outputs_script_writes_every_run(tmp_path):
             .endswith("exit 0\n"), name
     for name in ("fig8-noise", "noise-pure"):
         assert (tmp_path / f"{name}.pointavg.csv").exists(), name
+
+
+def test_recipe_outputs_compare_prints_each_column_change(tmp_path):
+    # --compare: a byte-identical file reads `identical`; a changed CSV
+    # gives each column's largest absolute and relative change (a text
+    # column: `differs`); a file on one side only makes it exit 1
+    script = ROOT / "tests" / "recipe_outputs.py"
+    before, after = tmp_path / "before", tmp_path / "after"
+    for root, table in ((before, "n,qfi,name\n0,2,x\n1,4,y\n"),
+                        (after, "n,qfi,name\n0,2.5,x\n1,4,z\n")):
+        root.mkdir()
+        (root / "t.csv").write_text(table)
+        (root / "t.stdout").write_text("exit 0\n")
+
+    def compare():
+        return subprocess.run([sys.executable, str(script), "--compare",
+                               str(before), str(after)],
+                              capture_output=True, text=True, timeout=60)
+
+    proc = compare()
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["file", "column", "max", "abs", "max", "rel"],
+        ["t.csv", "n", "0", "0"], ["t.csv", "qfi", "0.5", "0.2"],
+        ["t.csv", "name", "differs"], ["t.stdout", "identical"]]
+    (after / "u.csv").write_text("n\n0\n")
+    proc = compare()
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[-1].split() == ["u.csv", "only", "in",
+                                                    str(after)]
