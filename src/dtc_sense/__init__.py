@@ -7,9 +7,10 @@ search, the Cramer-Rao sensitivity in experimental units) and a
 reproducible sweep CLI.
 
 The public names below load their submodule on first use (PEP 562), so
-`import dtc_sense` costs only the error classes, and building an engine
-imports only `model` and `floquet`.  No public name is also a submodule,
-whose import would bind the module over it.
+`import dtc_sense` costs only the error classes.  The unitary engine loads
+only `model` and `floquet`, the density-matrix engine adds `lindblad`, and
+neither loads the readout layer, `metrology`.  No public name is also a
+submodule, whose import would bind the module over it.
 """
 import importlib
 
@@ -26,7 +27,7 @@ from .errors import (
 #: Each lazily loaded public name and the submodule that defines it.
 _SUBMODULE_OF = {
     name: module for module, names in (
-        ("model", ("FieldConfig", "InitConfig", "ProbeConfig", "PureState",
+        ("model", ("EngineState", "FieldConfig", "InitConfig", "ProbeConfig",
                    "build_initial_state", "observable_diagonal")),
         ("floquet", ("FloquetEngine", "initial_state_with_tangent",
                      "theta_units")),
@@ -35,7 +36,7 @@ _SUBMODULE_OF = {
                        "find_transition", "material_record", "point_average",
                        "power_fit", "qfi_bound", "qfi_mixed", "qfi_pure",
                        "stroboscopic_trace", "stroboscopic_traces")),
-        ("lindblad", ("LindbladEngine", "MixedState", "initial_mixed_state",
+        ("lindblad", ("LindbladEngine", "initial_mixed_state",
                       "noisy_fisher")),
     ) for name in names
 }

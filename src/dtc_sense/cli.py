@@ -106,7 +106,11 @@ def _cmd_fit(cfg: RunConfig, out: str | None) -> tuple:
         if col not in names:
             raise ConfigError(f"column {col!r} not in {path} (has {names})")
     if "n" in names and x_col != "n":
-        n_sel = cfg.get("n", int(data["n"].max()))
+        n_sel = cfg.get("n") or data["n"].max()  # a given n is >= 1
+        if not np.isfinite(n_sel):
+            raise ConfigError(f"column 'n' of {path} holds {n_sel:g}; "
+                              "give n = <cycle> to pick the rows to fit")
+        n_sel = int(n_sel)
         data = data[data["n"] == n_sel]
         print(f"# fitting rows at n = {n_sel}")
     x, y = data[x_col], data[y_col]

@@ -26,13 +26,14 @@ Theta (the square-pulse/accumulated-phase approximation); there is no
 sub-half-period time stepping.  Theta = h_a * theta_units(n, delta_f).
 
 Batched fields.  One engine propagates B fields that share (delta_f, eta) and
-differ in h_a; a single field is B = 1.  Their state is one model.PureState,
-whose one complex array x of shape (B, 2, d^L) stacks psi and its
-h_a-derivative d psi (the tangent); each cycle takes x through the chain
-factor and the gates and stores the result as the new x.  A resonant
-drive has two (Theta_1, Theta_2) unit pairs (equal within a cycle, of
-opposite sign in odd and even cycles), so its gates are built twice, and no
-later cycle computes an exponential.
+differ in h_a; a single field is B = 1.  Their state is one
+model.EngineState, the state class of both engines, whose one complex array
+x of shape (B, 2, d^L) stacks psi and its h_a-derivative d psi (the
+tangent); each cycle takes x through the chain factor and the gates and
+stores the result as the new x.  A resonant drive has two (Theta_1,
+Theta_2) unit pairs (equal within a cycle, of opposite sign in odd and even
+cycles), so its gates are built twice, and no later cycle computes an
+exponential.
 
 Closed-form gates.  The exchange couples only the local states (p, q) of
 EXCHANGED; every other state gains the phase exp(-i Theta_2 w_k).  On
@@ -67,10 +68,10 @@ import numpy as np
 
 from .model import (
     PAIR_STATES,
+    EngineState,
     FieldConfig,
     InitConfig,
     ProbeConfig,
-    PureState,
     batch_size,
     build_initial_state,
     chain_interaction_diagonal,
@@ -202,7 +203,7 @@ class FloquetEngine:
                              f"d={self.cfg.pair_dim} (expect {shape})")
         return self.chain * state.x
 
-    def apply_cycle(self, state: PureState, n: int) -> PureState:
+    def apply_cycle(self, state: EngineState, n: int) -> EngineState:
         """Advance `state` by cycle n (in place) and return it: the chain
         factor acts first, then the L folded pair gates (disjoint supports,
         order-independent), then the horizontal gauge."""
@@ -220,7 +221,7 @@ class FloquetEngine:
 
 
 def initial_state_with_tangent(cfg: ProbeConfig,
-                               init: InitConfig | None = None) -> PureState:
+                               init: InitConfig | None = None) -> EngineState:
     """The initial state with a zero h_a-tangent: the B = 1 stack."""
     psi = build_initial_state(cfg, init)
-    return PureState(np.stack((psi, np.zeros_like(psi)))[None])
+    return EngineState(np.stack((psi, np.zeros_like(psi)))[None])

@@ -35,36 +35,35 @@ A_j]]) with E_j = dA_j/dTheta (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
 30, 1639 (2009)), and D_j, diagonal on the pair's vec, is folded into it
 as in the unitary engine: [[S_j D_j, 0], [dS_j D_j + S_j dD_j, S_j D_j]].
 The chain factor needs no derivative.  The state of B fields is one
-MixedState, whose one array x of shape (B, 2, d^L, d^L) stacks each rho and
-its d rho.  So a cycle multiplies x by C once, transposes it into the
-(B, 2, d^(2L)) layout with one digit (z_j, z'_j), the row-major vec of the
-pair's d x d block, per pair (pair 1 least significant), runs the L blocks
-through floquet.apply_pair_gates at local dimension d^2, as the unitary
-engine runs its gates on (psi, d psi), and transposes back.  There is no
-time stepping and no finite difference.
+model.EngineState, as in the unitary engine, whose one array x of shape
+(B, 2, d^L, d^L) stacks each rho and its d rho.  So a cycle multiplies x by
+C once, transposes it into the (B, 2, d^(2L)) layout with one digit (z_j,
+z'_j), the row-major vec of the pair's d x d block, per pair (pair 1 least
+significant), runs the L blocks through floquet.apply_pair_gates at local
+dimension d^2, as the unitary engine runs its gates on (psi, d psi), and
+transposes back.  There is no time stepping and no finite difference.
 
 LindbladEngine is a FloquetEngine: it takes the same field batches, reuses
 the field weights, the fold of D_j and the block cache, and exponentiates
 the L*B lifted blocks as one stack.  It forms the exponents M_j and
 dM_j/dTheta itself: the unitary engine's gates are closed-form and never
-build them.  C
-is the outer product of the unitary engine's chain factor with its
-conjugate, one d^L x d^L matrix built once per engine.
+build them.  C is the outer product of the unitary engine's chain factor
+with its conjugate, one d^L x d^L matrix built once per engine.
 
 noisy_fisher has no readout of its own: metrology.record_trace, the loop
 the pure-state traces run too, reads (diag rho, diag d rho) of every field
-through LindbladEngine.distribution and returns one trace per field.
+through LindbladEngine.distribution and returns one trace per field.  It is
+imported on the call: the layers read model <- floquet <- lindblad <-
+metrology, and building an engine loads no readout code.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .floquet import EXCHANGED, FloquetEngine, apply_pair_gates
-from .metrology import StroboscopicTrace, record_trace
 from .model import (
+    EngineState,
     FieldConfig,
     InitConfig,
     ProbeConfig,
@@ -74,18 +73,6 @@ from .model import (
 )
 
 _TAYLOR_DEGREE = 16
-
-
-@dataclass
-class MixedState:
-    """The (B, 2, d^L, d^L) stack of B fields' density matrices rho and
-    their h_a-derivatives d rho (the tangent), the array the Lindblad
-    engine runs, with the dephasing rate."""
-
-    x: np.ndarray
-    gamma: float = 0.0
-    rho = property(lambda self: self.x[:, 0])
-    tangent = property(lambda self: self.x[:, 1])
 
 
 def hamming_distance_matrix(pair_dim: int) -> np.ndarray:
@@ -168,7 +155,7 @@ class LindbladEngine(FloquetEngine):
         diag = np.diagonal(X, axis1=-2, axis2=-1).real
         return diag[:, 0], diag[:, 1]
 
-    def apply_cycle(self, state: MixedState, n: int) -> MixedState:
+    def apply_cycle(self, state: EngineState, n: int) -> EngineState:
         """Advance `state` by cycle n (in place; module docstring)."""
         Y = self._chain_step(state)
         digits = Y.shape[:2] + (self.cfg.pair_dim,) * (2 * self.cfg.length)
@@ -180,17 +167,18 @@ class LindbladEngine(FloquetEngine):
 
 
 def initial_mixed_state(cfg: ProbeConfig, init: InitConfig | None = None,
-                        gamma: float = 0.0) -> MixedState:
+                        gamma: float = 0.0) -> EngineState:
     """The initial state's projector with a zero d rho / d h_a: the B = 1
-    stack."""
+    stack.  `gamma` is unread, kept only for perfbench/setup_probe.py's
+    three positional arguments until that probe changes (ROADMAP item 1)."""
     psi = build_initial_state(cfg, init)
     rho = np.outer(psi, psi.conj())
-    return MixedState(np.stack((rho, np.zeros_like(rho)))[None], gamma)
+    return EngineState(np.stack((rho, np.zeros_like(rho)))[None])
 
 
 def noisy_fisher(cfg: ProbeConfig, fields: list[FieldConfig], gamma: float,
                  cycles: int,
-                 init: InitConfig | None = None) -> list[StroboscopicTrace]:
+                 init: InitConfig | None = None) -> list:
     """Mixed-state imbalance, QFI and CFIs at every cycle n = 0..cycles
     under dephasing, recorded by metrology.record_trace: one trace per field
     (all sharing delta_f and eta), as metrology.stroboscopic_traces gives.
@@ -203,6 +191,7 @@ def noisy_fisher(cfg: ProbeConfig, fields: list[FieldConfig], gamma: float,
     ResourceLimitError (from the engine), and the mixed QFI NumericalError
     on trace drift or negative eigenvalues.
     """
+    from .metrology import record_trace  # the readout layer sits above
     cfg = engine_probe(cfg, init)
     engine = LindbladEngine(cfg, fields, gamma)
-    return record_trace(engine, initial_mixed_state(cfg, init, gamma), cycles)
+    return record_trace(engine, initial_mixed_state(cfg, init), cycles)

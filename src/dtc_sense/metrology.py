@@ -143,15 +143,15 @@ def qfi_bound(cfg: ProbeConfig, n: int) -> float:
 
 def record_trace(engine: FloquetEngine, state,
                  cycles: int) -> list[StroboscopicTrace]:
-    """Repeat the B = 1 start `state` (a PureState or MixedState) over the
-    engine's fields, step it through `cycles` periods of `engine`, in place,
-    and record at every stroboscopic time n = 0..cycles the imbalance (over
-    the initial state's, i0) and both CFIs from engine.distribution(state.x),
-    and the QFI of state.x (qfi_mixed if engine.mixed, else qfi_pure): one
-    trace per field, whose rows are a block of one record.  A negative
-    `cycles` raises ConfigError.  NumericalError: a vanishing i0, before
-    the first cycle, and a state not finite after a cycle, before that
-    cycle's readout."""
+    """Repeat the B = 1 start `state`, a model.EngineState of psi or rho,
+    over the engine's fields, step it through `cycles` periods of `engine`,
+    in place, and record at every stroboscopic time n = 0..cycles the
+    imbalance (over the initial state's, i0) and both CFIs from
+    engine.distribution(state.x), and the QFI of state.x (qfi_mixed if
+    engine.mixed, else qfi_pure): one trace per field, whose rows are a
+    block of one record.  A negative `cycles` raises ConfigError.
+    NumericalError: a vanishing i0, before the first cycle, and a state not
+    finite after a cycle, before that cycle's readout."""
     if cycles < 0:
         raise ConfigError(f"cycles must be >= 0, got {cycles}")
     state.x = np.repeat(state.x, len(engine.fields), axis=0)
@@ -321,18 +321,27 @@ def expcalc(f_pair_hz: float, coherence_s: float, length: int,
     equals t2 (the timing-limited convention); n_max periods fit into the
     coherence window, and the shot rate is what is left.  The sensitivity
     is the Cramer-Rao limit on qfi_bound at n_max, in the caller's field
-    units through `unit_scale` (see calibrate_unit_scale)."""
+    units through `unit_scale` (see calibrate_unit_scale).  Inputs whose
+    budget or Fisher information is beyond float range raise ConfigError."""
     if not all(0.0 < x < np.inf for x in (f_pair_hz, coherence_s, unit_scale)):
         raise ConfigError("pair frequency, coherence time and unit scale must "
                           "be finite and positive")
     probe = ProbeConfig(length=length)  # ProbeConfig's rule for L
     t2_s = 1.0 / (2.0 * np.pi * f_pair_hz)
     period_s = t2_s
-    n_max = int(np.floor(coherence_s / period_s))
+    n_max = float(np.floor(coherence_s / period_s))  # whole, or inf
     if n_max < 1:
         raise ConfigError(f"coherence_s = {coherence_s:g} s is shorter than "
                           f"one drive period ({period_s * 1e3:.6g} ms)")
     shots_per_s = 1.0 / (n_max * period_s)
+    try:  # int(inf), or qfi_bound's exact integer beyond float range
+        information = qfi_bound(probe, int(n_max)) * shots_per_s
+    except OverflowError:
+        information = np.inf
+    if not information < np.inf:
+        raise ConfigError(f"f_pair_hz = {f_pair_hz:g} and coherence_s = "
+                          f"{coherence_s:g} give a budget of {n_max:g} drive "
+                          "periods, whose Fisher information overflows")
     return {
         "f_pair_hz": f_pair_hz,
         "coherence_s": coherence_s,
@@ -340,10 +349,9 @@ def expcalc(f_pair_hz: float, coherence_s: float, length: int,
         "unit_scale": unit_scale,
         "t2_ms": t2_s * 1e3,
         "period_ms": period_s * 1e3,
-        "n_max": float(n_max),
+        "n_max": n_max,
         "shots_per_s": shots_per_s,
-        "sensitivity": unit_scale / np.sqrt(qfi_bound(probe, n_max)
-                                            * shots_per_s),
+        "sensitivity": unit_scale / np.sqrt(information),
         # the large-L form, coeff / L^2, whose coefficient experimental
         # papers tend to quote
         "sensitivity_coeff_per_l2":

@@ -111,18 +111,12 @@ class InitConfig:
 
 
 @dataclass
-class PureState:
-    """The (B, 2, d^L) stack of B fields' statevectors over the d^L basis
-    states of the probe config and their tangents, the array the Floquet
-    engine runs (floquet docstring).
-
-    The tangent x[:, 1] carries the derivative of the amplitudes x[:, 0]
-    with respect to the field amplitude h_a up to a phase term i a psi, as
-    the Floquet engine co-propagates it.
-    """
+class EngineState:
+    """The stack x either engine runs: B fields' states x[:, 0], psi of shape
+    d^L or rho of shape (d^L, d^L), and their h_a-tangents x[:, 1] (psi's
+    up to a phase term i a psi; floquet and lindblad docstrings)."""
 
     x: np.ndarray
-    amplitudes = property(lambda self: self.x[:, 0])
     tangent = property(lambda self: self.x[:, 1])
 
 

@@ -256,7 +256,7 @@ def test_c12_zero_noise_consistency():
     worst_trace = 0.0
     worst_eig = 0.0
     for n in range(1, 21):
-        rho = engine.apply_cycle(state, n).rho[0]
+        rho = engine.apply_cycle(state, n).x[0, 0]
         imb = (imb_diag @ np.diag(rho).real) / i0
         worst_imb = max(worst_imb, abs(imb - unitary.imbalance[n]))
         worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))

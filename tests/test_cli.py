@@ -194,6 +194,29 @@ def test_fit_on_equal_abscissae_is_a_config_error(tmp_path, capsys):
     assert "exponent =" not in captured.out and not fit_out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fit_on_a_non_finite_n_column_is_a_config_error(tmp_path, capsys,
+                                                        value):
+    # with no `n` key, fit picks the last cycle, int(max of column n): a nan
+    # there raised ValueError and an inf OverflowError, with a traceback
+    table = _write(tmp_path, "t.csv",
+                   f"L,n,qfi\n3,10,1\n4,10,2\n5,{value},4\n6,10,8\n")
+    cfg = _write(tmp_path, "f.cfg", f"in = {table}\n")
+    fit_out = tmp_path / "fit.csv"
+    assert main(["fit", "--config", cfg, "--out", str(fit_out)]) == 2
+    err = capsys.readouterr().err
+    assert "column 'n'" in err and table in err and value in err
+    assert not fit_out.exists()
+
+
+def test_fit_with_an_n_key_skips_a_non_finite_row(tmp_path, capsys):
+    table = _write(tmp_path, "t.csv",
+                   "L,n,qfi\n3,10,1\n4,10,2\n5,nan,4\n6,10,8\n")
+    cfg = _write(tmp_path, "f.cfg", f"in = {table}\nn = 10\n")
+    assert main(["fit", "--config", cfg]) == 0
+    assert "fitting rows at n = 10" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("out", [False, True])
 def test_fit_beyond_float_range_is_a_numerical_error(tmp_path, capsys, out):
     # y = x * 1e600: the exponent is 1 but the prefactor overflows to inf
@@ -547,6 +570,26 @@ def test_expcalc_material_with_custom_inputs(tmp_path, capsys):
                  "material = Er\nf_pair_hz = 60\ncoherence_s = 0.1\n")
     assert main(["expcalc", "--config", cfg]) == 2
     assert "material preset instead" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("f_pair_hz, coherence_s", [
+    pytest.param(1e300, 1e300, id="infinite-budget"),
+    pytest.param(60, 1e300, id="bound-overflows"),
+    pytest.param(1e200, 1e-50, id="rate-overflows"),
+])
+def test_expcalc_budget_beyond_float_range_is_a_config_error(
+        tmp_path, capsys, f_pair_hz, coherence_s):
+    # an infinite cycle budget used to raise OverflowError in int(), and a
+    # finite one whose integer qfi_bound overflows the float division did
+    # too (exit 1, with a traceback); a bound times a shot rate beyond float
+    # range gave a sensitivity of 0
+    cfg = _write(tmp_path, "e.cfg", f"f_pair_hz = {f_pair_hz}\n"
+                 f"coherence_s = {coherence_s}\nL = 3\n")
+    out = tmp_path / "exp.csv"
+    assert main(["expcalc", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "f_pair_hz" in err and "coherence_s" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_expcalc_unknown_material(tmp_path, capsys):

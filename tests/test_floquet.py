@@ -203,12 +203,12 @@ def test_ideal_cycle_inverts_imbalance():
     cfg = ProbeConfig(length=3, epsilon=0.0)
     engine = FloquetEngine(cfg, FieldConfig())
     state = initial_state_with_tangent(cfg)
-    i0 = observable_diagonal(cfg) @ np.abs(state.amplitudes[0]) ** 2
+    i0 = observable_diagonal(cfg) @ np.abs(state.x[0, 0]) ** 2
     for n, expected in ((1, -1.0), (2, 1.0)):
         engine.apply_cycle(state, n)
-        imb = observable_diagonal(cfg) @ np.abs(state.amplitudes[0]) ** 2
+        imb = observable_diagonal(cfg) @ np.abs(state.x[0, 0]) ** 2
         assert imb / i0 == pytest.approx(expected, abs=1e-12)
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(state.x[:, 0]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_apply_cycle_rejects_wrong_dimension():
@@ -234,7 +234,7 @@ def test_gate_order_is_irrelevant():
     assert np.allclose(out_fwd, out_rev, atol=1e-12)
     # the fused pass (pair L first) gives the same state
     state = initial_state_with_tangent(cfg, InitConfig(tilt=0.1))
-    assert np.allclose(engine.apply_cycle(state, 1).amplitudes, out_fwd,
+    assert np.allclose(engine.apply_cycle(state, 1).x[:, 0], out_fwd,
                        atol=1e-12)
 
 
@@ -247,7 +247,7 @@ def test_zero_crosstalk_matches_dedicated_path():
     for n in range(1, 6):
         e1.apply_cycle(s1, n)
         e2.apply_cycle(s2, n)
-    assert np.allclose(s1.amplitudes, s2.amplitudes, atol=1e-12)
+    assert np.allclose(s1.x[:, 0], s2.x[:, 0], atol=1e-12)
 
 
 # ------------------------------------------------------ dense-oracle checks
@@ -267,7 +267,7 @@ def test_engine_matches_dense_expm(L, eps, h, df, eta, tilt):
     state = initial_state_with_tangent(cfg, init)
     for n in range(1, 7):
         engine.apply_cycle(state, n)
-        assert np.allclose(state.amplitudes, dense[n], atol=1e-12), \
+        assert np.allclose(state.x[:, 0], dense[n], atol=1e-12), \
             f"divergence from dense oracle at cycle {n}"
 
 
@@ -311,7 +311,7 @@ def test_zero_field_tangent_matches_finite_difference():
     state = initial_state_with_tangent(cfg)
     for n in range(1, 21):
         engine.apply_cycle(state, n)
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(state.x[:, 0]) == pytest.approx(1.0, abs=1e-10)
     ref = oracles.dense_qfi_fd(cfg, fld, cycles=20)
     assert qfi_pure(state.x) == pytest.approx(ref, rel=1e-6)
 
@@ -324,11 +324,11 @@ def test_norm_and_magnetization_over_long_run():
     engine = FloquetEngine(cfg, fld)
     state = initial_state_with_tangent(cfg, InitConfig(tilt=0.05))
     mag = oracles.total_magnetization_diagonal(cfg)
-    m0 = mag @ np.abs(state.amplitudes[0]) ** 2
+    m0 = mag @ np.abs(state.x[0, 0]) ** 2
     for n in range(1, 1001):
         engine.apply_cycle(state, n)
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
-    m1 = mag @ np.abs(state.amplitudes[0]) ** 2
+    assert np.linalg.norm(state.x[:, 0]) == pytest.approx(1.0, abs=1e-10)
+    m1 = mag @ np.abs(state.x[0, 0]) ** 2
     assert m1 == pytest.approx(m0, abs=1e-10)
 
 
@@ -339,7 +339,7 @@ def test_tangent_orthogonality_residual():
     state = initial_state_with_tangent(cfg)
     for n in range(1, 51):
         engine.apply_cycle(state, n)
-    assert abs(np.vdot(state.amplitudes, state.tangent).real) < 1e-8
+    assert abs(np.vdot(state.x[:, 0], state.tangent).real) < 1e-8
 
 
 def test_imbalance_refuses_zero_reference():
@@ -359,10 +359,10 @@ def test_imbalance_stays_in_range():
     engine = FloquetEngine(cfg, fld)
     state = initial_state_with_tangent(cfg)
     d = observable_diagonal(cfg)
-    i0 = d @ np.abs(state.amplitudes[0]) ** 2
+    i0 = d @ np.abs(state.x[0, 0]) ** 2
     for n in range(1, 101):
         engine.apply_cycle(state, n)
-        val = (d @ np.abs(state.amplitudes[0]) ** 2) / i0
+        val = (d @ np.abs(state.x[0, 0]) ** 2) / i0
         assert -1.0 - 1e-10 <= val <= 1.0 + 1e-10
 
 
@@ -410,13 +410,13 @@ def _full_space_trace(cfg, fld, cycles):
     engine = FloquetEngine(cfg, fld)
     state = initial_state_with_tangent(cfg)
     coll, imb_diag = collective_index_a(cfg), observable_diagonal(cfg)
-    i0 = imb_diag @ np.abs(state.amplitudes[0]) ** 2
+    i0 = imb_diag @ np.abs(state.x[0, 0]) ** 2
     out = np.zeros((cycles + 1, 4))
     out[0, 0] = 1.0
     for n in range(1, cycles + 1):
         engine.apply_cycle(state, n)
-        p = np.abs(state.amplitudes[0]) ** 2
-        dp = 2.0 * np.real(np.conj(state.amplitudes[0]) * state.tangent[0])
+        p = np.abs(state.x[0, 0]) ** 2
+        dp = 2.0 * np.real(np.conj(state.x[0, 0]) * state.tangent[0])
         imb, cfi_c, cfi_m = _readout(p, dp, imb_diag, i0, coll)
         out[n] = imb, qfi_pure(state.x)[0], cfi_c, cfi_m
     return out

@@ -8,13 +8,13 @@ from dtc_sense.errors import ConfigError, ResourceLimitError
 from dtc_sense.floquet import FloquetEngine, initial_state_with_tangent
 from dtc_sense.lindblad import (
     LindbladEngine,
-    MixedState,
     _expm,
     hamming_distance_matrix,
     initial_mixed_state,
     noisy_fisher,
 )
 from dtc_sense.model import (
+    EngineState,
     FieldConfig,
     InitConfig,
     ProbeConfig,
@@ -45,8 +45,8 @@ def _random_hermitian(dim, seed):
 
 
 def _mixed(rho, drho):
-    """The B = 1 MixedState stack of rho and d rho."""
-    return MixedState(np.stack((rho, drho))[None])
+    """The B = 1 EngineState stack of rho and d rho."""
+    return EngineState(np.stack((rho, drho))[None])
 
 
 def _trajectory(cfg, fld, gamma, cycles):
@@ -56,7 +56,7 @@ def _trajectory(cfg, fld, gamma, cycles):
     out = []
     for n in range(1, cycles + 1):
         engine.apply_cycle(state, n)
-        out.append(state.rho[0])
+        out.append(state.x[0, 0])
     return out
 
 
@@ -98,7 +98,7 @@ def test_cycle_matches_dense_oracle(gamma, length):
     for n in (1, 2, 3):
         engine.apply_cycle(state, n)
         ref = oracles.dense_lindblad_cycle(ref, cfg, fld, gamma, n)
-        assert np.max(np.abs(state.rho[0] - ref)) < 1e-12
+        assert np.max(np.abs(state.x[0, 0] - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("length", [1, 2])
@@ -115,7 +115,7 @@ def test_tangent_matches_expm_frechet(gamma, length):
         engine.apply_cycle(state, n)
         ref, dref = oracles.dense_lindblad_cycle(ref, cfg, fld, gamma, n, dref)
         assert np.max(np.abs(state.tangent[0] - dref)) < 1e-10 * np.max(np.abs(dref))
-        assert np.max(np.abs(state.rho[0] - ref)) < 1e-12
+        assert np.max(np.abs(state.x[0, 0] - ref)) < 1e-12
 
 
 def test_pure_dephasing_closes_exponentially():
@@ -130,7 +130,7 @@ def test_pure_dephasing_closes_exponentially():
     for n in range(1, 5):
         engine.apply_cycle(state, n)
         decay = np.exp(-2 * gamma * 2 * cfg.length * cfg.period * n)
-        assert state.rho[0, 0, -1] == pytest.approx(decay * rho[0, -1],
+        assert state.x[0, 0, 0, -1] == pytest.approx(decay * rho[0, -1],
                                                     rel=1e-12)
 
 
@@ -142,7 +142,7 @@ def test_zero_noise_matches_unitary_engine():
     state = initial_state_with_tangent(cfg)
     for n in range(1, 7):
         engine.apply_cycle(state, n)
-    pure_rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    pure_rho = np.outer(state.x[:, 0], state.x[:, 0].conj())
     assert np.max(np.abs(traj[-1] - pure_rho)) < 1e-13
 
 
@@ -153,9 +153,9 @@ def test_trajectory_is_trace_preserving_and_positive():
     state = initial_mixed_state(cfg, gamma=5e-3)
     for n in range(1, 11):
         engine.apply_cycle(state, n)
-        assert np.trace(state.rho[0]).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(state.rho[0])[0] > -1e-12
-        assert np.allclose(state.rho[0], state.rho[0].conj().T, atol=1e-13)
+        assert np.trace(state.x[0, 0]).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(state.x[0, 0])[0] > -1e-12
+        assert np.allclose(state.x[0, 0], state.x[0, 0].conj().T, atol=1e-13)
 
 
 def test_dephasing_shrinks_purity():
@@ -184,7 +184,7 @@ def test_gate_cache_holds_the_two_latest_theta_units():
     for n in range(1, 7):
         engine.apply_cycle(cached, n)
         LindbladEngine(cfg, resonant, gamma).apply_cycle(fresh, n)
-        assert np.array_equal(cached.rho, fresh.rho)
+        assert np.array_equal(cached.x[:, 0], fresh.x[:, 0])
         assert np.array_equal(cached.tangent, fresh.tangent)
     assert len(engine._gate_cache) == 2
     assert engine.pair_gates(5) is engine.pair_gates(1)
@@ -240,11 +240,11 @@ def test_engines_refuse_a_stack_of_another_shape(mixed):
 def test_initial_mixed_state_is_projector():
     cfg = ProbeConfig(length=2)
     st = initial_mixed_state(cfg, InitConfig(tilt=0.1), gamma=0.0)
-    assert np.array_equal(st.tangent[0], np.zeros_like(st.rho[0]))
-    assert np.trace(st.rho[0]).real == pytest.approx(1.0, abs=1e-12)
-    assert np.trace(st.rho[0] @ st.rho[0]).real == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(st.tangent[0], np.zeros_like(st.x[0, 0]))
+    assert np.trace(st.x[0, 0]).real == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(st.x[0, 0] @ st.x[0, 0]).real == pytest.approx(1.0, abs=1e-12)
     psi = build_initial_state(cfg, InitConfig(tilt=0.1))
-    assert np.allclose(st.rho[0], np.outer(psi, psi.conj()), atol=1e-13)
+    assert np.allclose(st.x[0, 0], np.outer(psi, psi.conj()), atol=1e-13)
 
 
 # ------------------------------------------------------------ noisy_fisher
@@ -396,12 +396,12 @@ def test_noisy_fisher_sector_equals_full_engine(length):
     engine = LindbladEngine(cfg, fld, gamma)
     state = initial_mixed_state(cfg, gamma=gamma)
     imb_diag = observable_diagonal(cfg)
-    i0 = imb_diag @ np.diag(state.rho[0]).real
+    i0 = imb_diag @ np.diag(state.x[0, 0]).real
     ref = np.zeros((cycles + 1, 4))
     ref[0, 0] = 1.0
     for n in range(1, cycles + 1):
         engine.apply_cycle(state, n)
-        imb, cfi_c, cfi_m = _readout(np.diag(state.rho[0]).real,
+        imb, cfi_c, cfi_m = _readout(np.diag(state.x[0, 0]).real,
                                      np.diag(state.tangent[0]).real, imb_diag,
                                      i0, collective_index_a(cfg))
         ref[n] = imb, qfi_mixed(state.x)[0], cfi_c, cfi_m

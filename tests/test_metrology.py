@@ -32,7 +32,7 @@ from dtc_sense.model import (
     FieldConfig,
     InitConfig,
     ProbeConfig,
-    PureState,
+    EngineState,
     collective_index_a,
     observable_diagonal,
 )
@@ -48,10 +48,10 @@ def _random_state_and_generator(dim, seed):
 
 
 def _pure(psi, tan):
-    """The PureState stack of amplitudes `psi` and tangents `tan`, each one
+    """The EngineState stack of statevectors `psi` and tangents `tan`, each one
     state (d^L,) or one row per field (B, d^L)."""
     x = np.stack((psi, tan), axis=-2)
-    return PureState(x.reshape(-1, 2, psi.shape[-1]))
+    return EngineState(x.reshape(-1, 2, psi.shape[-1]))
 
 
 def _rho_stack(rho, drho):
@@ -84,7 +84,7 @@ def test_qfi_mixed_agrees_with_pure_limit():
     state = initial_state_with_tangent(cfg)
     for n in range(1, 8):
         engine.apply_cycle(state, n)
-    psi, dpsi = state.amplitudes, state.tangent
+    psi, dpsi = state.x[:, 0], state.tangent
     rho = np.outer(psi, psi.conj())
     drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
     assert qfi_mixed(_rho_stack(rho, drho)) == pytest.approx(
@@ -123,7 +123,7 @@ def test_qfi_mixed_rejects_negative_eigenvalue():
 def _pure_readout(state, cfg):
     """Shared per-cycle readout of a pure state with a tangent: (imbalance,
     CFI_computational, CFI_collective)."""
-    psi = state.amplitudes
+    psi = state.x[:, 0]
     p = np.abs(psi) ** 2
     dp = 2.0 * np.real(np.conj(psi) * state.tangent)
     return _readout(p, dp, observable_diagonal(cfg),

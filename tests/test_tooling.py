@@ -78,9 +78,10 @@ dtc_sense.FloquetEngine(cfg, field).apply_cycle(
     dtc_sense.initial_state_with_tangent(cfg), 1)
 dtc_sense.LindbladEngine(cfg, field, 1e-3).apply_cycle(
     dtc_sense.initial_mixed_state(cfg), 1)
+print(loaded())
 x = dtc_sense.initial_mixed_state(cfg).x.repeat(2, axis=0)
 dtc_sense.LindbladEngine(cfg, [field, dtc_sense.FieldConfig(h_a=1e6)],
-                         1e-3).apply_cycle(dtc_sense.MixedState(x), 1)
+                         1e-3).apply_cycle(dtc_sense.EngineState(x), 1)
 print("scipy" in sys.modules)
 """
 
@@ -88,7 +89,7 @@ print("scipy" in sys.modules)
 def test_package_loads_submodules_on_first_use():
     # one cycle of each engine, and of a two-field Lindblad batch, runs
     # without scipy, which pyproject does not declare (numpy is the only
-    # runtime dependency)
+    # runtime dependency); neither engine loads the readout layer, metrology
     proc = subprocess.run([sys.executable, "-c", _LAZY_PROBE],
                           capture_output=True, text=True, timeout=120,
                           env=_env())
@@ -98,6 +99,8 @@ def test_package_loads_submodules_on_first_use():
         "['dtc_sense.errors', 'dtc_sense.floquet', 'dtc_sense.model']",
         "AttributeError",
         "True",
+        "['dtc_sense.errors', 'dtc_sense.floquet', 'dtc_sense.lindblad', "
+        "'dtc_sense.model']",
         "False",
     ]
 
