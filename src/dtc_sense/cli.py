@@ -134,7 +134,7 @@ def _cmd_fit(cfg: RunConfig, out: str | None) -> tuple:
 
 def _cmd_transition(cfg: RunConfig, out: str | None) -> tuple:
     params = cfg.fixed
-    probe, fld, init = point_configs(params)
+    probe, fld, init, _ = point_configs(params)
     n = int(params.get("n", 10))
     grid = np.logspace(-5, 0, int(params["grid_points"]))
     h_max = find_transition(probe, fld, n, grid, init)

@@ -147,7 +147,10 @@ class LindbladEngine(FloquetEngine):
         A = lift(M) - np.diag(self._pair_deph)
         # linear in Theta: one derivative for every field
         E = np.broadcast_to(unit * lift(dM), A.shape)
-        return _expm(np.block([[A, np.zeros_like(A)], [E, A]]))
+        # a field too large for the exponential leaves rho non-finite, which
+        # record_trace reports as the run's error after the cycle
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _expm(np.block([[A, np.zeros_like(A)], [E, A]]))
 
     def distribution(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The basis distribution diag rho and its h_a-derivative diag d rho

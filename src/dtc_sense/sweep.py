@@ -8,16 +8,17 @@ value is a list unless its key is text; a list makes an axis key of KEYS a
 sweep axis.  apply_dict alone checks each key against KEYS and decides axis
 or fixed value, for config files, recipes and flags alike.
 
-run_sweep builds and gates every point of the Cartesian product of the axes
-(one point if there are none: simulate's trace) before any work, then groups
-the points by every axis value but h_a_per_Jz and cuts each group into
-engine batches of model.batch_size fields.  Each piece is one call of the
-pure (metrology.stroboscopic_traces) or dephased (lindblad.noisy_fisher)
-builder, as _runs_mixed picks for any command's points; with workers > 1 a
-pool of at most one process per piece runs them.  Its table is one float
-array, allocated once: per point, sorted by axis values so output never
-depends on completion order, the point's axis values beside its trace's
-rows (metrology.TRACE_COLUMNS); with no axes, the trace's rows themselves.
+run_sweep builds and gates every point of the Cartesian product of the
+axes' sorted values (one point if there are none: simulate's trace) before
+any work, in the order its table holds them, then groups the points by every
+axis value but h_a_per_Jz and cuts each group, in ascending h_a, into engine
+batches of model.batch_size fields.  Each piece is one call of the pure
+(metrology.stroboscopic_traces) or, at a dephasing rate > 0 (point_configs),
+the dephased (lindblad.noisy_fisher) builder; with workers > 1 a pool of at
+most one process per piece runs them.  Its table is one float array,
+allocated once: per point, in that order (so neither the typed order of axis
+values nor completion order changes it), the point's axis values beside its
+trace's rows (metrology.TRACE_COLUMNS); with no axes, the trace's rows.
 Each piece's record is dropped once copied, so at most one piece is held
 beside the table (with workers > 1, those the pool has finished ahead).
 emit_table writes every CSV, WRITE_CHUNK_ROWS rows at a time, and every
@@ -185,17 +186,12 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     return parse_config_text(text, base)
 
 
-def _runs_mixed(params: dict) -> bool:
-    """Whether a point runs the density-matrix engine (else the unitary)."""
-    return (float(params["gamma_per_Jz"]) > 0.0
-            and int(params["cycles"]) > 0)
-
-
 def point_configs(params: dict
-                  ) -> tuple[ProbeConfig, FieldConfig, InitConfig]:
+                  ) -> tuple[ProbeConfig, FieldConfig, InitConfig, float]:
     """Build one point's probe (at the pair dimension its engine runs),
-    field and initial-state configs, and gate the state that engine holds:
-    a density matrix if _runs_mixed, else a state vector.  A key absent from
+    field and initial-state configs and its dephasing rate (gamma_per_Jz,
+    or 0 with no cycles to run), and gate the state its engine holds: a
+    density matrix at a rate > 0, else a state vector.  A key absent from
     `params` counts as its KEYS default (so `transition` gates as pure)."""
     params = {**_DEFAULTS, **params}
     init = InitConfig(tilt=float(params["theta_rad"]))
@@ -204,26 +200,25 @@ def point_configs(params: dict
     fld = FieldConfig(h_a=float(params["h_a_per_Jz"]),
                       delta_f=float(params["delta_f"]),
                       eta=float(params["eta"]))
-    batch_size(probe, _runs_mixed(params))
-    return probe, fld, init
+    rate = float(params["gamma_per_Jz"]) if int(params["cycles"]) > 0 else 0.0
+    batch_size(probe, rate > 0)
+    return probe, fld, init, rate
 
 
-def evaluate_group(params: dict, configs: list) -> list[StroboscopicTrace]:
+def evaluate_group(cycles: int, configs: list) -> list[StroboscopicTrace]:
     """The `point_configs` of sweep points that differ only in h_a_per_Jz
-    (`params`: any one of them) -> one stroboscopic trace each, from one
-    call of the pure or the dephased trace builder on all their fields."""
-    probe, _, init = configs[0]
-    fields = [fld for _, fld, _ in configs]
-    cycles = int(params["cycles"])
-    if _runs_mixed(params):
-        return noisy_fisher(probe, fields, float(params["gamma_per_Jz"]),
-                            cycles, init)
+    -> one stroboscopic trace of `cycles` cycles each, from one call of the
+    pure or (at a rate > 0) the dephased trace builder on all their fields."""
+    probe, _, init, rate = configs[0]
+    fields = [fld for _, fld, _, _ in configs]
+    if rate > 0:
+        return noisy_fisher(probe, fields, rate, cycles, init)
     return stroboscopic_traces(probe, fields, init, cycles)
 
 
 def evaluate_point(params: dict) -> StroboscopicTrace:
     """One sweep point -> one stroboscopic trace (pure or dephased)."""
-    return evaluate_group(params, [point_configs(params)])[0]
+    return evaluate_group(int(params["cycles"]), [point_configs(params)])[0]
 
 
 def run_sweep(cfg: RunConfig) -> tuple[list[str], np.ndarray]:
@@ -239,44 +234,45 @@ def run_sweep(cfg: RunConfig) -> tuple[list[str], np.ndarray]:
     axis_names = [k for k in AXIS_KEYS if k in axes]
     if not axis_names:
         return axis_names, evaluate_point(fixed).rows
-    # every point is built and gated before any work; points that differ
-    # only in h_a_per_Jz share field batches (they share gamma_per_Jz and
-    # cycles, so all run pure or all dephased)
-    groups: dict[tuple, tuple[list, dict, list]] = {}
-    for key in itertools.product(*(axes[k] for k in axis_names)):
-        params = {**fixed, **dict(zip(axis_names, key))}
+    # every point is built and gated, in output order, before any work;
+    # points that differ only in h_a_per_Jz share field batches (they share
+    # their dephasing rate, so all run pure or all dephased)
+    points = list(itertools.product(*(sorted(axes[k]) for k in axis_names)))
+    groups: dict[tuple, tuple[list, list]] = {}
+    for slot, key in enumerate(points):
         shared = tuple(v for name, v in zip(axis_names, key)
                        if name != "h_a_per_Jz")
-        keys, _, configs = groups.setdefault(shared, ([], params, []))
-        keys.append(key)
-        configs.append(point_configs(params))
+        slots, configs = groups.setdefault(shared, ([], []))
+        slots.append(slot)
+        configs.append(point_configs({**fixed, **dict(zip(axis_names, key))}))
     tasks = []
-    for keys, params, configs in groups.values():
-        size = batch_size(configs[0][0], _runs_mixed(params))
-        tasks += [(keys[i:i + size], params, configs[i:i + size])
+    for slots, configs in groups.values():
+        size = batch_size(configs[0][0], configs[0][3] > 0)
+        tasks += [(slots[i:i + size], configs[i:i + size])
                   for i in range(0, len(configs), size)]
-    task_keys, task_params, task_configs = zip(*tasks)
+    task_slots, task_configs = zip(*tasks)
 
-    points = sorted(itertools.chain(*task_keys))
-    slot = {key: i for i, key in enumerate(points)}
-    width = len(axis_names) + len(TRACE_COLUMNS)
-    table = np.empty((len(points), int(fixed["cycles"]) + 1, width))
+    k, cycles = len(axis_names), int(fixed["cycles"])
+    width = k + len(TRACE_COLUMNS)
+    table = np.empty((len(points), cycles + 1, width))
+    table[:, :, :k] = np.array(points)[:, None, :]
 
     def fill(pieces):
         pieces = iter(pieces)
-        for keys in task_keys:
-            for key, trace in zip(keys, next(pieces)):
-                table[slot[key], :, :len(axis_names)] = key
-                table[slot[key], :, len(axis_names):] = trace.rows
+        for slots in task_slots:
+            # trace by trace: assigning the piece's list of rows at once
+            # would first stack it into a temporary as large as the piece
+            for slot, trace in zip(slots, next(pieces)):
+                table[slot, :, k:] = trace.rows
             del trace  # it holds the piece's record: free that before the next
 
     workers = min(int(fixed.get("workers", 1)), len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            fill(pool.map(evaluate_group, task_params, task_configs))
+            fill(pool.map(evaluate_group, [cycles] * len(tasks), task_configs))
     else:
-        fill(map(evaluate_group, task_params, task_configs))
+        fill(map(evaluate_group, [cycles] * len(tasks), task_configs))
     return axis_names, table.reshape(-1, width)
 
 
@@ -326,13 +322,11 @@ def _csv_pieces(axis_names: list[str], rows, columns: tuple):
         if isinstance(chunk, np.ndarray):
             chunk = map(tuple, chunk.tolist())
         for row in chunk:
-            # %.12g is _fmt except on text, -0.0, non-finite values and
-            # integral |x| >= 1e12, which it writes as '-0', 'nan', 'inf' or
-            # with 'e+'
+            # %.12g is _fmt except on text, -0.0 and integral |x| >= 1e12,
+            # which it writes as '-0' or with 'e+'
             try:
                 line = row_fmt % row
-                exact = not ("e+" in line or "n" in line
-                             or "-0," in line + ",")
+                exact = not ("e+" in line or "-0," in line + ",")
             except TypeError:
                 exact = False
             lines.append(line if exact else ",".join(map(_fmt, row)))

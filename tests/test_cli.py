@@ -1,3 +1,4 @@
+import contextlib
 import subprocess
 import sys
 
@@ -300,6 +301,13 @@ def test_noise_point_averages_stay_in_dotted_output_dir(tmp_path, capsys):
     assert not (tmp_path / "run.pointavg.csv").exists()
 
 
+def _edge_peak_warning(command):
+    # the transition configs below (L = 1, n = 2) peak at their grid's
+    # upper edge
+    return (pytest.warns(BoundaryPeakWarning) if command == "transition"
+            else contextlib.nullcontext())
+
+
 _COMMAND_CFGS = {
     "fit": "in = {table}\nx = L\ny = qfi\n",
     "transition": "L = 1\nn = 2\ngrid_points = 5\n",
@@ -318,7 +326,8 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, command):
         (tmp_path / "noise.pointavg.csv").mkdir()
     else:
         out = tmp_path / "missing" / "out.csv"
-    rc = main([command, "--config", cfg, "--out", str(out)])
+    with _edge_peak_warning(command):
+        rc = main([command, "--config", cfg, "--out", str(out)])
     assert rc == 2
     assert "cannot write output" in capsys.readouterr().err
 
@@ -348,7 +357,8 @@ def test_every_command_writes_its_table_by_one_route(tmp_path, capsys,
     table = _write(tmp_path, "t.csv", "L,qfi\n2,16\n3,54\n4,128\n")
     cfg = _write(tmp_path, "c.cfg", _ROUTE_RUNS[command].format(table=table))
     argv = [command, "--config", cfg] + (["--out", "o.csv"] if out else [])
-    assert main(argv) == 0
+    with _edge_peak_warning(command):
+        assert main(argv) == 0
     stdout = capsys.readouterr().out.splitlines()
     name = "o" if out else command
     written = {f"{name}.csv", f"{name}.meta.txt"} \
@@ -386,6 +396,7 @@ def test_zero_initial_imbalance_is_a_numerical_error(tmp_path, capsys,
     pytest.param("simulate", "", id="simulate"),
     pytest.param("noise", "dn = 2\nK = 5\n", id="noise"),
 ])
+@pytest.mark.filterwarnings("error")  # the error alone reports the failure
 def test_non_finite_state_is_a_numerical_error(tmp_path, capsys, command,
                                                extra):
     # at h_a = 1e20 the dephased channel's rho is NaN after cycle 1; the run
@@ -465,8 +476,9 @@ def test_sidecar_holds_the_keys_the_command_reads(tmp_path, capsys,
     cfg = _write(tmp_path, "c.cfg", text.format(table=table)
                  + "x = L\ndn = 1\ngrid_points = 3\n")
     out = tmp_path / "out.csv"
-    assert main([command, "--config", cfg, "--out", str(out),
-                 "--workers", "1"]) == 0
+    with _edge_peak_warning(command):
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--workers", "1"]) == 0
     expected = sorted(k for k, spec in KEYS.items()
                       if command in spec.commands and k not in unset)
     _assert_sidecar(tmp_path / "out.meta.txt")
@@ -479,8 +491,7 @@ def test_sidecar_holds_the_keys_the_command_reads(tmp_path, capsys,
 
 @pytest.mark.parametrize("text", ["L = 2, 2\n", "h_a_per_Jz = 1e-3, 0.001\n"])
 def test_repeated_axis_value_is_a_config_error(tmp_path, capsys, text):
-    # run_sweep keys its results by axis values: a repeat would run twice
-    # and be written once
+    # a repeated value would run its points twice and write each twice
     cfg = _write(tmp_path, "c.cfg", text + "cycles = 2\n")
     out = tmp_path / "o.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2

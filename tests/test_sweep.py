@@ -107,7 +107,7 @@ def test_pure_state_size_gate():
     point_configs(_point(L=8, gamma_per_Jz=0.0, theta_rad=0.1))
     with pytest.raises(ResourceLimitError):
         point_configs(_point(L=17, gamma_per_Jz=0.0))
-    probe, _, _ = point_configs(_point(L=16, gamma_per_Jz=0.0))
+    probe, _, _, _ = point_configs(_point(L=16, gamma_per_Jz=0.0))
     assert probe.pair_dim == 2 and probe.dim == 4 ** 8
 
 
@@ -368,9 +368,9 @@ def test_run_sweep_table_is_the_stacked_trace_rows(monkeypatch):
     # beside its trace's rows, in sorted axis-value order, bit for bit
     traces, evaluate_group = {}, sweep.evaluate_group
 
-    def recording(params, configs):
-        batch = evaluate_group(params, configs)
-        for (probe, fld, _), trace in zip(configs, batch):
+    def recording(cycles, configs):
+        batch = evaluate_group(cycles, configs)
+        for (probe, fld, _, _), trace in zip(configs, batch):
             traces[probe.length, fld.h_a] = trace
         return batch
 
@@ -384,6 +384,28 @@ def test_run_sweep_table_is_the_stacked_trace_rows(monkeypatch):
               for key in sorted(traces)]
     assert table.shape == (4 * 5, 2 + len(TRACE_COLUMNS))
     assert np.array_equal(table, np.vstack(blocks))
+
+
+def test_sweep_table_does_not_depend_on_the_order_of_axis_values(
+        monkeypatch):
+    # a group the state budget splits is cut in ascending h_a whatever the
+    # order the values were given in, so both tables agree bit for bit
+    monkeypatch.setattr(model, "PURE_STATE_MAX_DIM", 16)  # 2 per piece at L=3
+    pieces, evaluate_group = [], sweep.evaluate_group
+
+    def recording(cycles, configs):
+        pieces.append([fld.h_a for _, fld, _, _ in configs])
+        return evaluate_group(cycles, configs)
+
+    monkeypatch.setattr(sweep, "evaluate_group", recording)
+    h_a = [0.5, 1e-4, 0.1, 1e-2, 1e-3]
+    tables = []
+    for values in (h_a, sorted(h_a)):
+        cfg = _tiny_cfg(L=3, cycles=6, delta_f=0.01, eta=0.1)
+        apply_dict(cfg, {"h_a_per_Jz": values})
+        tables.append(run_sweep(cfg)[1])
+    assert np.array_equal(*tables)
+    assert pieces == [[1e-4, 1e-3], [1e-2, 0.1], [0.5]] * 2
 
 
 def test_simulate_table_is_its_trace_record(monkeypatch):
@@ -408,9 +430,9 @@ def test_sweep_frees_each_piece_before_the_next_runs(monkeypatch, fields):
     monkeypatch.setattr(model, "PURE_STATE_MAX_DIM", 16)  # 2 per piece at L=3
     records, live, evaluate_group = [], [], sweep.evaluate_group
 
-    def recording(params, configs):
+    def recording(cycles, configs):
         live.append(sum(ref() is not None for ref in records))
-        batch = evaluate_group(params, configs)
+        batch = evaluate_group(cycles, configs)
         records.append(weakref.ref(batch[0].rows.base))
         return batch
 
