@@ -8,8 +8,9 @@ defaults < recipe < config file < flags.  An unknown key, a count below its
 minimum, a repeated axis value, a recipe of another command and axes
 outside sweep are configuration errors; the printed configuration and
 sidecar hold only the keys the command reads (sweep.KEYS).  Each command
-returns its table; main alone writes it (sweep.emit_table) to `out`, else
-to <command>.csv for simulate, sweep and noise, else nowhere.
+returns its table; main writes it (sweep.emit_table) to `out`, else to
+<command>.csv for simulate, sweep and noise, else nowhere.  noise also
+writes its point averages itself, to <out stem>.pointavg.csv.
 
 Exit codes: 0 success, 2 configuration error, 3 resource-gate rejection,
 4 numerical-contract failure.

@@ -48,7 +48,7 @@ EIGSUM_CUTOFF = 1e-12     # eigenvalue-pair cutoff in the mixed-state QFI
 TRACE_COLUMNS = ("n", "imbalance", "qfi", "cfi_comp", "cfi_coll")
 
 
-@dataclass
+@dataclass(eq=False)
 class StroboscopicTrace:
     """Per-cycle record of the probe observables, n = 0..N: `rows` is the
     (N + 1, 5) float block in TRACE_COLUMNS order, and each named column a

@@ -110,7 +110,7 @@ class InitConfig:
             raise ConfigError(f"tilt must lie in [0, pi/4], got {self.tilt}")
 
 
-@dataclass
+@dataclass(eq=False)
 class EngineState:
     """The stack x either engine runs: B fields' states x[:, 0], psi of shape
     d^L or rho of shape (d^L, d^L), and their h_a-tangents x[:, 1] (psi's

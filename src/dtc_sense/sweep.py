@@ -8,14 +8,16 @@ value is a list unless its key is text; a list makes an axis key of KEYS a
 sweep axis.  apply_dict alone checks each key against KEYS and decides axis
 or fixed value, for config files, recipes and flags alike.
 
-run_sweep builds and gates every point of the Cartesian product of the
-axes' sorted values (one point if there are none: simulate's trace) before
-any work, in the order its table holds them, then groups the points by every
-axis value but h_a_per_Jz and cuts each group, in ascending h_a, into engine
-batches of model.batch_size fields.  Each piece is one call of the pure
-(metrology.stroboscopic_traces) or, at a dephasing rate > 0 (point_configs),
-the dephased (lindblad.noisy_fisher) builder; with workers > 1 a pool of at
-most one process per piece runs them.  Its table is one float array,
+run_sweep builds every point of the Cartesian product of the axes' sorted
+values (one point if there are none: simulate's trace), in the order its
+table holds them, and groups the points by the engine inputs they share,
+all but h_a (point_configs: probe, initial state, dephasing rate, delta_f,
+eta).  Before any work, one model.batch_size call per group gates it and
+sizes the engine batches it is cut into, in ascending h_a; a single point
+meets that gate in the engine it builds.  Each piece is one call of the pure
+(metrology.stroboscopic_traces) or, at a dephasing rate > 0, the dephased
+(lindblad.noisy_fisher) builder; with workers > 1 a pool of at most one
+process per piece runs them.  Its table is one float array,
 allocated once: per point, in that order (so neither the typed order of axis
 values nor completion order changes it), the point's axis values beside its
 trace's rows (metrology.TRACE_COLUMNS); with no axes, the trace's rows.
@@ -188,11 +190,11 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
 
 def point_configs(params: dict
                   ) -> tuple[ProbeConfig, FieldConfig, InitConfig, float]:
-    """Build one point's probe (at the pair dimension its engine runs),
-    field and initial-state configs and its dephasing rate (gamma_per_Jz,
-    or 0 with no cycles to run), and gate the state its engine holds: a
-    density matrix at a rate > 0, else a state vector.  A key absent from
-    `params` counts as its KEYS default (so `transition` gates as pure)."""
+    """One point's probe (at the pair dimension its engine runs), field and
+    initial-state configs and its dephasing rate (gamma_per_Jz, or 0 with
+    no cycles to run): its engine holds a density matrix at a rate > 0,
+    else a state vector.  A key absent from `params` counts as its KEYS
+    default (so `transition` builds a pure point)."""
     params = {**_DEFAULTS, **params}
     init = InitConfig(tilt=float(params["theta_rad"]))
     probe = engine_probe(ProbeConfig(length=int(params["L"]),
@@ -201,14 +203,13 @@ def point_configs(params: dict
                       delta_f=float(params["delta_f"]),
                       eta=float(params["eta"]))
     rate = float(params["gamma_per_Jz"]) if int(params["cycles"]) > 0 else 0.0
-    batch_size(probe, rate > 0)
     return probe, fld, init, rate
 
 
 def evaluate_group(cycles: int, configs: list) -> list[StroboscopicTrace]:
-    """The `point_configs` of sweep points that differ only in h_a_per_Jz
-    -> one stroboscopic trace of `cycles` cycles each, from one call of the
-    pure or (at a rate > 0) the dephased trace builder on all their fields."""
+    """The `point_configs` of sweep points that share all but h_a -> one
+    stroboscopic trace of `cycles` cycles each, from one call of the pure
+    or (at a rate > 0) the dephased trace builder on all their fields."""
     probe, _, init, rate = configs[0]
     fields = [fld for _, fld, _, _ in configs]
     if rate > 0:
@@ -234,35 +235,32 @@ def run_sweep(cfg: RunConfig) -> tuple[list[str], np.ndarray]:
     axis_names = [k for k in AXIS_KEYS if k in axes]
     if not axis_names:
         return axis_names, evaluate_point(fixed).rows
-    # every point is built and gated, in output order, before any work;
-    # points that differ only in h_a_per_Jz share field batches (they share
-    # their dephasing rate, so all run pure or all dephased)
+    # each group's one batch_size call gates it and sizes its pieces (in
+    # output order, so ascending h_a) before any piece runs
     points = list(itertools.product(*(sorted(axes[k]) for k in axis_names)))
-    groups: dict[tuple, tuple[list, list]] = {}
-    for slot, key in enumerate(points):
-        shared = tuple(v for name, v in zip(axis_names, key)
-                       if name != "h_a_per_Jz")
-        slots, configs = groups.setdefault(shared, ([], []))
-        slots.append(slot)
-        configs.append(point_configs({**fixed, **dict(zip(axis_names, key))}))
-    tasks = []
-    for slots, configs in groups.values():
-        size = batch_size(configs[0][0], configs[0][3] > 0)
-        tasks += [(slots[i:i + size], configs[i:i + size])
-                  for i in range(0, len(configs), size)]
-    task_slots, task_configs = zip(*tasks)
+    configs = [point_configs({**fixed, **dict(zip(axis_names, key))})
+               for key in points]
+    groups: dict[tuple, list[int]] = {}
+    for slot, (probe, fld, init, rate) in enumerate(configs):
+        groups.setdefault((probe, init, rate, fld.delta_f, fld.eta),
+                          []).append(slot)
+    pieces = []
+    for (probe, _, rate, _, _), slots in groups.items():
+        size = batch_size(probe, rate > 0)
+        pieces += [slots[i:i + size] for i in range(0, len(slots), size)]
+    tasks = [[configs[slot] for slot in slots] for slots in pieces]
 
     k, cycles = len(axis_names), int(fixed["cycles"])
     width = k + len(TRACE_COLUMNS)
     table = np.empty((len(points), cycles + 1, width))
     table[:, :, :k] = np.array(points)[:, None, :]
 
-    def fill(pieces):
-        pieces = iter(pieces)
-        for slots in task_slots:
+    def fill(traces):
+        traces = iter(traces)
+        for slots in pieces:
             # trace by trace: assigning the piece's list of rows at once
             # would first stack it into a temporary as large as the piece
-            for slot, trace in zip(slots, next(pieces)):
+            for slot, trace in zip(slots, next(traces)):
                 table[slot, :, k:] = trace.rows
             del trace  # it holds the piece's record: free that before the next
 
@@ -270,9 +268,9 @@ def run_sweep(cfg: RunConfig) -> tuple[list[str], np.ndarray]:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            fill(pool.map(evaluate_group, [cycles] * len(tasks), task_configs))
+            fill(pool.map(evaluate_group, [cycles] * len(tasks), tasks))
     else:
-        fill(map(evaluate_group, [cycles] * len(tasks), task_configs))
+        fill(map(evaluate_group, [cycles] * len(tasks), tasks))
     return axis_names, table.reshape(-1, width)
 
 

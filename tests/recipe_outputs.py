@@ -3,6 +3,7 @@ directory; or compare two such directories.
 
     python tests/recipe_outputs.py OUTDIR
     python tests/recipe_outputs.py --compare BEFORE AFTER
+    python tests/recipe_outputs.py --against REF OUTDIR
 
 Each run is one `python -m dtc_sense.cli` process on the package in this
 checkout's src/, started in OUTDIR.  For each run OUTDIR gets its CSV, the
@@ -28,15 +29,24 @@ row count changed) or `only in BEFORE|AFTER`; and for each column of a CSV
 that changed, the largest absolute change and the largest relative change
 |a - b| / max(|a|, |b|) over its rows (0 where both are 0; a text column
 reads `identical` or `differs`).  It exits 1 if some file is missing from
-one side or differs in shape, else 0.  The file is not a test module;
-pytest does not collect it.
+one side or differs in shape, else 0.
+
+`--against REF OUTDIR` does both steps in one checkout: it writes the
+outputs of REF's src/ (a git revision, read with `git archive REF src`,
+nothing checked out) to OUTDIR/before and this checkout's to OUTDIR/after,
+both for this checkout's runs, then prints and exits as `--compare`
+OUTDIR/before OUTDIR/after.  The file is not a test module; pytest does not
+collect it.
 """
 from __future__ import annotations
 
 import csv
+import io
 import os
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -69,12 +79,12 @@ def runs() -> dict[str, tuple[list[str], str | None]]:
     return {**out, **EXTRA_RUNS}
 
 
-def main(outdir: str) -> int:
-    """Write every run's outputs to `outdir`; return how many runs did not
-    exit 0."""
+def main(outdir: str, src: Path = SRC) -> int:
+    """Write every run's outputs, by the package in `src`, to `outdir`;
+    return how many runs did not exit 0."""
     root = Path(outdir)
     root.mkdir(parents=True, exist_ok=True)
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": str(src)}
     failed = 0
     for name, (args, config) in runs().items():
         argv = [sys.executable, "-m", "dtc_sense.cli", *args,
@@ -138,9 +148,26 @@ def compare(before: str, after: str) -> tuple[list[str], bool]:
     return lines, whole
 
 
+def against(ref: str, outdir: str) -> tuple[list[str], bool]:
+    """Write REF's outputs to OUTDIR/before and this checkout's to
+    OUTDIR/after (module docstring); return what `compare` returns."""
+    archive = subprocess.run(["git", "-C", str(SRC.parent), "archive", ref,
+                              "src"], capture_output=True)
+    if archive.returncode != 0:
+        sys.exit(f"git archive {ref} src failed: {archive.stderr.decode()}")
+    before, after = Path(outdir) / "before", Path(outdir) / "after"
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        main(before, Path(tmp) / "src")
+    main(after)
+    return compare(before, after)
+
+
 if __name__ == "__main__":
-    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
-        table, whole = compare(sys.argv[2], sys.argv[3])
+    if len(sys.argv) == 4 and sys.argv[1] in ("--compare", "--against"):
+        step = compare if sys.argv[1] == "--compare" else against
+        table, whole = step(sys.argv[2], sys.argv[3])
         print(*table, sep="\n")
         sys.exit(0 if whole else 1)
     if len(sys.argv) != 2:

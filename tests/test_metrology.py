@@ -309,6 +309,15 @@ def _toy_trace(values):
          0.25 * values)))
 
 
+def test_states_and_traces_compare_by_identity():
+    # both hold arrays, whose elementwise == has no truth value: a state or
+    # trace equals itself only, and hashes, so `in` and sets work
+    for a, b in ((_toy_trace([0.0, 1.0]), _toy_trace([0.0, 1.0])),
+                 (EngineState(np.zeros((1, 2, 4))),
+                  EngineState(np.zeros((1, 2, 4))))):
+        assert a == a and a != b and b in [a, b] and len({a, b}) == 2
+
+
 def test_time_average_running_mean():
     trace = _toy_trace([0.0, 1.0, 2.0, 3.0, 4.0])
     out = oracles.time_average(trace, 4)

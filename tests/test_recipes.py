@@ -7,6 +7,7 @@ import pytest
 
 from dtc_sense.cli import main
 from dtc_sense.errors import ConfigError
+from dtc_sense.model import batch_size
 from dtc_sense.recipes import RECIPES, recipe_config
 from dtc_sense.sweep import AXIS_KEYS, apply_dict, base_config, point_configs
 
@@ -31,7 +32,9 @@ def test_recipes_respect_resource_gates():
             continue
         cfg = apply_dict(base_config(), recipe_config(name))
         for values in itertools.product(*cfg.axes.values()):
-            point_configs({**cfg.fixed, **dict(zip(cfg.axes, values))})
+            probe, _, _, rate = point_configs(
+                {**cfg.fixed, **dict(zip(cfg.axes, values))})
+            batch_size(probe, rate > 0)
 
 
 def test_sweep_recipes_have_axes_and_simulate_recipes_do_not():

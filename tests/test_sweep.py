@@ -98,16 +98,23 @@ def _point(**values):
     return {**base_config().fixed, **values}
 
 
+def _gate(params):
+    # the gate run_sweep applies to a point's group: point_configs builds
+    # the point, batch_size admits the state its engine holds
+    probe, _, _, rate = point_configs(params)
+    return probe, model.batch_size(probe, rate > 0)
+
+
 def test_pure_state_size_gate():
     # the gate counts the state the engine holds: 4^L amplitudes at tilt > 0,
     # 2^L in the tilt-0 pair-qubit sector; both budgets are 4^8
     params = _point(L=9, gamma_per_Jz=0.0, theta_rad=0.1)
     with pytest.raises(ResourceLimitError):
-        point_configs(params)
-    point_configs(_point(L=8, gamma_per_Jz=0.0, theta_rad=0.1))
+        _gate(params)
+    _gate(_point(L=8, gamma_per_Jz=0.0, theta_rad=0.1))
     with pytest.raises(ResourceLimitError):
-        point_configs(_point(L=17, gamma_per_Jz=0.0))
-    probe, _, _, _ = point_configs(_point(L=16, gamma_per_Jz=0.0))
+        _gate(_point(L=17, gamma_per_Jz=0.0))
+    probe, _ = _gate(_point(L=16, gamma_per_Jz=0.0))
     assert probe.pair_dim == 2 and probe.dim == 4 ** 8
 
 
@@ -115,11 +122,11 @@ def test_lindblad_size_gate():
     # density matrices: d^L rows up to 4^5, so L <= 5 at tilt > 0, L <= 10
     # at tilt 0
     with pytest.raises(ResourceLimitError):
-        point_configs(_point(L=6, gamma_per_Jz=1e-3, theta_rad=0.1))
-    point_configs(_point(L=5, gamma_per_Jz=1e-3, theta_rad=0.1))
+        _gate(_point(L=6, gamma_per_Jz=1e-3, theta_rad=0.1))
+    _gate(_point(L=5, gamma_per_Jz=1e-3, theta_rad=0.1))
     with pytest.raises(ResourceLimitError):
-        point_configs(_point(L=11, gamma_per_Jz=1e-3))
-    point_configs(_point(L=10, gamma_per_Jz=1e-3))
+        _gate(_point(L=11, gamma_per_Jz=1e-3))
+    _gate(_point(L=10, gamma_per_Jz=1e-3))
 
 
 def test_gate_follows_the_engine_that_runs():
@@ -127,11 +134,34 @@ def test_gate_follows_the_engine_that_runs():
     # gamma = 0, with no cycles, or without either key (as transition
     # gives it) runs the pure engine
     with pytest.raises(ResourceLimitError):
-        point_configs(_point(L=6, gamma_per_Jz=1e-3, theta_rad=0.1))
-    point_configs(_point(L=6, gamma_per_Jz=0.0, theta_rad=0.1))
-    point_configs(_point(L=6, gamma_per_Jz=1e-3, theta_rad=0.1, cycles=0))
-    point_configs({**base_config("transition").fixed, "L": 6,
-                   "theta_rad": 0.1})
+        _gate(_point(L=6, gamma_per_Jz=1e-3, theta_rad=0.1))
+    _gate(_point(L=6, gamma_per_Jz=0.0, theta_rad=0.1))
+    _gate(_point(L=6, gamma_per_Jz=1e-3, theta_rad=0.1, cycles=0))
+    _gate({**base_config("transition").fixed, "L": 6, "theta_rad": 0.1})
+
+
+def test_one_gate_per_group_before_any_piece_runs(monkeypatch):
+    # point_configs only builds a point; run_sweep calls batch_size once per
+    # group of shared engine inputs (here one per L), all before any piece
+    point_configs(_point(L=17, gamma_per_Jz=0.0))
+    calls = []
+    batch_size, evaluate_group = model.batch_size, sweep.evaluate_group
+
+    def gate(probe, mixed):
+        calls.append(("gate", probe.length, mixed))
+        return batch_size(probe, mixed)
+
+    def group(cycles, configs):
+        calls.append(("piece", len(configs)))
+        return evaluate_group(cycles, configs)
+
+    monkeypatch.setattr(sweep, "batch_size", gate)
+    monkeypatch.setattr(sweep, "evaluate_group", group)
+    cfg = _tiny_cfg(cycles=2)
+    apply_dict(cfg, {"L": [2, 3], "h_a_per_Jz": [1e-3, 1e-2]})
+    run_sweep(cfg)
+    assert calls == [("gate", 2, False), ("gate", 3, False),
+                     ("piece", 2), ("piece", 2)]
 
 
 # ------------------------------------------------------------- evaluation
@@ -275,6 +305,28 @@ def test_gamma_axis_routes_to_density_matrix_path():
     # dephasing pulls the revival below the unitary value
     unitary = run_sweep(_tiny_cfg(h_a_per_Jz=1e-3, cycles=2))[1]
     assert abs(rows[2][1]) <= abs(unitary[2][1]) + 1e-9
+
+
+def test_points_that_share_engine_inputs_share_a_batch(monkeypatch):
+    # with no cycles every point runs pure whatever its gamma_per_Jz, so the
+    # gamma lines of each L arrive as one batch, in ascending h_a, and each
+    # point's rows are its own evaluate_point rows
+    batches, traces = [], sweep.stroboscopic_traces
+
+    def recording(probe, fields, *args):
+        batches.append([fld.h_a for fld in fields])
+        return traces(probe, fields, *args)
+
+    monkeypatch.setattr(sweep, "stroboscopic_traces", recording)
+    cfg = _tiny_cfg(cycles=0, theta_rad=0.1)
+    h_a = [1e-4, 1e-2, 0.3]
+    apply_dict(cfg, {"L": [2, 3], "h_a_per_Jz": h_a,
+                     "gamma_per_Jz": [0.0, 1e-3]})
+    names, table = run_sweep(cfg)
+    assert batches == [[h for h in h_a for _ in range(2)]] * 2
+    points = [dict(zip(names, row[:3])) for row in table]
+    assert np.array_equal(table[:, 3:], np.vstack(
+        [evaluate_point({**cfg.fixed, **p}).rows for p in points]))
 
 
 def test_sweep_gate_applies_before_any_work():

@@ -271,3 +271,28 @@ def test_recipe_outputs_compare_prints_each_column_change(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[-1].split() == ["u.csv", "only", "in",
                                                     str(after)]
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="not a git checkout")
+def test_recipe_outputs_against_runs_a_revision_beside_this_tree(
+        tmp_path, monkeypatch):
+    # --against REF: REF's src/, unpacked from git archive, writes
+    # OUTDIR/before, this checkout's src/ OUTDIR/after, and --compare's
+    # table of the two comes back
+    import recipe_outputs
+    seen, main = [], recipe_outputs.main
+
+    def recording(outdir, src=recipe_outputs.SRC):
+        seen.append((Path(outdir).name, src == recipe_outputs.SRC,
+                     (src / "dtc_sense" / "cli.py").exists()))
+        return main(outdir, src)
+
+    monkeypatch.setattr(recipe_outputs, "main", recording)
+    monkeypatch.setattr(recipe_outputs, "runs", lambda: {
+        "tiny": (["simulate"], "L = 2\ncycles = 2\n")})
+    table, whole = recipe_outputs.against("HEAD", str(tmp_path))
+    assert seen == [("before", False, True), ("after", True, True)]
+    assert whole and [line.split()[0] for line in table[1:]] == [
+        "tiny.cfg", "tiny.csv", "tiny.meta.txt", "tiny.stdout"]
+    assert (tmp_path / "before" / "tiny.stdout").read_text() \
+        .endswith("exit 0\n")
